@@ -108,23 +108,8 @@ def _load_traj(path) -> TrajectoryData:
     return trajectory_from_csv(str(path))
 
 
-def _real_series(s: MultiSeries) -> MultiSeries:
-    scale = max((np.max(np.abs(v)) for v in s.coeffs.values()), default=1.0)
-    if s.max_abs_imag() > 1e-9 * max(scale, 1e-300):
-        raise NumericalError("series has non-negligible imaginary parts; "
-                             "no real chart available")
-    return MultiSeries(s.dim_in, s.dim_out, s.order,
-                       {idx: vec.real for idx, vec in s.terms()})
-
-
 def _load_model(path) -> SSMModel:
     return model_from_text(_read(path))
-
-
-def _reduced_series_of(model: SSMModel) -> MultiSeries:
-    if model.d == 2 and model.is_oscillatory_pair():
-        return realify_reduced(model)
-    return _real_series(model.R)
 
 
 def _parse_forcing(args, dim: int):
@@ -155,7 +140,7 @@ def _load_field(args) -> ReducedField:
         return ReducedField.from_rationals(maps,
                                            forcing=_parse_forcing(args, dim))
     model = _load_model(args.model)
-    series = _reduced_series_of(model)
+    series = realify_reduced(model)
     return ReducedField.from_series(series,
                                     forcing=_parse_forcing(args, series.dim_in))
 
@@ -216,16 +201,13 @@ def _scan_axes(dim: int, radius: float, points: int, nonnegative: bool):
 
 def _pade_targets(model: SSMModel):
     """(name, series, nonnegative scan domain) triples for a model."""
-    targets = []
-    if model.d == 2 and model.is_oscillatory_pair():
-        targets.append(("W", realify_parametrization(model), False))
-        if model.style == "normal-form":
-            polar = extract_polar(model)
-            targets.append(("kappa", polar.kappa_series(), True))
-            targets.append(("omega", polar.omega_series(), True))
-    else:
-        targets.append(("W", _real_series(model.W), False))
-        targets.append(("R", _real_series(model.R), False))
+    targets = [("W", realify_parametrization(model), False)]
+    if not model.is_oscillatory_pair():
+        targets.append(("R", realify_reduced(model), False))
+    elif model.style == "normal-form":
+        polar = extract_polar(model)
+        targets.append(("kappa", polar.kappa_series(), True))
+        targets.append(("omega", polar.omega_series(), True))
     return targets
 
 
@@ -446,18 +428,15 @@ def _coefficients_from(args) -> np.ndarray:
         raise ValidationError(
             "exactly one of --coeffs, --series, --model is required")
     if sources[0] == "coeffs":
-        vals = [float(tok) for tok in _read(args.coeffs).split()]
-        return np.array(vals)
+        return _floats(",".join(_read(args.coeffs).split()))
     if sources[0] == "series":
         s = series_from_text(_read(args.series))
         if s.dim_in != 1:
             raise ValidationError("singularity analysis needs a univariate series")
         return s.univariate_coeffs().real
-    model = _load_model(args.model)
-    polar = extract_polar(model)
-    arr = polar.omega if args.rep == "omega" else polar.kappa
-    series = MultiSeries(1, 1, 2 * (len(arr) - 1),
-                         {(2 * i,): [complex(c)] for i, c in enumerate(arr)})
+    polar = extract_polar(_load_model(args.model))
+    series = polar.omega_series() if args.rep == "omega" \
+        else polar.kappa_series()
     return series.univariate_coeffs().real
 
 
@@ -753,11 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("GSSM_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = threads
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "poly_order", None) is None and args.command == "regress":

@@ -17,7 +17,8 @@ from scipy.signal import savgol_filter
 from .errors import NumericalError, ValidationError
 from .pade import RationalMap
 from .reduced import ReducedField, integrate_reduced
-from .series import MultiSeries, format_float, indices_up_to_order
+from .series import (MultiSeries, format_float, indices_up_to_order,
+                     monomial_matrix, text_reader)
 from .trajectory import TrajectoryData
 
 ORTHONORMAL_TOL = 1e-10
@@ -250,15 +251,6 @@ class PolynomialFit:
         return "\n".join(lines)
 
 
-def _monomial_matrix(points: np.ndarray, exponents) -> np.ndarray:
-    out = np.ones((points.shape[0], len(exponents)))
-    for k, ex in enumerate(exponents):
-        for j, e in enumerate(ex):
-            if e:
-                out[:, k] *= points[:, j] ** e
-    return out
-
-
 def _quotient_error(theta, phi, psi_tail, targets, n_out):
     p = phi.shape[1]
     a = theta[:n_out * p].reshape(n_out, p)
@@ -323,8 +315,8 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
     delta = prob.margin
     exps_num = indices_up_to_order(d, prob.numerator_order)
     exps_den = indices_up_to_order(d, prob.denominator_order)
-    phi = _monomial_matrix(prob.inputs, exps_num)
-    psi = _monomial_matrix(prob.inputs, exps_den)
+    phi = monomial_matrix(prob.inputs, exps_num)
+    psi = monomial_matrix(prob.inputs, exps_den)
     psi_tail = psi[:, 1:]
     k, p = phi.shape
     q = psi.shape[1]
@@ -456,7 +448,7 @@ def fit_polynomial_field(inputs, targets, order: int) -> PolynomialFit:
                               "number of samples")
     d, n_out = inputs.shape[1], targets.shape[1]
     exps = indices_up_to_order(d, order)
-    phi = _monomial_matrix(inputs, exps)
+    phi = monomial_matrix(inputs, exps)
     if inputs.shape[0] < len(exps):
         raise ValidationError(
             f"{inputs.shape[0]} samples cannot determine "
@@ -485,9 +477,8 @@ def chart_to_text(chart: ChartProjection, cfg: EmbeddingConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def chart_from_text(text: str):
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
+@text_reader("chart")
+def chart_from_text(lines: List[str]):
     if not lines or not lines[0].startswith("chart "):
         raise ValidationError("missing chart header")
     head = lines[0].split()

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import PoleProximityError, ValidationError
 from .series import (MultiIndex, MultiSeries, coeff_lines, indices_of_order,
                      indices_up_to_order, multiply_truncated,
-                     parse_coeff_lines, reciprocal_truncated)
+                     parse_coeff_lines, reciprocal_truncated, text_reader)
 
 DEFAULT_SVD_TOL = 1e-13
 DEFAULT_POLE_FLOOR = 1e-12
@@ -58,25 +58,36 @@ class RationalMap:
     def dim_out(self) -> int:
         return self.numerator.dim_out
 
-    def denominator_at(self, point) -> complex:
-        return self.denominator.evaluate(point)[0]
+
+def rational_parts(r: RationalMap, points) -> Tuple[np.ndarray, np.ndarray]:
+    """Numerator (K, dim_out) and denominator (K,) values at K points.
+
+    The one rational evaluator: numerator and denominator components are
+    stacked into one series (built on first use and cached) and evaluated
+    in a single kernel pass.  Callers apply their own pole policy.
+    """
+    stacked = r.__dict__.get("_stacked")
+    if stacked is None:
+        stacked = r._stacked = MultiSeries.from_components(
+            [r.numerator.component(j) for j in range(r.dim_out)]
+            + [r.denominator])
+    vals = stacked.evaluate_many(points)
+    return vals[:, :-1], vals[:, -1]
 
 
 def evaluate_rational(r: RationalMap, point, floor: float = DEFAULT_POLE_FLOOR) -> np.ndarray:
-    den = r.denominator.evaluate(point)[0]
-    if abs(den) < floor:
-        raise PoleProximityError(np.asarray(point), den, floor)
-    return r.numerator.evaluate(point) / den
+    return evaluate_rational_many(r, np.asarray(point, dtype=complex)[None],
+                                  floor)[0]
 
 
 def evaluate_rational_many(r: RationalMap, points, floor: float = DEFAULT_POLE_FLOOR) -> np.ndarray:
     pts = np.asarray(points, dtype=complex)
-    den = r.denominator.evaluate_many(pts)[:, 0]
+    num, den = rational_parts(r, pts)
     bad = np.abs(den) < floor
     if np.any(bad):
         i = int(np.argmax(bad))
         raise PoleProximityError(pts[i], den[i], floor)
-    return r.numerator.evaluate_many(pts) / den[:, None]
+    return num / den[:, None]
 
 
 def taylor_of_rational(r: RationalMap, order: int) -> MultiSeries:
@@ -302,9 +313,8 @@ def rationals_to_text(rs: Sequence[RationalMap]) -> str:
     return "".join(rational_to_text(r) for r in rs)
 
 
-def rationals_from_text(text: str) -> List[RationalMap]:
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
+@text_reader("rational")
+def rationals_from_text(lines: List[str]) -> List[RationalMap]:
     out: List[RationalMap] = []
     i = 0
     while i < len(lines):

@@ -1,11 +1,10 @@
 """Running and analyzing the reduced dynamics.
 
-A ReducedField is the right-hand side of the reduced model in one of three
-forms: a real polynomial series, rational maps (the globalized model), or a
-polar amplitude/phase pair.  The analysis routines (backbone, forced
-response, Poincare sections, Lyapunov exponent, PSD) operate on these
-fields; everything returns plain arrays or TrajectoryData so the outputs
-can be dumped to CSV.
+A ReducedField is the right-hand side of the reduced model in one of two
+forms: a real polynomial series or rational maps (the globalized model).
+The analysis routines (backbone, forced response, Poincare sections,
+Lyapunov exponent, PSD) operate on these fields; everything returns plain
+arrays or TrajectoryData so the outputs can be dumped to CSV.
 """
 
 from __future__ import annotations
@@ -15,29 +14,24 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy.integrate import solve_ivp
 from scipy.signal import periodogram
 
 from .errors import NumericalError, ValidationError
-from .pade import RationalMap, pade_univariate
+from .pade import RationalMap, pade_univariate, rational_parts
 from .series import MultiSeries, format_float
 from .ssm import (PolarNormalForm, PolySystem, SpectralData, SSMModel,
                   foliation_projection, realify_parametrization)
 from .trajectory import TrajectoryData
 
-FIELD_KINDS = ("series", "rational", "polar")
+FIELD_KINDS = ("series", "rational")
 DEFAULT_BLOWUP_FACTOR = 1e6
 DEFAULT_POLE_EVENT_FLOOR = 1e-6
 
 
 @dataclass
 class Forcing:
-    """Harmonic forcing eps * vector * cos(frequency t) in reduced coordinates.
-
-    For polar fields the vector is ignored: the amplitude enters the standard
-    rotating-frame equations for (rho, psi) with psi the phase lag.
-    """
+    """Harmonic forcing eps * vector * cos(frequency t) in reduced coordinates."""
 
     amplitude: float
     frequency: float
@@ -56,7 +50,6 @@ class ReducedField:
     dim: int
     series: Optional[MultiSeries] = None
     rationals: Optional[List[RationalMap]] = None
-    polar: Optional[PolarNormalForm] = None
     forcing: Optional[Forcing] = None
 
     def __post_init__(self):
@@ -66,17 +59,14 @@ class ReducedField:
             if self.series is None or self.series.dim_in != self.dim \
                     or self.series.dim_out != self.dim:
                 raise ValidationError("series field must map dim -> dim")
-        elif self.kind == "rational":
+        else:
             if not self.rationals:
                 raise ValidationError("rational field needs rational maps")
             total = sum(r.dim_out for r in self.rationals)
             if total != self.dim or any(r.dim_in != self.dim
                                         for r in self.rationals):
                 raise ValidationError("rational maps must cover dim components")
-        else:
-            if self.polar is None or self.dim != 2:
-                raise ValidationError("polar field is 2-dimensional (rho, psi)")
-        if self.forcing is not None and self.kind != "polar":
+        if self.forcing is not None:
             if self.forcing.vector is None or \
                     self.forcing.vector.shape != (self.dim,):
                 raise ValidationError("forcing vector must have the field dim")
@@ -95,41 +85,30 @@ class ReducedField:
         dim = sum(r.dim_out for r in rationals)
         return cls("rational", dim, rationals=rationals, forcing=forcing)
 
-    @classmethod
-    def from_polar(cls, polar: PolarNormalForm,
-                   forcing: Optional[Forcing] = None) -> "ReducedField":
-        return cls("polar", 2, polar=polar, forcing=forcing)
-
     def autonomous_rhs(self, u: np.ndarray) -> np.ndarray:
+        """The field at a state (dim,) or at stacked states (m, dim)."""
+        u = np.asarray(u)
+        pts = u.reshape(-1, self.dim)
         if self.kind == "series":
-            return self.series.evaluate(u).real
-        if self.kind == "rational":
-            out = []
-            for r in self.rationals:
-                den = r.denominator.evaluate(u)[0].real
-                out.extend(r.numerator.evaluate(u).real / den)
-            return np.asarray(out)
-        rho = u[0]
-        return np.array([self.polar.kappa_at(rho) * rho,
-                         self.polar.omega_at(rho)])
+            out = self.series.evaluate_many(pts).real
+        else:
+            out = np.hstack([num.real / den.real[:, None] for num, den in
+                             (rational_parts(r, pts) for r in self.rationals)])
+        return out.reshape(u.shape)
 
     def rhs(self, t: float, u: np.ndarray) -> np.ndarray:
+        """Forced field at time t; u is one state or stacked states."""
         out = self.autonomous_rhs(u)
         if self.forcing is None or self.forcing.amplitude == 0.0:
             return out
         eps, omega = self.forcing.amplitude, self.forcing.frequency
-        if self.kind == "polar":
-            # rotating frame: u = (rho, psi), psi = theta - omega t
-            rho, psi = u
-            out[0] += eps * math.sin(psi)
-            out[1] += -omega + eps * math.cos(psi) / rho
-            return out
         return out + eps * self.forcing.vector * math.cos(omega * t)
 
     def min_denominator(self, u: np.ndarray) -> float:
         if self.kind != "rational":
             return 1.0
-        return min(abs(r.denominator.evaluate(u)[0].real)
+        pts = np.reshape(u, (1, self.dim))
+        return min(abs(rational_parts(r, pts)[1][0].real)
                    for r in self.rationals)
 
 
@@ -204,22 +183,15 @@ def lift(chart, traj: TrajectoryData) -> TrajectoryData:
             w = chart.W
         return lift(w, traj)
     flags = list(traj.flags)
-    rows = np.zeros((traj.n_samples, chart.dim_out))
     if isinstance(chart, MultiSeries):
-        vals = chart.evaluate_many(traj.values.astype(complex))
-        rows = vals.real
+        rows = chart.evaluate_many(traj.values).real
     elif isinstance(chart, RationalMap):
-        bad = 0
-        for k in range(traj.n_samples):
-            u = traj.values[k]
-            den = chart.denominator.evaluate(u)[0].real
-            if abs(den) < 1e-12:
-                rows[k] = np.nan
-                bad += 1
-                continue
-            rows[k] = chart.numerator.evaluate(u).real / den
-        if bad:
-            flags.append(f"{bad} samples within the pole floor lifted as NaN")
+        num, den = rational_parts(chart, traj.values)
+        bad = np.abs(den.real) < 1e-12
+        rows = num.real / np.where(bad, np.nan, den.real)[:, None]
+        if np.any(bad):
+            flags.append(f"{np.count_nonzero(bad)} samples within the pole "
+                         "floor lifted as NaN")
     else:
         raise ValidationError("chart must be SSMModel, MultiSeries, "
                               "or RationalMap")
@@ -229,16 +201,6 @@ def lift(chart, traj: TrajectoryData) -> TrajectoryData:
 # ---- backbone and forced response --------------------------------------------
 
 
-def _curve_eval(rep, rho: float, component: str) -> float:
-    if isinstance(rep, PolarNormalForm):
-        return rep.omega_at(rho) if component == "omega" else rep.kappa_at(rho)
-    if isinstance(rep, RationalMap):
-        den = rep.denominator.evaluate([rho])[0].real
-        return float(rep.numerator.evaluate([rho])[0].real / den)
-    raise ValidationError("curve representation must be PolarNormalForm "
-                          "or RationalMap")
-
-
 def backbone(rep, rho_grid, component: str = "omega") -> np.ndarray:
     """Pairs (rho, omega(rho)) (or kappa) for a polar or rational model."""
     if component not in ("omega", "kappa"):
@@ -246,7 +208,7 @@ def backbone(rep, rho_grid, component: str = "omega") -> np.ndarray:
     grid = np.asarray(rho_grid, dtype=float).reshape(-1)
     if np.any(grid < 0):
         raise ValidationError("rho grid must be nonnegative")
-    vals = np.array([_curve_eval(rep, r, component) for r in grid])
+    vals = _univariate_value_and_deriv(rep, grid, component)[0]
     return np.column_stack([grid, vals])
 
 
@@ -257,6 +219,9 @@ def _univariate_value_and_deriv(rep, rho: np.ndarray,
         if component == "omega":
             return rep.omega_at(rho), rep.omega_prime_at(rho)
         return rep.kappa_at(rho), rep.kappa_prime_at(rho)
+    if not isinstance(rep, RationalMap):
+        raise ValidationError("curve representation must be PolarNormalForm "
+                              "or RationalMap")
     val, deriv = _rational_value_and_deriv(rep, rho)
     return val.real, deriv.real
 
@@ -264,12 +229,14 @@ def _univariate_value_and_deriv(rep, rho: np.ndarray,
 def _rational_value_and_deriv(rat: RationalMap, x):
     """Complex value and derivative of a univariate rational at x (a float
     or an array)."""
-    a = rat.numerator.univariate_coeffs()
-    b = rat.denominator.univariate_coeffs()
-    n, d = npoly.polyval(x, a), npoly.polyval(x, b)
-    np_, dp = npoly.polyval(x, npoly.polyder(a)), \
-        npoly.polyval(x, npoly.polyder(b))
-    return n / d, (np_ * d - n * dp) / d ** 2
+    pts = np.reshape(x, (-1, 1))
+    num, d = rational_parts(rat, pts)
+    n = num[:, 0]
+    np_, dp = (s.derivative(0).evaluate_many(pts)[:, 0]
+               for s in (rat.numerator, rat.denominator))
+    shape = np.shape(x)
+    return ((n / d).reshape(shape)[()],
+            ((np_ * d - n * dp) / d ** 2).reshape(shape)[()])
 
 
 @dataclass
@@ -432,8 +399,7 @@ def forced_response(kappa_rep, omega_rep, eps_f, rho_grid,
     curves = (_univariate_value_and_deriv(kappa_rep, grid, "kappa")
               + _univariate_value_and_deriv(omega_rep, grid, "omega")
               + forcing.at(grid))
-    # a constant curve's derivative comes back as a scalar 0
-    columns = [np.broadcast_to(c, grid.shape).tolist() for c in curves]
+    columns = [c.tolist() for c in curves]
     for rho, k, kp, w, wp, g, gp, h, hp in zip(grid.tolist(), *columns):
         s, sp = g + np.conj(h), gp + np.conj(hp)
         q, qp = g - np.conj(h), gp - np.conj(hp)
@@ -585,7 +551,7 @@ def lyapunov_estimate(f: ReducedField, ic, perturbation_size: float = 1e-7,
         pair = np.concatenate([u, v])
 
         def pair_rhs(t, z):
-            return np.concatenate([f.rhs(t, z[:len(u)]), f.rhs(t, z[len(u):])])
+            return f.rhs(t, z.reshape(2, -1)).ravel()
 
         sol = solve_ivp(pair_rhs, (t0, t1), pair, method="RK45",
                         rtol=rtol, atol=atol)

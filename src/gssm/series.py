@@ -10,14 +10,19 @@ tuple.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from .errors import ValidationError
+
 MultiIndex = Tuple[int, ...]
 
-_ZERO_TOL = 0.0  # coefficients are dropped only when exactly zero
+# points per block of the evaluation kernel: bounds the block's monomial
+# matrix at _BLOCK_ROWS x (number of terms), whatever the batch size
+_BLOCK_ROWS = 512
 
 
 def grlex_key(idx: MultiIndex) -> tuple:
@@ -46,6 +51,40 @@ def indices_up_to_order(dim: int, order: int) -> List[MultiIndex]:
     for k in range(order + 1):
         out.extend(indices_of_order(dim, k))
     return out
+
+
+def _gather_index(exponents: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Columns of the flattened powers table per (term, variable), and the
+    largest exponent."""
+    top = int(exponents.max(initial=0))
+    return np.arange(exponents.shape[1]) * (top + 1) + exponents, top
+
+
+def _monomials(points: np.ndarray, gather: np.ndarray, top: int) -> np.ndarray:
+    """(points, terms) matrix of monomials from a powers table.
+
+    The table holds x_j^0 .. x_j^top for every point and variable, built by
+    repeated multiplication; each monomial is the product of its gathered
+    per-variable powers.  The result keeps the dtype of points.
+    """
+    n, d = points.shape
+    table = np.empty((n, d, top + 1), dtype=points.dtype)
+    table[:, :, 0] = 1
+    table[:, :, 1:] = points[:, :, None]
+    np.multiply.accumulate(table, axis=2, out=table)
+    table = table.reshape(n, d * (top + 1))
+    mono = table[:, gather[:, 0]]
+    for j in range(1, d):
+        mono *= table[:, gather[:, j]]
+    return mono
+
+
+def monomial_matrix(points, exponents: Sequence[MultiIndex]) -> np.ndarray:
+    """Design matrix: monomial exponents[k] at points[i] in row i, column k."""
+    pts = np.asarray(points)
+    exps = np.array(exponents, dtype=np.intp).reshape(len(exponents),
+                                                     pts.shape[1])
+    return _monomials(pts, *_gather_index(exps))
 
 
 @dataclass
@@ -161,9 +200,6 @@ class MultiSeries:
             out[idx[0]] = v[0]
         return out
 
-    def max_order_present(self) -> int:
-        return max((sum(k) for k in self.coeffs), default=0)
-
     def min_order_present(self) -> int:
         return min((sum(k) for k in self.coeffs), default=0)
 
@@ -222,27 +258,36 @@ class MultiSeries:
         p = np.asarray(point, dtype=complex)
         if p.shape != (self.dim_in,):
             raise ValueError(f"point must have shape ({self.dim_in},)")
-        out = np.zeros(self.dim_out, dtype=complex)
-        for idx, v in self.coeffs.items():
-            mono = 1.0 + 0j
-            for j, e in enumerate(idx):
-                if e:
-                    mono *= p[j] ** e
-            out += mono * v
-        return out
+        return self._kernel(p[None])[0]
 
     def evaluate_many(self, points) -> np.ndarray:
         """Evaluate at K points given as an array of shape (K, dim_in)."""
         pts = np.asarray(points, dtype=complex)
         if pts.ndim != 2 or pts.shape[1] != self.dim_in:
             raise ValueError(f"points must have shape (K, {self.dim_in})")
-        out = np.zeros((pts.shape[0], self.dim_out), dtype=complex)
-        for idx, v in self.coeffs.items():
-            mono = np.ones(pts.shape[0], dtype=complex)
-            for j, e in enumerate(idx):
-                if e:
-                    mono = mono * pts[:, j] ** e
-            out += mono[:, None] * v[None, :]
+        return self._kernel(pts)
+
+    def _kernel(self, pts: np.ndarray) -> np.ndarray:
+        """Values at complex points (K, dim_in): monomials times C, in blocks.
+
+        The dense form (gather index of the exponent matrix E, K x dim_in;
+        coefficient matrix C, K x dim_out) is built on the first evaluation
+        and cached; a series does not change after construction.
+        """
+        dense = self.__dict__.get("_dense")
+        if dense is None:
+            exps = np.array(list(self.coeffs), dtype=np.intp)
+            coeffs = np.array(list(self.coeffs.values()), dtype=complex)
+            dense = self._dense = (
+                *_gather_index(exps.reshape(-1, self.dim_in)),
+                coeffs.reshape(-1, self.dim_out))
+        gather, top, c = dense
+        if len(pts) <= _BLOCK_ROWS:
+            return _monomials(pts, gather, top) @ c
+        out = np.empty((len(pts), self.dim_out), dtype=complex)
+        for start in range(0, len(pts), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            out[block] = _monomials(pts[block], gather, top) @ c
         return out
 
     # ---- calculus ------------------------------------------------------
@@ -420,13 +465,33 @@ def coeff_lines(s: MultiSeries) -> List[str]:
     return lines
 
 
+def content_lines(text: str) -> List[str]:
+    """Stripped lines of a text format without blank and '#' comment lines."""
+    return [ln.strip() for ln in text.splitlines()
+            if ln.strip() and not ln.strip().startswith("#")]
+
+
+def text_reader(kind: str):
+    """Turn a parser of content_lines into a reader of raw text whose
+    malformed inputs (bad numbers, missing lines) raise ValidationError."""
+    def decorate(parse):
+        @functools.wraps(parse)
+        def read(text: str):
+            try:
+                return parse(content_lines(text))
+            except ValidationError:
+                raise
+            except (ValueError, IndexError) as exc:
+                raise ValidationError(f"malformed {kind} text: {exc}") from exc
+        return read
+    return decorate
+
+
 def parse_coeff_lines(lines: Iterable[str], dim_in: int, dim_out: int,
                       order: int) -> MultiSeries:
+    """Coefficients from content lines (see content_lines)."""
     coeffs: Dict[MultiIndex, np.ndarray] = {}
     for ln in lines:
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
         toks = ln.split()
         if len(toks) != dim_in + 2 * dim_out:
             raise ValueError(f"bad coefficient line (expected {dim_in} indices "
@@ -443,12 +508,12 @@ def series_to_text(s: MultiSeries) -> str:
     return "\n".join([head] + coeff_lines(s)) + "\n"
 
 
-def series_from_text(text: str) -> MultiSeries:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
+@text_reader("series")
+def series_from_text(lines: List[str]) -> MultiSeries:
     if not lines:
-        raise ValueError("empty series text")
+        raise ValidationError("empty series text")
     head = lines[0].split()
     if head[0] != "series" or len(head) != 4:
-        raise ValueError(f"bad series header: {lines[0]!r}")
+        raise ValidationError(f"bad series header: {lines[0]!r}")
     dim_in, dim_out, order = (int(t) for t in head[1:])
     return parse_coeff_lines(lines[1:], dim_in, dim_out, order)

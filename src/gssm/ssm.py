@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NumericalError, SmallDivisorError, ValidationError
 from .series import (MultiSeries, coeff_lines, compose_truncated, format_float,
                      indices_of_order, indices_up_to_order, invert_map,
-                     multiply_truncated, parse_coeff_lines)
+                     multiply_truncated, parse_coeff_lines, text_reader)
 
 RESONANCE_TOL_FACTOR = 1e-8
 STYLES = ("graph", "normal-form")
@@ -478,32 +478,34 @@ class PolarNormalForm:
             raise ValidationError("kappa and omega must have equal length")
 
     def kappa_at(self, rho):
-        rho2 = np.asarray(rho, dtype=float) ** 2
-        return sum(c * rho2 ** i for i, c in enumerate(self.kappa))
+        return _real_values(self.kappa_series(), rho)
 
     def omega_at(self, rho):
-        rho2 = np.asarray(rho, dtype=float) ** 2
-        return sum(c * rho2 ** i for i, c in enumerate(self.omega))
+        return _real_values(self.omega_series(), rho)
 
     def kappa_prime_at(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return sum(2 * i * c * rho ** (2 * i - 1)
-                   for i, c in enumerate(self.kappa) if i > 0)
+        return _real_values(self.kappa_series().derivative(0), rho)
 
     def omega_prime_at(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return sum(2 * i * c * rho ** (2 * i - 1)
-                   for i, c in enumerate(self.omega) if i > 0)
+        return _real_values(self.omega_series().derivative(0), rho)
 
     def omega_series(self) -> MultiSeries:
-        return MultiSeries(1, 1, 2 * (len(self.omega) - 1),
-                           {(2 * i,): np.array([complex(c)])
-                            for i, c in enumerate(self.omega)})
+        return _even_series(self.omega)
 
     def kappa_series(self) -> MultiSeries:
-        return MultiSeries(1, 1, 2 * (len(self.kappa) - 1),
-                           {(2 * i,): np.array([complex(c)])
-                            for i, c in enumerate(self.kappa)})
+        return _even_series(self.kappa)
+
+
+def _even_series(coeffs) -> MultiSeries:
+    """sum_n coeffs[n] rho^(2n) as a scalar univariate series."""
+    return MultiSeries(1, 1, 2 * (len(coeffs) - 1),
+                       {(2 * i,): [complex(c)] for i, c in enumerate(coeffs)})
+
+
+def _real_values(s: MultiSeries, x):
+    """Real part of a scalar univariate series at x (a float or an array)."""
+    x = np.asarray(x, dtype=float)
+    return s.evaluate_many(x.reshape(-1, 1))[:, 0].real.reshape(x.shape)[()]
 
 
 def extract_polar(model: SSMModel) -> PolarNormalForm:
@@ -544,39 +546,36 @@ def _conjugate_substitution(order: int) -> MultiSeries:
     })
 
 
+def _real_coefficients(s: MultiSeries, what: str) -> MultiSeries:
+    """s with real coefficients; NumericalError unless every imaginary part
+    is below 1e-9 of the largest coefficient magnitude."""
+    scale = max((np.max(np.abs(v)) for v in s.coeffs.values()), default=1.0)
+    if s.max_abs_imag() > 1e-9 * scale:
+        raise NumericalError(f"{what} does not realify: residual imaginary "
+                             f"part {s.max_abs_imag():.2e}")
+    return MultiSeries(s.dim_in, s.dim_out, s.order,
+                       {k: v.real for k, v in s.coeffs.items()})
+
+
 def realify_parametrization(model: SSMModel) -> MultiSeries:
     """Real series for W in real reduced coordinates.
 
-    d=1 real master: coefficients must already be real.  Conjugate pair:
+    Real masters: coefficients must already be real.  Conjugate pair:
     substitute p = a + ib, p_bar = a - ib; the imaginary parts of the result
     must cancel for a real system.
     """
-    if model.d == 1:
-        w = model.W
-    elif model.is_oscillatory_pair():
-        w = compose_truncated(model.W, _conjugate_substitution(model.order),
+    w = model.W
+    if model.is_oscillatory_pair():
+        w = compose_truncated(w, _conjugate_substitution(model.order),
                               model.order)
-    else:
-        w = model.W
-    scale = max((np.max(np.abs(v)) for v in w.coeffs.values()), default=1.0)
-    if w.max_abs_imag() > 1e-9 * scale:
-        raise NumericalError("parametrization does not realify: residual "
-                             f"imaginary part {w.max_abs_imag():.2e}")
-    return MultiSeries(w.dim_in, w.dim_out, w.order,
-                       {k: v.real.astype(complex) for k, v in w.coeffs.items()})
+    return _real_coefficients(w, "parametrization")
 
 
 def realify_reduced(model: SSMModel) -> MultiSeries:
-    """Real 2D (or 1D) vector field in the real coordinates of the pair."""
-    if model.d == 1:
-        r = model.R
-        scale = max((np.max(np.abs(v)) for v in r.coeffs.values()), default=1.0)
-        if r.max_abs_imag() > 1e-9 * scale:
-            raise NumericalError("reduced dynamics do not realify")
-        return MultiSeries(1, 1, r.order,
-                           {k: v.real.astype(complex) for k, v in r.coeffs.items()})
+    """Real vector field in the real coordinates of the pair; real masters
+    keep R, whose coefficients must already be real."""
     if not model.is_oscillatory_pair():
-        return model.R
+        return _real_coefficients(model.R, "reduced dynamics")
     plus = int(np.argmax(model.master_eigenvalues.imag))
     c = compose_truncated(model.R.component(plus), _conjugate_substitution(model.order),
                           model.order)
@@ -595,11 +594,6 @@ class ResidualStats:
     term_scale: np.ndarray
     valid: np.ndarray
     slope: float
-
-    def max_over_valid(self) -> float:
-        if not np.any(self.valid):
-            return float("nan")
-        return float(np.max(self.max_residual[self.valid]))
 
 
 def _sample_points(model: SSMModel, radius: float, n_angles: int) -> np.ndarray:
@@ -627,11 +621,8 @@ def invariance_residual(sys: PolySystem, model: SSMModel,
     dw = model.W.jacobian_rows()
     a_norm = np.linalg.norm(a)
 
-    max_res = np.zeros(len(radii))
-    scales = np.zeros(len(radii))
     floors = np.zeros(len(radii))
     for ir, r in enumerate(radii):
-        pts = _sample_points(model, r, n_angles)
         # pre-cancellation magnitude bound: series evaluations can cancel
         # down from these scales, so the measurable defect sits above
         # epsilon times this, not above the cancelled term norms
@@ -641,23 +632,21 @@ def invariance_residual(sys: PolySystem, model: SSMModel,
         f_scale = sys.nonlinearity.coeff_scale(w_scale) if sys.nonlinearity.coeffs \
             else w_scale ** 2
         floors[ir] = a_norm * w_scale + f_scale + j_scale * r_scale
-        worst = 0.0
-        scale = 0.0
-        for p in pts:
-            x = model.W.evaluate(p)
-            t1 = a @ x
-            if sys.rhs_callable is not None:
-                t2 = np.asarray(sys.rhs_callable(x)) - t1
-            else:
-                t2 = sys.nonlinearity.evaluate(x)
-            jac = np.stack([ds.evaluate(p) for ds in dw], axis=1)
-            t3 = jac @ model.R.evaluate(p)
-            res = np.linalg.norm(t1 + t2 - t3)
-            mag = np.linalg.norm(t1) + np.linalg.norm(t2) + np.linalg.norm(t3)
-            worst = max(worst, res)
-            scale = max(scale, mag)
-        max_res[ir] = worst
-        scales[ir] = scale
+
+    # every radius has the same number of sample points
+    pts = np.concatenate([_sample_points(model, r, n_angles) for r in radii])
+    x = model.W.evaluate_many(pts)
+    t1 = x @ a.T
+    if sys.rhs_callable is not None:
+        t2 = np.array([sys.rhs_callable(row) for row in x]) - t1
+    else:
+        t2 = sys.nonlinearity.evaluate_many(x)
+    jac = np.stack([ds.evaluate_many(pts) for ds in dw], axis=2)
+    t3 = np.einsum("kij,kj->ki", jac, model.R.evaluate_many(pts))
+    norms = [np.linalg.norm(t, axis=1).reshape(len(radii), -1)
+             for t in (t1 + t2 - t3, t1, t2, t3)]
+    max_res = norms[0].max(axis=1)
+    scales = (norms[1] + norms[2] + norms[3]).max(axis=1)
 
     noise = 1e-13 * np.maximum(floors, 1e-300)
     valid = (max_res > 50.0 * noise) & (max_res < 0.05 * np.maximum(scales, 1e-300))
@@ -746,9 +735,8 @@ def model_to_text(model: SSMModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def model_from_text(text: str) -> SSMModel:
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
+@text_reader("model")
+def model_from_text(lines: List[str]) -> SSMModel:
     if not lines or not lines[0].startswith("ssm "):
         raise ValidationError("missing ssm header")
     head = lines[0].split()

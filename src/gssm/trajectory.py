@@ -78,6 +78,8 @@ def trajectory_from_csv(path: str) -> TrajectoryData:
             rows.append([float(tok) for tok in ln.split(",")])
         except ValueError as exc:
             raise ValidationError(f"bad trajectory row {ln!r}") from exc
+    if len({len(row) for row in rows}) != 1:
+        raise ValidationError("trajectory rows differ in length")
     data = np.asarray(rows, dtype=float)
     if data.ndim != 2 or data.shape[1] < 2:
         raise ValidationError("trajectory rows need a time and one value")

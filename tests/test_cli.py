@@ -5,7 +5,6 @@ machine-readable status line, and the files left in the output directory.
 """
 
 import json
-import os
 import shlex
 
 import numpy as np
@@ -54,14 +53,6 @@ def test_systems_list(capsys):
     for sid in ("euler", "dauchot_manneville", "imaginary_sing",
                 "shaw_pierre", "custom"):
         assert any(ln.startswith(sid + ":") for ln in out.splitlines())
-
-
-def test_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("GSSM_THREADS", "1")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    rc, _, _ = run_cli(capsys, "systems")
-    assert rc == 0
-    assert os.environ["OMP_NUM_THREADS"] == "1"
 
 
 def test_ssm_write_and_import_roundtrip(tmp_path, capsys):
@@ -188,6 +179,44 @@ def test_validation_exit_codes(tmp_path, capsys):
     rc, _, fields = run_cli(capsys, "analyze", "integrate", "--ic", "0.1",
                             "--t1", 1)
     assert rc == 2
+
+
+MODEL_BAD_EIGENVALUE = """ssm 2 1 graph 3
+EIGENVALUES
+1 x
+EIGENVECTORS
+1 0
+0 0
+W
+1 1 0 0 0
+R
+1 -1 0
+"""
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("series 1 1 3\n0 abc 0\n",
+     ["singularity", "radius", "--series"]),
+    ("series 1 1 2\n0 1 0\n5 1 0\n",
+     ["singularity", "radius", "--series"]),
+    ("pade 1 1 0 1\nNUMERATOR\n0 1 0\nDENOMINATOR\n0 1 0\n1 -1.0.5 0\n",
+     ["singularity", "scan", "--min", "0", "--max", "1", "--points", "5",
+      "--rationals"]),
+    (MODEL_BAD_EIGENVALUE,
+     ["analyze", "backbone", "--rho-max", "1", "--model"]),
+    ("chart 5 2 5 1 0\nCENTER\n",
+     ["predict", "--fit", "fit.txt", "--data", "data.csv", "--horizon", "1",
+      "--chart"]),
+    ("1 0.5 abc 0.125\n", ["singularity", "radius", "--coeffs"]),
+    ("t,x1\n0,1\n1,2,3\n2,3\n", ["analyze", "psd", "--data"]),
+], ids=["series-token", "series-index-above-order", "pade-float",
+        "model-eigenvalue", "chart-truncated", "coeffs-token",
+        "trajectory-ragged"])
+def test_malformed_text_inputs_exit_2(tmp_path, capsys, text, argv):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    rc, _, fields = run_cli(capsys, "--out", tmp_path, *argv, path)
+    assert rc == 2 and fields["status"] == "validation-error"
 
 
 def test_gssm_out_env(tmp_path, monkeypatch, capsys):

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from gssm.errors import NumericalError, ValidationError
-from gssm.pade import RationalMap
+from gssm.pade import RationalMap, pade_multivariate
 from gssm.reduced import (Forcing, ModalForcing, ReducedField, backbone,
                           _globalize_in_u, double_well_field,
                           foliation_forcing,
@@ -14,7 +14,8 @@ from gssm.reduced import (Forcing, ModalForcing, ReducedField, backbone,
                           poincare_sample, psd_estimate)
 from gssm.series import MultiSeries
 from gssm.ssm import (PolarNormalForm, PolySystem, compute_ssm, extract_polar,
-                      foliation_projection, spectral_analysis)
+                      foliation_projection, realify_parametrization,
+                      spectral_analysis)
 from gssm.systems import make_system
 from gssm.trajectory import TrajectoryData, trajectory_from_csv, trajectory_to_csv
 
@@ -87,6 +88,31 @@ def test_lift_fixed_point_and_pole_samples():
     assert np.allclose(out.values[0], [1.0, 2.0])
     assert np.all(np.isnan(out.values[1]))
     assert any("pole" in fl for fl in out.flags)
+
+
+def test_lift_of_rational_chart_matches_per_sample_quotient():
+    # the Shaw-Pierre [5/5] chart of the first coordinate on a (rho, angle)
+    # grid out to rho = 8, two kernel blocks' worth of samples
+    _, _, model = _shaw_pierre_nf(11)
+    chart = pade_multivariate(realify_parametrization(model), 5, 5)[0]
+    rr, tt = np.meshgrid(np.linspace(0.05, 8.0, 40),
+                         np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False))
+    pts = np.column_stack([(rr * np.cos(tt)).ravel(),
+                           (rr * np.sin(tt)).ravel()])
+    lifted = lift(chart, TrajectoryData(np.arange(len(pts), dtype=float),
+                                        pts))
+    assert not lifted.flags
+
+    def per_term(s, p):
+        terms = [np.prod(p ** np.array(k)) * v[0] for k, v in s.coeffs.items()]
+        return sum(terms), sum(abs(t) for t in terms)
+
+    for p, got in zip(pts, lifted.values[:, 0]):
+        num, num_scale = per_term(chart.numerator, p)
+        den, den_scale = per_term(chart.denominator, p)
+        want = num.real / den.real
+        bound = 1e-13 * (num_scale + abs(want) * den_scale) / abs(den.real)
+        assert abs(got - want) <= bound
 
 
 def test_backbone_constant_for_linear_field():

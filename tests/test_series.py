@@ -1,14 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gssm.series import (MultiSeries, compose_truncated, invert_map,
-                         multiply_truncated, power_truncated,
-                         reciprocal_truncated, series_from_text,
-                         series_to_text)
+from gssm.series import (_BLOCK_ROWS, MultiSeries, compose_truncated,
+                         indices_up_to_order, invert_map, multiply_truncated,
+                         power_truncated, reciprocal_truncated,
+                         series_from_text, series_to_text)
 
 
 def uni(*coeffs):
     return MultiSeries.from_univariate(coeffs)
+
+
+def term_sum(s, p):
+    """Per-term sum of s at p, and its pre-cancellation magnitude."""
+    terms = [np.prod(np.asarray(p, dtype=complex) ** np.array(k)) * v
+             for k, v in s.coeffs.items()]
+    value = np.sum(terms, axis=0) if terms else np.zeros(s.dim_out)
+    scale = np.sum(np.abs(terms), axis=0) if terms else np.zeros(s.dim_out)
+    return value, scale
 
 
 def test_evaluate_direct_sum():
@@ -36,6 +47,53 @@ def test_evaluate_many_matches_single_point_loop():
     batch = s.evaluate_many(pts)
     for i, p in enumerate(pts):
         assert np.allclose(batch[i], s.evaluate(p), atol=1e-14)
+        # one point goes through the same kernel either way
+        assert np.array_equal(s.evaluate(p), s.evaluate_many([p])[0])
+    # a batch spanning several kernel blocks, including a partial one
+    pts = rng.normal(size=(2 * _BLOCK_ROWS + 7, 2)) \
+        + 1j * rng.normal(size=(2 * _BLOCK_ROWS + 7, 2))
+    batch = s.evaluate_many(pts)
+    assert batch.shape == (len(pts), 3)
+    for i in (0, _BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 6):
+        value, scale = term_sum(s, pts[i])
+        assert np.all(np.abs(batch[i] - value) <= 1e-13 * scale)
+
+
+@st.composite
+def sparse_series(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    l = draw(st.sampled_from([1, 3]))
+    order = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(["zero", "constant", "sparse"]))
+    # magnitudes stay clear of subnormals, whose rounding is absolute
+    coord = st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) > 1e-3)
+    coeff = st.lists(st.complex_numbers(min_magnitude=1e-3,
+                                        max_magnitude=10.0),
+                     min_size=l, max_size=l)
+    if kind == "zero":
+        idx = []
+    elif kind == "constant":
+        idx = [(0,) * d]
+    else:
+        idx = draw(st.lists(st.sampled_from(indices_up_to_order(d, order)),
+                            max_size=8, unique=True))
+    series = MultiSeries(d, l, order, {k: draw(coeff) for k in idx})
+    points = draw(st.lists(st.lists(st.builds(complex, coord, coord),
+                                    min_size=d, max_size=d),
+                           min_size=1, max_size=5))
+    return series, np.array(points, dtype=complex)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_series())
+def test_kernel_matches_per_term_sum(case):
+    s, pts = case
+    batch = s.evaluate_many(pts)
+    assert batch.shape == (len(pts), s.dim_out)
+    for p, got in zip(pts, batch):
+        value, scale = term_sum(s, p)
+        assert np.all(np.abs(got - value) <= 1e-13 * scale)
+        assert np.array_equal(s.evaluate(p), s.evaluate_many([p])[0])
 
 
 def test_multiply_difference_of_squares():
