@@ -12,13 +12,13 @@ with b0 = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .errors import PoleProximityError, ValidationError
-from .series import (MultiIndex, MultiSeries, coeff_lines, indices_of_order,
-                     indices_up_to_order, multiply_truncated,
+from .series import (MultiSeries, coeff_lines, grlex_table, multiply_truncated,
                      parse_coeff_lines, reciprocal_truncated, text_reader)
 
 DEFAULT_SVD_TOL = 1e-13
@@ -101,16 +101,6 @@ def taylor_of_rational(r: RationalMap, order: int) -> MultiSeries:
 # ---- univariate -----------------------------------------------------------
 
 
-def _toeplitz_block(c: np.ndarray, n_start: int, rows: int, cols: int) -> np.ndarray:
-    z = np.zeros((rows, cols), dtype=complex)
-    for i in range(rows):
-        for j in range(cols):
-            k = n_start + i - j
-            if 0 <= k < len(c):
-                z[i, j] = c[k]
-    return z
-
-
 def pade_univariate(coeffs, N: int, M: int,
                     svd_tol: float = DEFAULT_SVD_TOL) -> RationalMap:
     """[N/M] approximant of a univariate scalar series.
@@ -174,7 +164,10 @@ def pade_univariate(coeffs, N: int, M: int,
         if m == 0:
             b = np.array([1.0 + 0j])
             break
-        z = _toeplitz_block(cs, n + 1, m, m + 1)
+        # z[i, j] = cs[n + 1 + i - j], zero for negative indices
+        first_row = np.zeros(m + 1, dtype=complex)
+        first_row[:min(m + 1, n + 2)] = cs[n + 1::-1][:m + 1]
+        z = toeplitz(cs[n + 1:n + 1 + m], first_row)
         u, s, vh = np.linalg.svd(z)
         smax = s[0] if len(s) else 0.0
         rank = int(np.sum(s > svd_tol * smax)) if smax > 0 else 0
@@ -192,10 +185,7 @@ def pade_univariate(coeffs, N: int, M: int,
         b[0] = 1.0  # complex division is not exact; the normalization is
         break
 
-    a = np.zeros(n + 1, dtype=complex)
-    for k in range(n + 1):
-        for j in range(min(k, m) + 1):
-            a[k] += cs[k - j] * b[j]
+    a = np.convolve(cs[:n + 1], b)[:n + 1]
     # trim numerically-zero trailing coefficients so type_tag reflects the
     # actual degrees
     a_sig = np.abs(a) > tol_abs
@@ -244,29 +234,24 @@ def pade_multivariate(coeffs: MultiSeries, N: int, M: int,
 
     d = coeffs.dim_in
     l = coeffs.dim_out
-    den_idx = indices_up_to_order(d, M)          # includes (0,...,0) = b0
-    hom_idx = [k for deg in range(N + 1, N + M + 1)
-               for k in indices_of_order(d, deg)]
     flags: List[str] = []
 
     if M == 0:
         num = coeffs.truncated(N)
         return RationalMap(num, MultiSeries.constant([1.0], d, 0), (N, 0), flags)
 
-    # rows: one per (component, homogeneous index); columns: denominator coeffs
-    rows = []
-    for j in range(l):
-        for k in hom_idx:
-            row = np.zeros(len(den_idx), dtype=complex)
-            for col, kb in enumerate(den_idx):
-                diff = tuple(a - b for a, b in zip(k, kb))
-                if all(x >= 0 for x in diff):
-                    row[col] = coeffs.get(diff)[j]
-            rows.append(row)
-    z = np.array(rows)
+    # c_pad[quot[k, kb]] is the coefficient at monomial k / kb, or the zero
+    # row past the end where kb does not divide k
+    table = grlex_table(d, N + M)
+    n_num, n_den, n_all = table.size(N), table.size(M), table.size(N + M)
+    quot = table.quotients(n_all, n_den)
+    c_pad = np.vstack([coeffs.grlex(N + M), np.zeros((1, l))])
+    # rows: one per (component, homogeneous index of order N+1..N+M);
+    # columns: denominator coefficients in grlex order
+    z = c_pad[quot[n_num:]].transpose(2, 0, 1).reshape(-1, n_den)
     scale = float(np.max(np.abs(z))) if z.size else 0.0
     if scale == 0.0:
-        b = np.zeros(len(den_idx), dtype=complex)
+        b = np.zeros(n_den, dtype=complex)
         b[0] = 1.0
         flags.append("homogeneous system vanishes; denominator defaults to 1")
     else:
@@ -279,21 +264,10 @@ def pade_multivariate(coeffs: MultiSeries, N: int, M: int,
                          f"{a_mat.shape[1]}): smallest-norm solution chosen")
         b = np.concatenate([[1.0 + 0j], sol])
 
-    den = MultiSeries(d, 1, M, {k: np.array([b[i]]) for i, k in enumerate(den_idx)
-                                if b[i] != 0})
+    den = MultiSeries.from_grlex(b[:, None], d, M)
     # numerator via convolution over total orders 0..N
-    num_coeffs: Dict[MultiIndex, np.ndarray] = {}
-    for k in indices_up_to_order(d, N):
-        acc = np.zeros(l, dtype=complex)
-        for i, kb in enumerate(den_idx):
-            if b[i] == 0:
-                continue
-            diff = tuple(a - x for a, x in zip(k, kb))
-            if all(x >= 0 for x in diff):
-                acc += b[i] * coeffs.get(diff)
-        if np.any(acc != 0):
-            num_coeffs[k] = acc
-    num = MultiSeries(d, l, N, num_coeffs)
+    num = MultiSeries.from_grlex(np.einsum("kcj,c->kj", c_pad[quot[:n_num]], b),
+                                 d, N)
     return RationalMap(num, den, (N, M), flags)
 
 

@@ -1,16 +1,25 @@
 """Truncated multivariate power series with vector coefficients.
 
-Series are stored sparsely as a dict mapping exponent multi-indices to
-complex coefficient vectors.  Absent indices mean zero.  All operations
-return new objects; nothing mutates a series after construction.  The
-canonical term ordering everywhere (iteration, serialization) is graded
-lexicographic: by total degree first, then lexicographic on the index
-tuple.
+A series holds its nonzero terms as a dict from exponent multi-indices to
+complex coefficient vectors (`MultiSeries.coeffs`; absent means zero).  The
+algebra runs on dense grlex arrays: the coefficient matrix over every
+monomial through the truncation order, in the rows of one cached
+`GrlexTable` per number of variables (lower orders are its prefixes).  A
+product is a gather over the table's index pairs plus a segment sum, and a
+solver that fixes a series degree by degree extends products and
+compositions one degree block at a time (the power-series recurrences of
+Haro et al., The Parameterization Method for Invariant Manifolds, 2016).
+A series caches its grlex array and, for evaluation, its nonzero terms;
+nothing mutates a series after construction.  Canonical term ordering
+(iteration, serialization) is graded lexicographic: total degree first,
+then lexicographic on the index tuple.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -20,9 +29,11 @@ from .errors import ValidationError
 
 MultiIndex = Tuple[int, ...]
 
-# points per block of the evaluation kernel: bounds the block's monomial
-# matrix at _BLOCK_ROWS x (number of terms), whatever the batch size
+# points per block of the evaluation kernel: at most _BLOCK_ROWS, and fewer
+# for series with many terms, so that the block's monomial matrix (points x
+# terms) stays within _BLOCK_ENTRIES and in cache, whatever the batch size
 _BLOCK_ROWS = 512
+_BLOCK_ENTRIES = 1 << 15
 
 
 def grlex_key(idx: MultiIndex) -> tuple:
@@ -33,17 +44,8 @@ def indices_of_order(dim: int, k: int) -> List[MultiIndex]:
     """All exponent tuples of length dim with total degree exactly k, grlex order."""
     if dim == 1:
         return [(k,)]
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for first in range(remaining + 1):
-            rec(prefix + (first,), remaining - first, slots - 1)
-
-    rec((), k, dim)
-    return sorted(out)
+    return [(first,) + rest for first in range(k + 1)
+            for rest in indices_of_order(dim - 1, k - first)]
 
 
 def indices_up_to_order(dim: int, order: int) -> List[MultiIndex]:
@@ -87,6 +89,100 @@ def monomial_matrix(points, exponents: Sequence[MultiIndex]) -> np.ndarray:
     return _monomials(pts, *_gather_index(exps))
 
 
+# largest number of (factor, factor) index pairs of a grlex table; the
+# dense algebra is meant for the few variables of a manifold's chart
+_MAX_PAIRS = 1 << 20
+
+
+class GrlexTable:
+    """Every monomial in `dim` variables through total degree `order`.
+
+    Rows are in grlex order, so the monomials of degree <= k are the first
+    size(k) rows for every k <= order and one table serves every
+    truncation.  A grlex array of a series is its (rows, dim_out)
+    coefficient matrix over these rows.  The product pairs (left, right,
+    out), with monomial left times monomial right equal to monomial out,
+    are sorted by out; the pairs of rows lo:hi are starts[lo]:starts[hi].
+    """
+
+    def __init__(self, dim: int, order: int):
+        n_pairs = math.comb(order + 2 * dim, 2 * dim)
+        if n_pairs > _MAX_PAIRS or (order + 1) ** dim >= 2 ** 62:
+            raise ValueError(f"{dim} variables through order {order} are too "
+                             f"many for the dense algebra ({n_pairs} pairs)")
+        self.dim, self.order = dim, order
+        self.keys = indices_up_to_order(dim, order)
+        self.row = {k: i for i, k in enumerate(self.keys)}
+        self.exps = np.array(self.keys, dtype=np.int64).reshape(-1, dim)
+        self._sizes = [math.comb(k + dim, dim) for k in range(order + 1)]
+        # row of an exponent vector: mixed-radix codes are lexicographic
+        weights = (order + 1) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+        by_code = np.argsort(self.exps @ weights)
+        codes = (self.exps @ weights)[by_code]
+
+        def rank(e):
+            return by_code[np.searchsorted(codes, e @ weights)]
+
+        degree = self.exps.sum(axis=1)
+        left, right = np.nonzero(degree[:, None] + degree[None, :] <= order)
+        out = rank(self.exps[left] + self.exps[right])
+        by_out = np.argsort(out, kind="stable")
+        self.left, self.right, self.out = left[by_out], right[by_out], out[by_out]
+        self.starts = np.searchsorted(self.out, np.arange(len(self.keys) + 1))
+        # raised[i, t]: row of monomial t times z_i (len(keys) past the top)
+        self.raised = np.full((dim, len(self.keys)), len(self.keys))
+        below = self.exps[:self.size(order - 1)]
+        for i in range(dim):
+            self.raised[i, :len(below)] = rank(below + np.eye(dim, dtype=np.int64)[i])
+        self._quotients = {}
+
+    def size(self, k: int) -> int:
+        """Number of monomials of degree <= k."""
+        return self._sizes[k] if k >= 0 else 0
+
+    def derivative(self, arr: np.ndarray, i: int, hi: int) -> np.ndarray:
+        """Rows :hi of d/dz_i of a grlex array; rows past its end are zero."""
+        padded = np.concatenate([arr, np.zeros((1,) + arr.shape[1:])])
+        up = padded[np.minimum(self.raised[i, :hi], len(arr))]
+        return (self.exps[:hi, i] + 1).reshape((-1,) + (1,) * (arr.ndim - 1)) * up
+
+    def quotients(self, n_rows: int, n_cols: int) -> np.ndarray:
+        """(n_rows, n_cols) rows of monomial r / monomial c; n_rows where c
+        does not divide r.  Cached: Pade rows gather through it."""
+        key = (n_rows, n_cols)
+        if key not in self._quotients:
+            q = np.full(key, n_rows)
+            pairs = slice(0, self.starts[n_rows])
+            keep = self.right[pairs] < n_cols
+            q[self.out[pairs][keep], self.right[pairs][keep]] = \
+                self.left[pairs][keep]
+            self._quotients[key] = q
+        return self._quotients[key]
+
+
+_TABLES: Dict[int, GrlexTable] = {}
+
+
+def grlex_table(dim: int, order: int) -> GrlexTable:
+    """The cached table of `dim` variables, rebuilt only for a higher order."""
+    table = _TABLES.get(dim)
+    if table is None or table.order < order:
+        table = _TABLES[dim] = GrlexTable(dim, order)
+    return table
+
+
+def product_rows(a: np.ndarray, b: np.ndarray, table: GrlexTable,
+                 lo: int, hi: int, mul=np.multiply) -> np.ndarray:
+    """Rows lo:hi (whole degree blocks) of the product of grlex arrays a and
+    b, each holding at least hi rows: one gather over the index pairs and a
+    segment sum per output row.  Coefficients multiply by `mul`: a scalar
+    factor is (rows, 1) against a (rows, l) vector factor, or both are 1-D;
+    np.matmul multiplies matrix-valued series."""
+    first, last = table.starts[lo], table.starts[hi]
+    terms = mul(a[table.left[first:last]], b[table.right[first:last]])
+    return np.add.reduceat(terms, table.starts[lo:hi] - first, axis=0)
+
+
 @dataclass
 class MultiSeries:
     """Polynomial map C^dim_in -> C^dim_out truncated at total degree `order`.
@@ -111,16 +207,18 @@ class MultiSeries:
             raise ValueError("dim_in, dim_out must be >= 1 and order >= 0")
         clean: Dict[MultiIndex, np.ndarray] = {}
         for idx, vec in self.coeffs.items():
-            idx = tuple(int(i) for i in idx)
-            if len(idx) != self.dim_in or any(i < 0 for i in idx):
+            idx = tuple(map(int, idx))
+            if len(idx) != self.dim_in or min(idx) < 0:
                 raise ValueError(f"bad multi-index {idx} for dim_in={self.dim_in}")
             if sum(idx) > self.order:
                 raise ValueError(f"index {idx} exceeds truncation order {self.order}")
-            v = np.atleast_1d(np.asarray(vec, dtype=complex))
+            v = np.asarray(vec, dtype=complex)
+            if v.ndim == 0:
+                v = v.reshape(1)
             if v.shape != (self.dim_out,):
                 raise ValueError(f"coefficient at {idx} has shape {v.shape}, "
                                  f"expected ({self.dim_out},)")
-            if np.any(v != 0):
+            if v.any():
                 clean[idx] = v
         self.coeffs = clean
 
@@ -136,21 +234,9 @@ class MultiSeries:
         return cls(dim_in, len(v), order, {(0,) * dim_in: v})
 
     @classmethod
-    def variable(cls, i: int, dim_in: int, order: int) -> "MultiSeries":
-        """The scalar coordinate function z_i."""
-        idx = tuple(1 if j == i else 0 for j in range(dim_in))
-        return cls(dim_in, 1, order, {idx: np.array([1.0 + 0j])})
-
-    @classmethod
     def identity_map(cls, dim: int, order: int) -> "MultiSeries":
         """The identity map z -> z as a vector series."""
-        coeffs = {}
-        for i in range(dim):
-            idx = tuple(1 if j == i else 0 for j in range(dim))
-            v = np.zeros(dim, dtype=complex)
-            v[i] = 1.0
-            coeffs[idx] = v
-        return cls(dim, dim, order, coeffs)
+        return cls(dim, dim, order, {tuple(e): e for e in np.eye(dim, dtype=int)})
 
     @classmethod
     def from_univariate(cls, coeffs: Sequence[complex], order: int | None = None) -> "MultiSeries":
@@ -160,6 +246,16 @@ class MultiSeries:
             order = len(coeffs) - 1
         d = {(k,): np.array([complex(c)]) for k, c in enumerate(coeffs) if k <= order}
         return cls(1, 1, order, d)
+
+    @classmethod
+    def from_grlex(cls, arr: np.ndarray, dim_in: int, order: int) -> "MultiSeries":
+        """Series of a (rows, dim_out) grlex array through `order`; the
+        array becomes the series' cached grlex form and must not change."""
+        keys = grlex_table(dim_in, order).keys
+        rows = np.flatnonzero(arr.any(axis=1)).tolist()
+        s = cls(dim_in, arr.shape[1], order, {keys[i]: arr[i] for i in rows})
+        s._grlex = (order, arr)
+        return s
 
     @classmethod
     def from_components(cls, comps: Sequence["MultiSeries"]) -> "MultiSeries":
@@ -173,9 +269,7 @@ class MultiSeries:
             if c.dim_in != dim_in or c.dim_out != 1:
                 raise ValueError("components must be scalar series in the same variables")
             for idx, v in c.coeffs.items():
-                if idx not in coeffs:
-                    coeffs[idx] = np.zeros(len(comps), dtype=complex)
-                coeffs[idx][j] = v[0]
+                coeffs.setdefault(idx, np.zeros(len(comps), dtype=complex))[j] = v[0]
         return cls(dim_in, len(comps), order, coeffs)
 
     # ---- access --------------------------------------------------------
@@ -187,9 +281,31 @@ class MultiSeries:
         for idx in sorted(self.coeffs, key=grlex_key):
             yield idx, self.coeffs[idx]
 
+    def grlex(self, order: int) -> np.ndarray:
+        """Coefficients through total degree `order` as a grlex array over
+        grlex_table(dim_in, order), zero above the series' own order.
+
+        Built on first use and cached, like the evaluation kernel's form;
+        the result may be a view of the cache and must not be written to.
+        """
+        table = grlex_table(self.dim_in, order)
+        top = min(order, self.order)
+        built, arr = self.__dict__.get("_grlex", (-1, None))
+        if built < top:
+            arr = np.zeros((table.size(top), self.dim_out), dtype=complex)
+            for idx, v in self.coeffs.items():
+                if sum(idx) <= top:
+                    arr[table.row[idx]] = v
+            self._grlex = (top, arr)
+        n = table.size(order)
+        return arr[:n] if len(arr) >= n else np.pad(arr, ((0, n - len(arr)), (0, 0)))
+
     def component(self, j: int) -> "MultiSeries":
-        d = {idx: np.array([v[j]]) for idx, v in self.coeffs.items() if v[j] != 0}
-        return MultiSeries(self.dim_in, 1, self.order, d)
+        col = np.array(list(self.coeffs.values()),
+                       dtype=complex).reshape(-1, self.dim_out)[:, [j]]
+        keep = col[:, 0] != 0
+        return MultiSeries(self.dim_in, 1, self.order,
+                           dict(zip(itertools.compress(self.coeffs, keep), col[keep])))
 
     def univariate_coeffs(self) -> np.ndarray:
         """Flat (order+1,) coefficient array; scalar univariate series only."""
@@ -240,10 +356,6 @@ class MultiSeries:
                            {k: v for k, v in self.coeffs.items()
                             if sum(k) >= min_total_degree})
 
-    def conjugate_coeffs(self) -> "MultiSeries":
-        return MultiSeries(self.dim_in, self.dim_out, self.order,
-                           {k: np.conj(v) for k, v in self.coeffs.items()})
-
     def linear_transform(self, matrix: np.ndarray) -> "MultiSeries":
         """Apply a constant matrix to every coefficient vector (new dim_out = rows)."""
         m = np.asarray(matrix, dtype=complex)
@@ -270,23 +382,25 @@ class MultiSeries:
     def _kernel(self, pts: np.ndarray) -> np.ndarray:
         """Values at complex points (K, dim_in): monomials times C, in blocks.
 
-        The dense form (gather index of the exponent matrix E, K x dim_in;
-        coefficient matrix C, K x dim_out) is built on the first evaluation
-        and cached; a series does not change after construction.
+        The nonzero-terms form (gather index of the exponent matrix E,
+        K x dim_in; coefficient matrix C, K x dim_out; rows per block) is
+        built on the first evaluation and cached; a series does not change
+        after construction.
         """
-        dense = self.__dict__.get("_dense")
-        if dense is None:
+        terms = self.__dict__.get("_terms")
+        if terms is None:
             exps = np.array(list(self.coeffs), dtype=np.intp)
             coeffs = np.array(list(self.coeffs.values()), dtype=complex)
-            dense = self._dense = (
+            terms = self._terms = (
                 *_gather_index(exps.reshape(-1, self.dim_in)),
-                coeffs.reshape(-1, self.dim_out))
-        gather, top, c = dense
-        if len(pts) <= _BLOCK_ROWS:
+                coeffs.reshape(-1, self.dim_out),
+                max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // max(len(coeffs), 1))))
+        gather, top, c, rows = terms
+        if len(pts) <= rows:
             return _monomials(pts, gather, top) @ c
         out = np.empty((len(pts), self.dim_out), dtype=complex)
-        for start in range(0, len(pts), _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
+        for start in range(0, len(pts), rows):
+            block = slice(start, start + rows)
             out[block] = _monomials(pts[block], gather, top) @ c
         return out
 
@@ -321,35 +435,72 @@ def multiply_truncated(a: MultiSeries, b: MultiSeries, order: int) -> MultiSerie
         raise ValueError("at least one factor must be scalar-valued")
     if a.dim_out != 1:
         a, b = b, a
-    coeffs: Dict[MultiIndex, np.ndarray] = {}
-    for ka, va in a.coeffs.items():
-        da = sum(ka)
-        if da > order:
-            continue
-        for kb, vb in b.coeffs.items():
-            if da + sum(kb) > order:
-                continue
-            idx = tuple(x + y for x, y in zip(ka, kb))
-            prev = coeffs.get(idx)
-            term = va[0] * vb
-            coeffs[idx] = term if prev is None else prev + term
-    return MultiSeries(a.dim_in, b.dim_out, order, coeffs)
+    table = grlex_table(a.dim_in, order)
+    prod = product_rows(a.grlex(order), b.grlex(order), table, 0,
+                        table.size(order))
+    return MultiSeries.from_grlex(prod, a.dim_in, order)
 
 
 def power_truncated(s: MultiSeries, e: int, order: int) -> MultiSeries:
     """Integer power of a scalar series, truncated."""
     if s.dim_out != 1:
         raise ValueError("power_truncated needs a scalar series")
-    result = MultiSeries.constant([1.0], s.dim_in, order)
-    base = s.truncated(min(s.order, order))
-    k = e
-    while k:
-        if k & 1:
-            result = multiply_truncated(result, base, order)
-        k >>= 1
-        if k:
-            base = multiply_truncated(base, base, order)
-    return result
+    table = grlex_table(s.dim_in, order)
+    n = table.size(order)
+    result, base = np.eye(n, 1, dtype=complex), s.grlex(order)
+    while e:
+        if e & 1:
+            result = product_rows(result, base, table, 0, n)
+        e >>= 1
+        if e:
+            base = product_rows(base, base, table, 0, n)
+    return MultiSeries.from_grlex(result, s.dim_in, order)
+
+
+class Composition:
+    """outer(inner) over a grlex table, built one range of rows at a time.
+
+    inner is a (rows, outer.dim_in) grlex array without constant term.
+    Every monomial inner^e is its grlex predecessor times one inner
+    component (one product each), and outer's coefficients are applied to
+    the monomials by one matmul.  Rows of degree q of a monomial of degree
+    >= 2 use inner rows of degree < q only, so a solver that fills inner in
+    degree by degree can extend the composition as it goes (`rows` on each
+    new degree block, in increasing order).
+    """
+
+    def __init__(self, outer: MultiSeries, inner: np.ndarray,
+                 table: GrlexTable, order: int):
+        terms = [(e, v) for e, v in outer.coeffs.items() if sum(e) <= order]
+        zero = (0,) * outer.dim_in
+        pred = {zero: None}
+        for e, _ in terms:
+            while e not in pred:
+                j = max(i for i, x in enumerate(e) if x)
+                pred[e] = (e[:j] + (e[j] - 1,) + e[j + 1:], j)
+                e = pred[e][0]
+        # predecessors first: grlex order puts every one before its successors
+        chain = sorted(pred, key=grlex_key)
+        col = {e: c for c, e in enumerate(chain)}
+        self.steps = [(col[e], col[pred[e][0]], pred[e][1]) for e in chain[1:]]
+        self.inner, self.table = inner, table
+        self.mono = np.zeros((len(inner), len(chain)), dtype=complex)
+        self.mono[0, 0] = 1.0
+        self.cols = [col[e] for e, _ in terms]
+        self.coef = np.array([v for _, v in terms],
+                             dtype=complex).reshape(-1, outer.dim_out)
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi (whole degree blocks) of outer(inner)."""
+        mono, inner = self.mono, self.inner
+        for c, p, j in self.steps:
+            if p == 0:
+                # all rows: inner may have been filled in since the last call
+                mono[:hi, c] = inner[:hi, j]
+            else:
+                mono[lo:hi, c] = product_rows(mono[:, p], inner[:, j],
+                                              self.table, lo, hi)
+        return mono[lo:hi, self.cols] @ self.coef
 
 
 def compose_truncated(outer: MultiSeries, inner: MultiSeries, order: int) -> MultiSeries:
@@ -360,90 +511,58 @@ def compose_truncated(outer: MultiSeries, inner: MultiSeries, order: int) -> Mul
     """
     if inner.dim_out != outer.dim_in:
         raise ValueError("inner.dim_out must equal outer.dim_in")
-    zero_idx = (0,) * inner.dim_in
-    if zero_idx in inner.coeffs:
+    if (0,) * inner.dim_in in inner.coeffs:
         raise ValueError("inner series must have zero constant term")
-    comps = [inner.component(j) for j in range(inner.dim_out)]
-    # cache powers of each inner component, built on demand
-    powers: List[List[MultiSeries]] = [[MultiSeries.constant([1.0], inner.dim_in, order), c.truncated(min(c.order, order))]
-                                       for c in comps]
-
-    def comp_power(j: int, e: int) -> MultiSeries:
-        cache = powers[j]
-        while len(cache) <= e:
-            cache.append(multiply_truncated(cache[-1], cache[1], order))
-        return cache[e]
-
-    out = MultiSeries.zero(inner.dim_in, outer.dim_out, order)
-    for idx, v in outer.coeffs.items():
-        # inner has no constant term, so total degree of the product is at
-        # least sum(idx); skip terms that cannot contribute
-        if sum(idx) > order:
-            continue
-        prod = None
-        for j, e in enumerate(idx):
-            if e == 0:
-                continue
-            pj = comp_power(j, e)
-            prod = pj if prod is None else multiply_truncated(prod, pj, order)
-        if prod is None:
-            prod = MultiSeries.constant([1.0], inner.dim_in, order)
-        out = out + MultiSeries(inner.dim_in, outer.dim_out, order,
-                                {k: c[0] * v for k, c in prod.coeffs.items()})
-    return out
+    table = grlex_table(inner.dim_in, order)
+    comp = Composition(outer, inner.grlex(order), table, order)
+    return MultiSeries.from_grlex(comp.rows(0, table.size(order)),
+                                  inner.dim_in, order)
 
 
 def reciprocal_truncated(s: MultiSeries, order: int) -> MultiSeries:
     """1/s for a scalar series with nonzero constant term, truncated."""
     if s.dim_out != 1:
         raise ValueError("reciprocal_truncated needs a scalar series")
-    zero_idx = (0,) * s.dim_in
-    c0 = s.coeffs.get(zero_idx, np.zeros(1, dtype=complex))[0]
-    if c0 == 0:
+    c = s.grlex(order)[:, 0]
+    if c[0] == 0:
         raise ValueError("constant term must be nonzero")
-    inv0 = 1.0 / c0
-    out: Dict[MultiIndex, complex] = {zero_idx: inv0}
-    rest = {k: v[0] for k, v in s.coeffs.items() if k != zero_idx and sum(k) <= order}
-    for idx in indices_up_to_order(s.dim_in, order)[1:]:
-        acc = 0.0 + 0j
-        for ks, cs in rest.items():
-            diff = tuple(a - b for a, b in zip(idx, ks))
-            if any(x < 0 for x in diff):
-                continue
-            prev = out.get(diff)
-            if prev is not None:
-                acc += cs * prev
-        if acc != 0:
-            out[idx] = -inv0 * acc
-    return MultiSeries(s.dim_in, 1, order,
-                       {k: np.array([v]) for k, v in out.items() if v != 0})
+    table = grlex_table(s.dim_in, order)
+    out = np.zeros(len(c), dtype=complex)
+    out[0] = 1.0 / c[0]
+    # (s * out) vanishes above degree 0; block k of out is still zero while
+    # its own block of the product is formed, so the product is the sum
+    # over the other terms
+    for k in range(1, order + 1):
+        lo, hi = table.size(k - 1), table.size(k)
+        out[lo:hi] = -out[0] * product_rows(out, c, table, lo, hi)
+    return MultiSeries.from_grlex(out[:, None], s.dim_in, order)
 
 
 def invert_map(f: MultiSeries, order: int) -> MultiSeries:
     """Compositional inverse of a map with invertible linear part and f(0)=0.
 
-    Returns g with f(g(z)) = z up to the truncation order.
+    Returns g with f(g(z)) = z up to the truncation order: with L the
+    linear part, g = L^-1 (z - f_{>=2}(g)), solved degree by degree.
     """
     if f.dim_in != f.dim_out:
         raise ValueError("invert_map needs a square map")
     d = f.dim_in
-    zero_idx = (0,) * d
-    if zero_idx in f.coeffs:
+    if (0,) * d in f.coeffs:
         raise ValueError("map must fix the origin")
-    lin = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        idx = tuple(1 if j == i else 0 for j in range(d))
-        lin[:, i] = f.get(idx)
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    lin = np.stack([f.get(u) for u in units], axis=1)
     if np.linalg.cond(lin) > 1e12:
         raise ValueError("linear part is not invertible")
     lin_inv = np.linalg.inv(lin)
-    ident = MultiSeries.identity_map(d, order)
-    tail = f.drop_below(2)
-    g = ident.linear_transform(lin_inv)
+    table = grlex_table(d, order)
+    g = np.zeros((table.size(order), d), dtype=complex)
+    if order >= 1:
+        g[[table.row[u] for u in units]] = lin_inv.T
+    tail = Composition(f.drop_below(2), g, table, order)
     for k in range(2, order + 1):
-        correction = compose_truncated(tail, g, k)
-        g = (ident.truncated(k) - correction).linear_transform(lin_inv)
-    return g.truncated(order)
+        lo, hi = table.size(k - 1), table.size(k)
+        g[lo:hi] = -tail.rows(lo, hi) @ lin_inv.T
+    return MultiSeries.from_grlex(g, d, order)
 
 
 # ---- text serialization ---------------------------------------------------

@@ -20,9 +20,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import NumericalError, SmallDivisorError, ValidationError
-from .series import (MultiSeries, coeff_lines, compose_truncated, format_float,
-                     indices_of_order, indices_up_to_order, invert_map,
-                     multiply_truncated, parse_coeff_lines, text_reader)
+from .series import (Composition, MultiSeries, coeff_lines, compose_truncated,
+                     format_float, grlex_table, indices_of_order, invert_map,
+                     multiply_truncated, parse_coeff_lines, product_rows,
+                     text_reader)
 
 RESONANCE_TOL_FACTOR = 1e-8
 STYLES = ("graph", "normal-form")
@@ -287,85 +288,57 @@ def compute_ssm(sys: PolySystem, spec: SpectralData, order: int,
         raise ValidationError("order must be >= 1")
     if sys.rhs_callable is not None:
         raise ValidationError("SSM solver requires a polynomial right-hand side")
-    n = sys.dim
-    d = len(spec.master)
-    lam_all = spec.eigenvalues
-    lam_e = spec.master_eigenvalues
-    v = spec.right_vectors
-    lft = spec.left_vectors
+    n, d, master = sys.dim, len(spec.master), spec.master
+    lam_all, lam_e = spec.eigenvalues, spec.master_eigenvalues
+    v, lft = spec.right_vectors, spec.left_vectors
     tol = RESONANCE_TOL_FACTOR * max(np.max(np.abs(lam_all)), 1e-300)
 
     # conjugate-pair bookkeeping for the structural resonance pattern
     oscillatory = (d == 2 and abs(lam_e[0] - np.conj(lam_e[1])) < tol * 10
                    and abs(lam_e[0].imag) > tol)
-    plus_local = int(np.argmax(lam_e.imag)) if oscillatory else 0
 
-    def structurally_resonant(idx: tuple, local_row: int) -> bool:
-        if not oscillatory:
-            return False
-        a, b = idx if plus_local == 0 else idx[::-1]
-        return (a == b + 1) if local_row == plus_local else (b == a + 1)
-
-    # eigen-coordinate parametrization W~ and reduced dynamics R, linear parts
-    w_coeffs = {}
-    r_coeffs = {}
-    for i, mi in enumerate(spec.master):
-        e_i = tuple(1 if j == i else 0 for j in range(d))
-        col = np.zeros(n, dtype=complex)
-        col[mi] = 1.0
-        w_coeffs[e_i] = col
-        rv = np.zeros(d, dtype=complex)
-        rv[i] = lam_e[i]
-        r_coeffs[e_i] = rv
-    w_tilde = MultiSeries(d, n, order, w_coeffs)
-    r_series = MultiSeries(d, d, order, r_coeffs)
-    f = sys.nonlinearity
+    # W~ (eigen coordinates) and R as grlex arrays, solved one degree block
+    # at a time
+    table = grlex_table(d, order)
+    size = table.size
+    units = [table.row[tuple(int(i == j) for j in range(d))] for i in range(d)]
+    w_tilde = np.zeros((size(order), n), dtype=complex)
+    w_tilde[units, master] = 1.0
+    r_tail = np.zeros((size(order), d), dtype=complex)      # degrees >= 2
+    amb = w_tilde @ v.T
+    f_of_w = Composition(sys.nonlinearity, amb, table, order)
+    is_master = np.isin(np.arange(n), master)
 
     for k in range(2, order + 1):
-        amb = w_tilde.truncated(k - 1).linear_transform(v)
-        f_k = compose_truncated(f, amb, k).linear_transform(lft) if f.coeffs \
-            else MultiSeries.zero(d, n, k)
-        x_k = MultiSeries.zero(d, n, k)
+        lo, hi = size(k - 1), size(k)
+        rhs = -(f_of_w.rows(lo, hi) @ lft.T)
         for i in range(d):
-            tail = r_series.component(i).drop_below(2).truncated(k - 1)
-            if tail.coeffs:
-                x_k = x_k + multiply_truncated(tail, w_tilde.truncated(k - 1).derivative(i), k)
+            rhs += product_rows(r_tail[:, i:i + 1],
+                                table.derivative(w_tilde, i, hi), table, lo, hi)
+        idx = table.exps[lo:hi]
+        delta = lam_all[None, :] - (idx @ lam_e)[:, None]
+        small = np.abs(delta) < tol
+        bad = np.argwhere(small & ~is_master)
+        if len(bad):
+            row, j = bad[0]
+            raise SmallDivisorError(int(j), table.keys[lo + row], delta[row, j])
+        # master rows take the resonant terms into R, the rest into W~
+        resonant = np.ones((hi - lo, d), dtype=bool)
+        if style != "graph":
+            # a pair's structural resonances: z^(n+1) zbar^n in the row of z
+            resonant = small[:, master] | (oscillatory & (idx == idx[:, ::-1] + 1))
+        into_r = np.zeros((hi - lo, n), dtype=bool)
+        into_r[:, master] = resonant
+        w_tilde[lo:hi] = np.where(into_r, 0.0, rhs / np.where(into_r, 1.0, delta))
+        r_tail[lo:hi] = np.where(resonant, -rhs[:, master], 0.0)
+        amb[lo:hi] = w_tilde[lo:hi] @ v.T
 
-        new_w = dict(w_tilde.coeffs)
-        new_r = dict(r_series.coeffs)
-        for idx in indices_of_order(d, k):
-            dot = complex(np.dot(idx, lam_e))
-            rhs_vec = x_k.get(idx) - f_k.get(idx)
-            w_vec = np.zeros(n, dtype=complex)
-            r_vec = np.zeros(d, dtype=complex)
-            for j in range(n):
-                delta = lam_all[j] - dot
-                if j in spec.master:
-                    local = spec.master.index(j)
-                    if style == "graph":
-                        resonant = True
-                    else:
-                        resonant = structurally_resonant(idx, local) or abs(delta) < tol
-                    if resonant:
-                        r_vec[local] = -rhs_vec[j]
-                    else:
-                        w_vec[j] = rhs_vec[j] / delta
-                else:
-                    if abs(delta) < tol:
-                        raise SmallDivisorError(j, idx, delta)
-                    w_vec[j] = rhs_vec[j] / delta
-            if np.any(w_vec != 0):
-                new_w[idx] = w_vec
-            if np.any(r_vec != 0):
-                new_r[idx] = r_vec
-        w_tilde = MultiSeries(d, n, order, new_w)
-        r_series = MultiSeries(d, d, order, new_r)
-
-    w_ambient = w_tilde.linear_transform(v)
+    r_tail[units, range(d)] = lam_e      # the linear part completes R
     return SSMModel(n=n, d=d, style=style, order=order,
                     master_eigenvalues=lam_e, master_right=spec.master_right,
-                    W=w_ambient, R=r_series, master_left=spec.master_left,
-                    flags=list(spec.flags))
+                    W=MultiSeries.from_grlex(amb, d, order),
+                    R=MultiSeries.from_grlex(r_tail, d, order),
+                    master_left=spec.master_left, flags=list(spec.flags))
 
 
 # ---- invariant foliation along the manifold ---------------------------------
@@ -410,54 +383,42 @@ def foliation_projection(sys: PolySystem, spec: SpectralData,
     master = spec.master
     enslaved = [j for j in range(n) if j not in master]
     tol = RESONANCE_TOL_FACTOR * max(np.max(np.abs(lam_all)), 1e-300)
-    idx = [m for m in indices_up_to_order(d, order) if sum(m)]
+    table = grlex_table(d, order)
+    size = table.size(order)
 
-    # coefficient tables of DW~ (n x d), DR_{>=2} (d x d) and
-    # V^-1 Df(W) V (n x n) at each multi-index of order >= 1
-    w_tilde = model.W.linear_transform(lft)
-    r_tail = model.R.drop_below(2)
-    dw = w_tilde.jacobian_rows()
-    dr = r_tail.jacobian_rows()
-    df = [compose_truncated(col, model.W, order)
-          for col in sys.nonlinearity.jacobian_rows()]
-    dw_t = {m: np.stack([s.get(m) for s in dw], axis=1) for m in idx}
-    dr_t = {m: np.stack([s.get(m) for s in dr], axis=1) for m in idx}
-    df_t = {m: lft @ np.stack([s.get(m) for s in df], axis=1) @ v
-            for m in idx}
+    # grlex arrays of DW~ (n x d), DR_{>=2} (d x d) and V^-1 Df(W) V
+    # (n x n); their constant rows do not enter the sums
+    r_tail = model.R.drop_below(2).grlex(order)
+    dw = np.stack([s.grlex(order) for s in
+                   model.W.linear_transform(lft).jacobian_rows()], axis=2)
+    dr = np.stack([table.derivative(r_tail, i, size) for i in range(d)], axis=2)
+    df = lft @ np.stack([compose_truncated(col, model.W, order).grlex(order)
+                         for col in sys.nonlinearity.jacobian_rows()], axis=2) @ v
+    for arr in (dw, dr, df):
+        arr[0] = 0.0
 
-    lt = {(0,) * d: np.zeros((d, n), dtype=complex)}
-    lt[(0,) * d][:, master] = np.eye(d)
+    lt = np.zeros((size, d, n), dtype=complex)
+    lt[0][:, master] = np.eye(d)
     for k in range(1, order + 1):
-        for m in indices_of_order(d, k):
-            rhs = np.zeros((d, n), dtype=complex)
-            ldw = np.zeros((d, d), dtype=complex)
-            for b in idx:
-                a = tuple(x - y for x, y in zip(m, b))
-                if min(a) < 0:
-                    continue
-                rhs += dr_t[b] @ lt[a] - lt[a] @ df_t[b]
-                ldw += lt[a] @ dw_t[b]
-            # DL~[R_{>=2}]: the term p^b of R_i meets d/dp_i of L~ p^c
-            for b, r_b in r_tail.coeffs.items():
-                for i in range(d):
-                    c = tuple(x - y + (t == i) for t, (x, y) in
-                              enumerate(zip(m, b)))
-                    if min(c) >= 0 and c[i] > 0:
-                        rhs -= c[i] * r_b[i] * lt[c]
-            new = np.zeros((d, n), dtype=complex)
-            dot = complex(np.dot(m, lam_e))
-            for i in range(d):
-                for j in enslaved:
-                    delta = dot + lam_all[j] - lam_e[i]
-                    if abs(delta) < tol:
-                        raise SmallDivisorError(j, m, delta)
-                    new[i, j] = rhs[i, j] / delta
-            # master rows of DW~ are the identity at order 0 and enslaved
-            # rows vanish there, so the order-m part of L~ DW~ = I reads:
-            new[:, master] = -ldw
-            lt[m] = new
-    return MultiSeries(d, d * n, order,
-                       {m: (c @ lft).ravel() for m, c in lt.items()})
+        lo, hi = table.size(k - 1), table.size(k)
+        rhs = product_rows(dr, lt, table, lo, hi, np.matmul) \
+            - product_rows(lt, df, table, lo, hi, np.matmul)
+        # DL~[R_{>=2}] = sum_i R_i d/dp_i L~
+        for i in range(d):
+            rhs -= product_rows(r_tail[:, i, None, None],
+                                table.derivative(lt, i, hi), table, lo, hi)
+        delta = (table.exps[lo:hi] @ lam_e)[:, None, None] \
+            + lam_all[enslaved][None, None, :] - lam_e[None, :, None]
+        bad = np.argwhere(np.abs(delta) < tol)
+        if len(bad):
+            row, i, j = bad[0]
+            raise SmallDivisorError(enslaved[j], table.keys[lo + row],
+                                    delta[row, i, j])
+        lt[lo:hi][:, :, enslaved] = rhs[:, :, enslaved] / delta
+        # master rows of DW~ are the identity at order 0 and enslaved rows
+        # vanish there, so the order-m part of L~ DW~ = I reads:
+        lt[lo:hi][:, :, master] = -product_rows(lt, dw, table, lo, hi, np.matmul)
+    return MultiSeries.from_grlex((lt @ lft).reshape(size, d * n), d, order)
 
 
 # ---- polar normal form ------------------------------------------------------
@@ -578,10 +539,10 @@ def realify_reduced(model: SSMModel) -> MultiSeries:
         return _real_coefficients(model.R, "reduced dynamics")
     plus = int(np.argmax(model.master_eigenvalues.imag))
     c = compose_truncated(model.R.component(plus), _conjugate_substitution(model.order),
-                          model.order)
-    re_part = (c + c.conjugate_coeffs()).scaled(0.5)
-    im_part = (c - c.conjugate_coeffs()).scaled(-0.5j)
-    return MultiSeries.from_components([re_part, im_part])
+                          model.order).grlex(model.order)
+    # a' + i b' is the z row of R: the field is its real and imaginary part
+    return MultiSeries.from_grlex(np.hstack([c.real, c.imag]).astype(complex),
+                                  model.d, model.order)
 
 
 # ---- invariance residual ----------------------------------------------------
@@ -687,15 +648,11 @@ def to_coordinate_graph(model: SSMModel, coords: Sequence[int]) -> CoordinateGra
             f"coordinates {coords} do not chart the manifold: {exc}") from exc
     param = compose_truncated(model.W, g, model.order)
     # chain rule: u' = Dphi(p) R(p), then substitute p = g(u)
-    rows = []
-    for a in range(model.d):
-        acc = MultiSeries.zero(model.d, 1, model.order)
-        comp = phi.component(a)
-        for i in range(model.d):
-            acc = acc + multiply_truncated(comp.derivative(i),
-                                           model.R.component(i), model.order)
-        rows.append(acc)
-    reduced = compose_truncated(MultiSeries.from_components(rows), g, model.order)
+    field = MultiSeries.zero(model.d, model.d, model.order)
+    for i in range(model.d):
+        field = field + multiply_truncated(model.R.component(i),
+                                           phi.derivative(i), model.order)
+    reduced = compose_truncated(field, g, model.order)
     return CoordinateGraph(coords, model.order, param, reduced)
 
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gssm.series import (_BLOCK_ROWS, MultiSeries, compose_truncated,
+from gssm.series import (_BLOCK_ENTRIES, _BLOCK_ROWS, MultiSeries,
+                         compose_truncated, indices_of_order,
                          indices_up_to_order, invert_map, multiply_truncated,
                          power_truncated, reciprocal_truncated,
                          series_from_text, series_to_text)
@@ -56,6 +57,13 @@ def test_evaluate_many_matches_single_point_loop():
     assert batch.shape == (len(pts), 3)
     for i in (0, _BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 6):
         value, scale = term_sum(s, pts[i])
+        assert np.all(np.abs(batch[i] - value) <= 1e-13 * scale)
+    # a series with many terms takes shorter blocks (_BLOCK_ENTRIES // 231)
+    many = MultiSeries(2, 1, 20, {k: [0.1] for k in indices_up_to_order(2, 20)})
+    rows = _BLOCK_ENTRIES // len(many.coeffs)
+    batch = many.evaluate_many(pts)
+    for i in (0, rows - 1, rows, 2 * rows, len(pts) - 1):
+        value, scale = term_sum(many, pts[i])
         assert np.all(np.abs(batch[i] - value) <= 1e-13 * scale)
 
 
@@ -120,12 +128,18 @@ def test_multiply_bivariate_difference_of_squares():
 
 def test_multiply_matches_bruteforce_convolution():
     rng = np.random.default_rng(7)
-    for _ in range(20):
+    pairs = [(MultiSeries(2, 1, 4, {tuple(k): rng.normal(size=1) + 1j * rng.normal(size=1)
+                                    for k in rng.integers(0, 3, size=(6, 2))}),
+              MultiSeries(2, 3, 4, {tuple(k): rng.normal(size=3)
+                                    for k in rng.integers(0, 3, size=(6, 2))}))
+             for _ in range(20)]
+    # (x + y)(x - y, 2x - 2y, 0): the xy terms cancel to exact zeros, and the
+    # third component vanishes everywhere
+    pairs.append((MultiSeries(2, 1, 1, {(1, 0): [1.0], (0, 1): [1.0]}),
+                  MultiSeries(2, 3, 1, {(1, 0): [1.0, 2.0, 0.0],
+                                        (0, 1): [-1.0, -2.0, 0.0]})))
+    for a, b in pairs:
         order = 6
-        a = MultiSeries(2, 1, 4, {tuple(k): rng.normal(size=1) + 1j * rng.normal(size=1)
-                                  for k in rng.integers(0, 3, size=(6, 2))})
-        b = MultiSeries(2, 3, 4, {tuple(k): rng.normal(size=3)
-                                  for k in rng.integers(0, 3, size=(6, 2))})
         p = multiply_truncated(a, b, order)
         # independent double loop over index pairs
         expect = {}
@@ -138,6 +152,8 @@ def test_multiply_matches_bruteforce_convolution():
             assert np.allclose(p.get(idx), v, atol=1e-13)
         for idx in p.coeffs:
             assert idx in expect
+            assert np.any(p.coeffs[idx] != 0)
+    assert set(multiply_truncated(*pairs[-1], 6).coeffs) == {(2, 0), (0, 2)}
 
 
 def test_compose_square_of_shifted_variable():
@@ -174,23 +190,42 @@ def test_compose_rejects_nonzero_inner_constant():
         compose_truncated(outer, inner, 2)
 
 
-def test_compose_associativity_on_random_cubics():
-    rng = np.random.default_rng(21)
-    order = 6
-    for dim in (1, 2):
-        def rand_map():
-            coeffs = {}
-            for k in range(1, 4):
-                from gssm.series import indices_of_order
-                for idx in indices_of_order(dim, k):
-                    coeffs[idx] = rng.normal(size=dim) * 0.5
-            return MultiSeries(dim, dim, 3, coeffs)
+@st.composite
+def bounded_map(draw, d, l, degrees, budget):
+    """Map C^d -> C^l with terms of the given total degrees (up to 8 each
+    component) whose coefficient moduli sum to at most `budget` per
+    component, so every composition of such maps keeps its coefficients,
+    and the moduli of the terms summed into them, below the budget."""
+    idx = [k for deg in degrees for k in indices_of_order(d, deg)]
+    coeffs = {}
+    for j in range(l):
+        for k in draw(st.lists(st.sampled_from(idx), min_size=1, max_size=8,
+                               unique=True)):
+            coeffs.setdefault(k, np.zeros(l))[j] = draw(st.floats(-1.0, 1.0))
+    total = np.sum(np.abs(list(coeffs.values())), axis=0)
+    scale = budget / np.maximum(total, budget)
+    return MultiSeries(d, l, max(degrees),
+                       {k: v * scale for k, v in coeffs.items()})
 
-        f, g, h = rand_map(), rand_map(), rand_map()
-        left = compose_truncated(compose_truncated(f, g, order), h, order)
-        right = compose_truncated(f, compose_truncated(g, h, order), order)
-        for idx in set(left.coeffs) | set(right.coeffs):
-            assert np.allclose(left.get(idx), right.get(idx), atol=1e-10)
+
+@st.composite
+def composable_triples(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    l = draw(st.sampled_from([1, 2, 3]))
+    order = draw(st.integers(1, 10))
+    f = draw(bounded_map(d, l, (0, 1, 2, 3), 1.0))
+    g, h = (draw(bounded_map(d, d, (1, 2, 3), 1.0)) for _ in range(2))
+    return f, g, h, order
+
+
+@settings(max_examples=150, deadline=None)
+@given(composable_triples())
+def test_compose_associativity_on_random_cubics(case):
+    f, g, h, order = case
+    left = compose_truncated(compose_truncated(f, g, order), h, order)
+    right = compose_truncated(f, compose_truncated(g, h, order), order)
+    for idx in set(left.coeffs) | set(right.coeffs):
+        assert np.allclose(left.get(idx), right.get(idx), atol=1e-10)
 
 
 def test_operations_never_store_indices_above_order():
@@ -222,38 +257,48 @@ def test_power_matches_repeated_multiplication():
     assert np.allclose(viapow.univariate_coeffs(), direct.univariate_coeffs(), atol=1e-14)
 
 
-def test_reciprocal_times_series_is_one():
-    rng = np.random.default_rng(11)
-    s = MultiSeries(2, 1, 5, {(0, 0): [2.0]})
-    for k in rng.integers(0, 3, size=(6, 2)):
-        if sum(k) > 0:
-            s = s + MultiSeries(2, 1, 5, {tuple(k): rng.normal(size=1)})
-    r = reciprocal_truncated(s, 5)
-    p = multiply_truncated(s, r, 5)
-    assert np.allclose(p.get((0, 0)), 1.0, atol=1e-13)
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 3]).flatmap(
+           lambda d: st.tuples(bounded_map(d, 1, (1, 2, 3, 4, 5), 0.5),
+                               st.integers(0, 10))),
+       st.floats(1.0, 3.0), st.floats(-np.pi, np.pi))
+def test_reciprocal_times_series_is_one(case, modulus, phase):
+    # a constant term c0 whose modulus is at least twice the other terms'
+    # sum keeps the reciprocal's coefficients below 1 / |c0|
+    tail, order = case
+    c0 = modulus * np.exp(1j * phase)
+    s = tail.scaled(modulus) + MultiSeries.constant([c0], tail.dim_in, 0)
+    r = reciprocal_truncated(s, order)
+    p = multiply_truncated(s, r, order)
+    assert np.allclose(p.get((0,) * s.dim_in), 1.0, atol=1e-13)
     for idx, v in p.coeffs.items():
         if sum(idx) > 0:
             assert np.allclose(v, 0.0, atol=1e-12)
 
 
-def test_invert_map_composes_to_identity():
-    rng = np.random.default_rng(5)
-    for dim in (1, 2):
-        lin = np.eye(dim) + 0.3 * rng.normal(size=(dim, dim))
-        coeffs = {}
-        for i in range(dim):
-            idx = tuple(1 if j == i else 0 for j in range(dim))
-            coeffs[idx] = lin[:, i]
-        from gssm.series import indices_of_order
-        for k in (2, 3):
-            for idx in indices_of_order(dim, k):
-                coeffs[idx] = 0.4 * rng.normal(size=dim)
-        f = MultiSeries(dim, dim, 3, coeffs)
-        g = invert_map(f, 6)
-        ident = compose_truncated(f, g, 6)
-        expect = MultiSeries.identity_map(dim, 6)
-        for idx in set(ident.coeffs) | set(expect.coeffs):
-            assert np.allclose(ident.get(idx), expect.get(idx), atol=1e-9)
+@st.composite
+def invertible_maps(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    order = draw(st.integers(1, 10))
+    # linear part within 0.1 per entry of the identity, nonlinear moduli
+    # summing to 0.1 per component: the inverse's coefficients stay O(1)
+    lin = np.eye(d) + np.array(draw(st.lists(st.floats(-0.1, 0.1), min_size=d * d,
+                                             max_size=d * d))).reshape(d, d)
+    f = draw(bounded_map(d, d, (2, 3), 0.1))
+    for i in range(d):
+        f = f + MultiSeries(d, d, 3, {tuple(int(i == j) for j in range(d)): lin[:, i]})
+    return f, order
+
+
+@settings(max_examples=150, deadline=None)
+@given(invertible_maps())
+def test_invert_map_composes_to_identity(case):
+    f, order = case
+    g = invert_map(f, order)
+    ident = compose_truncated(f, g, order)
+    expect = MultiSeries.identity_map(f.dim_in, order)
+    for idx in set(ident.coeffs) | set(expect.coeffs):
+        assert np.allclose(ident.get(idx), expect.get(idx), atol=1e-9)
 
 
 def test_text_round_trip_is_bitwise():
