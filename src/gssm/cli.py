@@ -62,7 +62,7 @@ def _outdir(args) -> Path:
 
 def _write_manifest(outdir: Path, args, inputs, outputs) -> None:
     options = {k: v for k, v in sorted(vars(args).items())
-               if k not in ("func", "out") and not k.startswith("_")}
+               if k not in ("handler", "out") and not k.startswith("_")}
     manifest = {
         "command": args.command,
         "options": options,
@@ -590,15 +590,16 @@ def _add_field_flags(p) -> None:
 
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parse_args leaves
-    it unchanged, so every main call shares it."""
+    """The command-line parser, built once per process (parsing leaves it
+    unchanged).  Each command names its handler, a function of this module
+    looked up when main runs it."""
     top = argparse.ArgumentParser(prog="gssm")
     top.add_argument("--out", help="output directory (or env GSSM_OUT)")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("systems", help="list built-in systems")
     p.add_argument("action", nargs="?", default="list", choices=["list"])
-    p.set_defaults(func=cmd_systems)
+    p.set_defaults(handler="cmd_systems")
 
     p = sub.add_parser("ssm", help="compute or import a manifold model")
     p.add_argument("--system", choices=[s for s in SYSTEM_IDS if s != "custom"])
@@ -610,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="normal-form")
     p.add_argument("--master", help="comma list of eigenvalue positions")
     p.add_argument("--model-out", dest="model_out", default="model.txt")
-    p.set_defaults(func=cmd_ssm)
+    p.set_defaults(handler="cmd_ssm")
 
     p = sub.add_parser("pade", help="rational approximants with zero-scan "
                                     "gating and the [N/M] fallback ladder")
@@ -620,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--scan-points", dest="scan_points", type=int, default=41)
     p.add_argument("--targets", help="comma subset of W,R,kappa,omega")
-    p.set_defaults(func=cmd_pade)
+    p.set_defaults(handler="cmd_pade")
 
     pa = sub.add_parser("analyze", help="reduced-model analyses")
     asub = pa.add_subparsers(dest="mode", required=True)
@@ -632,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--n-out", dest="n_out", type=int, default=1001)
     p.add_argument("--lift-model", dest="lift_model")
-    p.set_defaults(func=cmd_integrate, command="analyze-integrate")
+    p.set_defaults(handler="cmd_integrate", command="analyze-integrate")
 
     p = asub.add_parser("backbone")
     p.add_argument("--model")
@@ -642,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=201)
     p.add_argument("--component", choices=["omega", "kappa", "both"],
                    default="both")
-    p.set_defaults(func=cmd_backbone, command="analyze-backbone")
+    p.set_defaults(handler="cmd_backbone", command="analyze-backbone")
 
     p = asub.add_parser("frc")
     p.add_argument("--model", required=True)
@@ -655,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=400)
     p.add_argument("--amplitude", choices=["rho", "lift"], default="rho")
     p.add_argument("--amp-component", dest="amp_component", type=int, default=0)
-    p.set_defaults(func=cmd_frc, command="analyze-frc")
+    p.set_defaults(handler="cmd_frc", command="analyze-frc")
 
     p = asub.add_parser("poincare")
     _add_field_flags(p)
@@ -663,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-periods", dest="n_periods", type=int, default=100)
     p.add_argument("--skip", type=int, default=20)
     p.add_argument("--omega", type=float)
-    p.set_defaults(func=cmd_poincare, command="analyze-poincare")
+    p.set_defaults(handler="cmd_poincare", command="analyze-poincare")
 
     p = asub.add_parser("lyapunov")
     _add_field_flags(p)
@@ -673,12 +674,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--renorm-interval", dest="renorm_interval", type=float,
                    default=1.0)
     p.add_argument("--transient", type=float, default=50.0)
-    p.set_defaults(func=cmd_lyapunov, command="analyze-lyapunov")
+    p.set_defaults(handler="cmd_lyapunov", command="analyze-lyapunov")
 
     p = asub.add_parser("psd")
     p.add_argument("--data", required=True)
     p.add_argument("--component", type=int, default=0)
-    p.set_defaults(func=cmd_psd, command="analyze-psd")
+    p.set_defaults(handler="cmd_psd", command="analyze-psd")
 
     ps = sub.add_parser("singularity", help="convergence diagnostics")
     ssub = ps.add_subparsers(dest="mode", required=True)
@@ -688,14 +689,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series")
     p.add_argument("--model")
     p.add_argument("--rep", choices=["omega", "kappa"], default="omega")
-    p.set_defaults(func=cmd_sing_radius, command="singularity-radius")
+    p.set_defaults(handler="cmd_sing_radius", command="singularity-radius")
 
     p = ssub.add_parser("pattern")
     p.add_argument("--coeffs")
     p.add_argument("--series")
     p.add_argument("--model")
     p.add_argument("--rep", choices=["omega", "kappa"], default="omega")
-    p.set_defaults(func=cmd_sing_pattern, command="singularity-pattern")
+    p.set_defaults(handler="cmd_sing_pattern", command="singularity-pattern")
 
     p = ssub.add_parser("scan")
     p.add_argument("--rationals", required=True)
@@ -703,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", required=True)
     p.add_argument("--points", required=True)
     p.add_argument("--floor", type=float, default=1e-6)
-    p.set_defaults(func=cmd_sing_scan, command="singularity-scan")
+    p.set_defaults(handler="cmd_sing_scan", command="singularity-scan")
 
     p = sub.add_parser("regress", help="data-driven reduced model")
     p.add_argument("--data", required=True)
@@ -720,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--holdout", type=float, default=0.2)
     p.add_argument("--smooth-window", dest="smooth_window", type=int)
     p.add_argument("--unconstrained", action="store_true")
-    p.set_defaults(func=cmd_regress)
+    p.set_defaults(handler="cmd_regress")
 
     p = sub.add_parser("predict", help="closed-loop observable prediction")
     p.add_argument("--chart", required=True)
@@ -729,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--n-out", dest="n_out", type=int, default=1001)
-    p.set_defaults(func=cmd_predict)
+    p.set_defaults(handler="cmd_predict")
 
     return top
 
@@ -739,9 +740,7 @@ def main(argv=None) -> int:
     if getattr(args, "poly_order", None) is None and args.command == "regress":
         args.poly_order = args.N + args.M + 1
     try:
-        # by name: the parser is shared, and a wrapper set on this module
-        # after it was built (a tracer) must still see the call
-        return globals()[args.func.__name__](args)
+        return globals()[args.handler](args)
     except ValidationError as exc:
         print(f"gssm: status=validation-error message={json.dumps(str(exc))}")
         return 2

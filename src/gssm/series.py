@@ -9,8 +9,9 @@ product is a gather over the table's index pairs plus a segment sum, and a
 solver that fixes a series degree by degree extends products and
 compositions one degree block at a time (the power-series recurrences of
 Haro et al., The Parameterization Method for Invariant Manifolds, 2016).
-A series caches its grlex array and, for evaluation, its nonzero terms;
-nothing mutates a series after construction.  Canonical term ordering
+A series caches its grlex array and, for evaluation, its nonzero terms on
+its `coeffs` dict, which drops them when an entry is added, removed or
+replaced.  The algebra returns new series.  Canonical term ordering
 (iteration, serialization) is graded lexicographic: total degree first,
 then lexicographic on the index tuple.
 """
@@ -18,7 +19,6 @@ then lexicographic on the index tuple.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -183,6 +183,24 @@ def product_rows(a: np.ndarray, b: np.ndarray, table: GrlexTable,
     return np.add.reduceat(terms, table.starts[lo:hi] - first, axis=0)
 
 
+class _Terms(dict):
+    """The coeffs dict of a series.  Its attributes hold the series' cached
+    grlex and evaluation forms, and every write to the dict drops them."""
+
+
+def _dropping_forms(write):
+    @functools.wraps(write)
+    def method(self, *args, **kwargs):
+        self.__dict__.clear()
+        return write(self, *args, **kwargs)
+    return method
+
+
+for _name in ("__setitem__", "__delitem__", "__ior__", "clear", "pop",
+              "popitem", "setdefault", "update"):
+    setattr(_Terms, _name, _dropping_forms(getattr(dict, _name)))
+
+
 @dataclass
 class MultiSeries:
     """Polynomial map C^dim_in -> C^dim_out truncated at total degree `order`.
@@ -194,7 +212,10 @@ class MultiSeries:
     order : int
         Truncation order; indices with total degree above it are rejected.
     coeffs : dict
-        Multi-index tuple -> coefficient vector of shape (dim_out,).
+        Multi-index tuple -> coefficient vector of shape (dim_out,).  An
+        entry may be added, removed or replaced after construction (the
+        cached forms follow); a coefficient vector must not be written to
+        in place.
     """
 
     dim_in: int
@@ -220,7 +241,7 @@ class MultiSeries:
                                  f"expected ({self.dim_out},)")
             if v.any():
                 clean[idx] = v
-        self.coeffs = clean
+        self.coeffs = _Terms(clean)
 
     # ---- constructors -------------------------------------------------
 
@@ -236,7 +257,13 @@ class MultiSeries:
     @classmethod
     def identity_map(cls, dim: int, order: int) -> "MultiSeries":
         """The identity map z -> z as a vector series."""
-        return cls(dim, dim, order, {tuple(e): e for e in np.eye(dim, dtype=int)})
+        coeffs = {}
+        for i in range(dim):
+            idx = tuple(1 if j == i else 0 for j in range(dim))
+            v = np.zeros(dim, dtype=complex)
+            v[i] = 1.0
+            coeffs[idx] = v
+        return cls(dim, dim, order, coeffs)
 
     @classmethod
     def from_univariate(cls, coeffs: Sequence[complex], order: int | None = None) -> "MultiSeries":
@@ -254,7 +281,7 @@ class MultiSeries:
         keys = grlex_table(dim_in, order).keys
         rows = np.flatnonzero(arr.any(axis=1)).tolist()
         s = cls(dim_in, arr.shape[1], order, {keys[i]: arr[i] for i in rows})
-        s._grlex = (order, arr)
+        s.coeffs.__dict__["_grlex"] = (order, arr)
         return s
 
     @classmethod
@@ -269,7 +296,9 @@ class MultiSeries:
             if c.dim_in != dim_in or c.dim_out != 1:
                 raise ValueError("components must be scalar series in the same variables")
             for idx, v in c.coeffs.items():
-                coeffs.setdefault(idx, np.zeros(len(comps), dtype=complex))[j] = v[0]
+                if idx not in coeffs:
+                    coeffs[idx] = np.zeros(len(comps), dtype=complex)
+                coeffs[idx][j] = v[0]
         return cls(dim_in, len(comps), order, coeffs)
 
     # ---- access --------------------------------------------------------
@@ -290,22 +319,20 @@ class MultiSeries:
         """
         table = grlex_table(self.dim_in, order)
         top = min(order, self.order)
-        built, arr = self.__dict__.get("_grlex", (-1, None))
+        forms = getattr(self.coeffs, "__dict__", {})
+        built, arr = forms.get("_grlex", (-1, None))
         if built < top:
             arr = np.zeros((table.size(top), self.dim_out), dtype=complex)
             for idx, v in self.coeffs.items():
                 if sum(idx) <= top:
                     arr[table.row[idx]] = v
-            self._grlex = (top, arr)
+            forms["_grlex"] = (top, arr)
         n = table.size(order)
         return arr[:n] if len(arr) >= n else np.pad(arr, ((0, n - len(arr)), (0, 0)))
 
     def component(self, j: int) -> "MultiSeries":
-        col = np.array(list(self.coeffs.values()),
-                       dtype=complex).reshape(-1, self.dim_out)[:, [j]]
-        keep = col[:, 0] != 0
-        return MultiSeries(self.dim_in, 1, self.order,
-                           dict(zip(itertools.compress(self.coeffs, keep), col[keep])))
+        d = {idx: np.array([v[j]]) for idx, v in self.coeffs.items() if v[j] != 0}
+        return MultiSeries(self.dim_in, 1, self.order, d)
 
     def univariate_coeffs(self) -> np.ndarray:
         """Flat (order+1,) coefficient array; scalar univariate series only."""
@@ -384,14 +411,14 @@ class MultiSeries:
 
         The nonzero-terms form (gather index of the exponent matrix E,
         K x dim_in; coefficient matrix C, K x dim_out; rows per block) is
-        built on the first evaluation and cached; a series does not change
-        after construction.
+        built on the first evaluation and cached.
         """
-        terms = self.__dict__.get("_terms")
+        forms = getattr(self.coeffs, "__dict__", {})
+        terms = forms.get("_terms")
         if terms is None:
             exps = np.array(list(self.coeffs), dtype=np.intp)
             coeffs = np.array(list(self.coeffs.values()), dtype=complex)
-            terms = self._terms = (
+            terms = forms["_terms"] = (
                 *_gather_index(exps.reshape(-1, self.dim_in)),
                 coeffs.reshape(-1, self.dim_out),
                 max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // max(len(coeffs), 1))))

@@ -383,15 +383,15 @@ def foliation_projection(sys: PolySystem, spec: SpectralData,
     master = spec.master
     enslaved = [j for j in range(n) if j not in master]
     tol = RESONANCE_TOL_FACTOR * max(np.max(np.abs(lam_all)), 1e-300)
-    table = grlex_table(d, order)
+    table = grlex_table(d, order + 1)
     size = table.size(order)
 
     # grlex arrays of DW~ (n x d), DR_{>=2} (d x d) and V^-1 Df(W) V
-    # (n x n); their constant rows do not enter the sums
-    r_tail = model.R.drop_below(2).grlex(order)
-    dw = np.stack([s.grlex(order) for s in
-                   model.W.linear_transform(lft).jacobian_rows()], axis=2)
-    dr = np.stack([table.derivative(r_tail, i, size) for i in range(d)], axis=2)
+    # (n x n) through `order`, so from W~ and R through order + 1; their
+    # constant rows do not enter the sums
+    r_tail = model.R.drop_below(2).grlex(order + 1)
+    dw, dr = (np.stack([table.derivative(arr, i, size) for i in range(d)], axis=2)
+              for arr in (model.W.grlex(order + 1) @ lft.T, r_tail))
     df = lft @ np.stack([compose_truncated(col, model.W, order).grlex(order)
                          for col in sys.nonlinearity.jacobian_rows()], axis=2) @ v
     for arr in (dw, dr, df):

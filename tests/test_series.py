@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gssm.series import (_BLOCK_ENTRIES, _BLOCK_ROWS, MultiSeries,
@@ -156,6 +156,26 @@ def test_multiply_matches_bruteforce_convolution():
     assert set(multiply_truncated(*pairs[-1], 6).coeffs) == {(2, 0), (0, 2)}
 
 
+def test_replaced_coefficients_reach_the_algebra_and_evaluation():
+    # a product's result carries cached grlex and evaluation forms; an
+    # entry of coeffs replaced, removed or added afterwards must reach both
+    s = multiply_truncated(MultiSeries(2, 1, 2, {(1, 0): [1.0], (0, 0): [1.0]}),
+                           MultiSeries(2, 2, 2, {(0, 1): [1.0, 2.0]}), 3)
+    x = MultiSeries(2, 1, 1, {(1, 0): [1.0]})
+    pts = [[0.5, -0.25]]
+    for edit in (lambda c: c.__setitem__((1, 1), np.array([5.0, 0.0j])),
+                 lambda c: c.pop((0, 1)),
+                 lambda c: c.__setitem__((2, 0), np.array([0.0, 3.0j]))):
+        multiply_truncated(s, x, 3), s.evaluate_many(pts)
+        edit(s.coeffs)
+        fresh = MultiSeries(2, 2, 3, dict(s.coeffs))
+        assert multiply_truncated(s, x, 3).coeffs.keys() == \
+            multiply_truncated(fresh, x, 3).coeffs.keys()
+        for idx, v in multiply_truncated(fresh, x, 3).coeffs.items():
+            assert np.array_equal(multiply_truncated(s, x, 3).get(idx), v)
+        assert np.array_equal(s.evaluate_many(pts), fresh.evaluate_many(pts))
+
+
 def test_compose_square_of_shifted_variable():
     outer = MultiSeries(1, 1, 2, {(2,): [1.0]})
     inner = uni(0.0, 1.0, 1.0)
@@ -218,8 +238,23 @@ def composable_triples(draw):
     return f, g, h, order
 
 
+def seeded_cubic_triples():
+    """Fixed cases: three dense cubic maps of 0.5 N(0, 1) coefficients in
+    d = 1 and in d = 2, composed through order 6."""
+    rng = np.random.default_rng(21)
+
+    def rand_map(dim):
+        return MultiSeries(dim, dim, 3, {idx: rng.normal(size=dim) * 0.5
+                                         for k in range(1, 4)
+                                         for idx in indices_of_order(dim, k)})
+
+    return [tuple(rand_map(dim) for _ in range(3)) + (6,) for dim in (1, 2)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(composable_triples())
+@example(seeded_cubic_triples()[0])
+@example(seeded_cubic_triples()[1])
 def test_compose_associativity_on_random_cubics(case):
     f, g, h, order = case
     left = compose_truncated(compose_truncated(f, g, order), h, order)
@@ -257,17 +292,34 @@ def test_power_matches_repeated_multiplication():
     assert np.allclose(viapow.univariate_coeffs(), direct.univariate_coeffs(), atol=1e-14)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from([1, 2, 3]).flatmap(
-           lambda d: st.tuples(bounded_map(d, 1, (1, 2, 3, 4, 5), 0.5),
-                               st.integers(0, 10))),
-       st.floats(1.0, 3.0), st.floats(-np.pi, np.pi))
-def test_reciprocal_times_series_is_one(case, modulus, phase):
+@st.composite
+def reciprocal_cases(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    tail = draw(bounded_map(d, 1, (1, 2, 3, 4, 5), 0.5))
     # a constant term c0 whose modulus is at least twice the other terms'
     # sum keeps the reciprocal's coefficients below 1 / |c0|
-    tail, order = case
-    c0 = modulus * np.exp(1j * phase)
-    s = tail.scaled(modulus) + MultiSeries.constant([c0], tail.dim_in, 0)
+    modulus = draw(st.floats(1.0, 3.0))
+    c0 = modulus * np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+    return (tail.scaled(modulus) + MultiSeries.constant([c0], d, 0),
+            draw(st.integers(0, 10)))
+
+
+def seeded_reciprocal_case():
+    """Fixed case: c0 = 2 against up to five N(0, 1) terms in d = 2,
+    through order 5."""
+    rng = np.random.default_rng(11)
+    s = MultiSeries(2, 1, 5, {(0, 0): [2.0]})
+    for k in rng.integers(0, 3, size=(6, 2)):
+        if sum(k) > 0:
+            s = s + MultiSeries(2, 1, 5, {tuple(k): rng.normal(size=1)})
+    return s, 5
+
+
+@settings(max_examples=150, deadline=None)
+@given(reciprocal_cases())
+@example(seeded_reciprocal_case())
+def test_reciprocal_times_series_is_one(case):
+    s, order = case
     r = reciprocal_truncated(s, order)
     p = multiply_truncated(s, r, order)
     assert np.allclose(p.get((0,) * s.dim_in), 1.0, atol=1e-13)
@@ -290,8 +342,27 @@ def invertible_maps(draw):
     return f, order
 
 
+def seeded_invertible_maps():
+    """Fixed cases: linear part I + 0.3 N(0, 1) and 0.4 N(0, 1) on every
+    monomial of degree 2 and 3, in d = 1 and in d = 2, inverted through
+    order 6."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for dim in (1, 2):
+        lin = np.eye(dim) + 0.3 * rng.normal(size=(dim, dim))
+        coeffs = {tuple(int(i == j) for j in range(dim)): lin[:, i]
+                  for i in range(dim)}
+        for k in (2, 3):
+            for idx in indices_of_order(dim, k):
+                coeffs[idx] = 0.4 * rng.normal(size=dim)
+        cases.append((MultiSeries(dim, dim, 3, coeffs), 6))
+    return cases
+
+
 @settings(max_examples=150, deadline=None)
 @given(invertible_maps())
+@example(seeded_invertible_maps()[0])
+@example(seeded_invertible_maps()[1])
 def test_invert_map_composes_to_identity(case):
     f, order = case
     g = invert_map(f, order)
