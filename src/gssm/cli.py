@@ -28,14 +28,13 @@ from .datadriven import (EmbeddingConfig, RegressionProblem, chart_from_text,
 from .errors import NumericalError, ValidationError
 from .pade import (RationalMap, evaluate_rational_many, pade_multivariate,
                    rational_from_text, rationals_from_text, rationals_to_text)
-from .reduced import (Forcing, ReducedField, backbone, backbone_to_csv,
-                      double_well_field, forced_response, forcing_projection,
-                      frc_to_csv, integrate_reduced, lift, lyapunov_estimate,
-                      poincare_sample, psd_estimate)
+from .reduced import (Forcing, ReducedField, backbone, double_well_field,
+                      forced_response, forcing_projection, integrate_reduced,
+                      lift, lyapunov_estimate, poincare_sample, psd_estimate)
 from .series import (MultiSeries, format_float, series_from_text,
-                     series_to_text)
+                     series_to_text, write_csv)
 from .singularity import (classify_sign_pattern, denominator_zero_scan,
-                          estimate_radius, scan_to_csv)
+                          estimate_radius)
 from .ssm import (SSMModel, compute_ssm, extract_polar, model_from_text,
                   model_to_text, realify_parametrization, realify_reduced,
                   spectral_analysis)
@@ -299,15 +298,20 @@ def cmd_integrate(args) -> int:
     return 0 if ok else 3
 
 
-def _curve_reps(args):
+def _curve_reps(args, model=None):
+    """kappa and omega representations: the --kappa/--omega rationals, or
+    else the polar normal form of the model (read from --model if not
+    given)."""
     if args.kappa or args.omega:
         if not (args.kappa and args.omega):
             raise ValidationError("--kappa and --omega go together")
         return (rational_from_text(_read(args.kappa)),
                 rational_from_text(_read(args.omega)))
-    if not args.model:
-        raise ValidationError("need --model or --kappa/--omega")
-    polar = extract_polar(_load_model(args.model))
+    if model is None:
+        if not args.model:
+            raise ValidationError("need --model or --kappa/--omega")
+        model = _load_model(args.model)
+    polar = extract_polar(model)
     return polar, polar
 
 
@@ -322,7 +326,7 @@ def cmd_backbone(args) -> int:
         rep = omega_rep if comp == "omega" else kappa_rep
         curve = backbone(rep, grid, component=comp)
         fname = f"backbone_{comp}.csv"
-        backbone_to_csv(curve, str(outdir / fname), component=comp)
+        write_csv(outdir / fname, ["rho", comp], curve)
         outputs.append(fname)
     _write_manifest(outdir, args, _input_files(args, "model", "kappa", "omega"),
                     outputs)
@@ -347,19 +351,15 @@ def cmd_frc(args) -> int:
     model = _load_model(args.model)
     vec = _floats(args.forcing_vector)
     eps_f = forcing_projection(model, vec, args.eps)
-    if args.kappa or args.omega:
-        if not (args.kappa and args.omega):
-            raise ValidationError("--kappa and --omega go together")
-        kappa_rep = rational_from_text(_read(args.kappa))
-        omega_rep = rational_from_text(_read(args.omega))
-    else:
-        kappa_rep = omega_rep = extract_polar(model)
+    kappa_rep, omega_rep = _curve_reps(args, model)
     grid = np.linspace(args.rho_min, args.rho_max, args.points)
     amp_fn = _lift_amplitude(model, args.amp_component, grid) \
         if args.amplitude == "lift" else None
     branch = forced_response(kappa_rep, omega_rep, eps_f, grid,
                              amplitude_fn=amp_fn)
-    frc_to_csv(branch, str(outdir / "frc.csv"))
+    write_csv(outdir / "frc.csv", ["rho", "Omega", "amp", "stable"],
+              ((p.rho, p.Omega, p.amplitude, "1" if p.stable else "0")
+               for p in branch.points))
     _write_manifest(outdir, args,
                     _input_files(args, "model", "kappa", "omega"), ["frc.csv"])
     if branch.points:
@@ -409,10 +409,8 @@ def cmd_psd(args) -> int:
     outdir = _outdir(args)
     traj = _load_traj(args.data)
     freq, power = psd_estimate(traj, component=args.component)
-    lines = ["freq,power"]
-    lines += [f"{format_float(f)},{format_float(p)}"
-              for f, p in zip(freq, power)]
-    (outdir / "psd.csv").write_text("\n".join(lines) + "\n")
+    write_csv(outdir / "psd.csv", ["freq", "power"],
+              np.column_stack([freq, power]))
     _write_manifest(outdir, args, [args.data], ["psd.csv"])
     peak = freq[int(np.argmax(power))] if len(freq) else float("nan")
     _status("analyze-psd", bins=len(freq), peak_freq=f"{peak:.6g}")
@@ -493,7 +491,9 @@ def cmd_sing_scan(args) -> int:
                               f"dimension {rmap.dim_in}")
     axes = [np.linspace(a, b, n) for a, b, n in zip(lo, hi, pts)]
     flags = denominator_zero_scan(rmap, axes, floor=args.floor)
-    scan_to_csv(flags, str(outdir / "scan.csv"), rmap.dim_in)
+    coords = [f"x{i + 1}" for i in range(rmap.dim_in)]
+    write_csv(outdir / "scan.csv", coords + ["denominator", "reason"],
+              ((*fl.point.tolist(), fl.value, fl.reason) for fl in flags))
     _write_manifest(outdir, args, [args.rationals], ["scan.csv"])
     _status("singularity-scan", flagged=len(flags), floor=f"{args.floor:g}")
     return 0

@@ -18,7 +18,7 @@ from .errors import NumericalError, ValidationError
 from .pade import RationalMap
 from .reduced import ReducedField, integrate_reduced
 from .series import (MultiSeries, format_float, indices_up_to_order,
-                     monomial_matrix, text_reader)
+                     monomial_matrix, read_header, read_sections, text_reader)
 from .trajectory import TrajectoryData
 
 ORTHONORMAL_TOL = 1e-10
@@ -479,18 +479,13 @@ def chart_to_text(chart: ChartProjection, cfg: EmbeddingConfig) -> str:
 
 @text_reader("chart")
 def chart_from_text(lines: List[str]):
-    if not lines or not lines[0].startswith("chart "):
-        raise ValidationError("missing chart header")
-    head = lines[0].split()
-    if len(head) != 6:
-        raise ValidationError(f"bad chart header: {lines[0]!r}")
-    q, d, delays, lag, observable = (int(t) for t in head[1:])
-    if lines[1] != "CENTER" or lines[3] != "BASIS":
-        raise ValidationError("chart file needs CENTER and BASIS sections")
-    center = np.array([float(t) for t in lines[2].split()])
-    rows = [[float(t) for t in ln.split()] for ln in lines[4:4 + q]]
-    if len(rows) != q:
-        raise ValidationError(f"expected {q} basis rows")
+    q, d, delays, lag, observable = (int(t) for t in
+                                     read_header(lines, "chart", 5))
+    sections = read_sections(lines[1:], ("CENTER", "BASIS"))
+    if len(sections["CENTER"]) != 1 or len(sections["BASIS"]) != q:
+        raise ValidationError(f"chart needs one CENTER row and {q} BASIS rows")
+    center = np.array([float(t) for t in sections["CENTER"][0].split()])
+    rows = [[float(t) for t in ln.split()] for ln in sections["BASIS"]]
     chart = ChartProjection(np.array(rows), center)
     if chart.reduced_dim != d:
         raise ValidationError("basis width disagrees with the header")

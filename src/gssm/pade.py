@@ -19,7 +19,8 @@ from scipy.linalg import toeplitz
 
 from .errors import PoleProximityError, ValidationError
 from .series import (MultiSeries, coeff_lines, grlex_table, multiply_truncated,
-                     parse_coeff_lines, reciprocal_truncated, text_reader)
+                     parse_coeff_lines, read_header, read_sections,
+                     reciprocal_truncated, text_reader)
 
 DEFAULT_SVD_TOL = 1e-13
 DEFAULT_POLE_FLOOR = 1e-12
@@ -63,14 +64,19 @@ def rational_parts(r: RationalMap, points) -> Tuple[np.ndarray, np.ndarray]:
     """Numerator (K, dim_out) and denominator (K,) values at K points.
 
     The one rational evaluator: numerator and denominator components are
-    stacked into one series (built on first use and cached) and evaluated
-    in a single kernel pass.  Callers apply their own pole policy.
+    stacked into one series and evaluated in a single kernel pass.  Callers
+    apply their own pole policy.  The stacked series is cached in the
+    numerator's and the denominator's forms, which a write to either coeffs
+    dict drops, and is used only while both still hold it.
     """
-    stacked = r.__dict__.get("_stacked")
-    if stacked is None:
-        stacked = r._stacked = MultiSeries.from_components(
-            [r.numerator.component(j) for j in range(r.dim_out)]
-            + [r.denominator])
+    num = getattr(r.numerator.coeffs, "__dict__", {})
+    den = getattr(r.denominator.coeffs, "__dict__", {})
+    stacked = num.get("_stacked_numerator")
+    if stacked is None or den.get("_stacked_denominator") is not stacked:
+        stacked = num["_stacked_numerator"] = den["_stacked_denominator"] = \
+            MultiSeries.from_components(
+                [r.numerator.component(j) for j in range(r.dim_out)]
+                + [r.denominator])
     vals = stacked.evaluate_many(points)
     return vals[:, :-1], vals[:, -1]
 
@@ -289,35 +295,16 @@ def rationals_to_text(rs: Sequence[RationalMap]) -> str:
 
 @text_reader("rational")
 def rationals_from_text(lines: List[str]) -> List[RationalMap]:
+    # one block per pade header line; the first line must be one
+    starts = [0] + [k for k in range(1, len(lines))
+                    if lines[k].split()[0] == "pade"]
     out: List[RationalMap] = []
-    i = 0
-    while i < len(lines):
-        head = lines[i].split()
-        if head[0] != "pade" or len(head) != 5:
-            raise ValidationError(f"bad rational header: {lines[i]!r}")
-        d, l, n, m = (int(t) for t in head[1:])
-        i += 1
-        if i >= len(lines) or lines[i] != "NUMERATOR":
-            raise ValidationError("missing NUMERATOR block")
-        i += 1
-        num_lines = []
-        while i < len(lines) and lines[i] != "DENOMINATOR":
-            if lines[i] == "NUMERATOR" or lines[i].startswith("pade "):
-                raise ValidationError("missing DENOMINATOR block")
-            num_lines.append(lines[i])
-            i += 1
-        if i >= len(lines):
-            raise ValidationError("missing DENOMINATOR block")
-        i += 1
-        den_lines = []
-        while i < len(lines) and not lines[i].startswith("pade "):
-            den_lines.append(lines[i])
-            i += 1
-        num = parse_coeff_lines(num_lines, d, l, n)
-        den = parse_coeff_lines(den_lines, d, 1, m)
-        out.append(RationalMap(num, den, (n, m)))
-    if not out:
-        raise ValidationError("no rational blocks found")
+    for lo, hi in zip(starts, starts[1:] + [len(lines)]):
+        d, l, n, m = (int(t) for t in read_header(lines[lo:hi], "pade", 4))
+        blocks = read_sections(lines[lo + 1:hi], ("NUMERATOR", "DENOMINATOR"))
+        out.append(RationalMap(parse_coeff_lines(blocks["NUMERATOR"], d, l, n),
+                               parse_coeff_lines(blocks["DENOMINATOR"], d, 1, m),
+                               (n, m)))
     return out
 
 

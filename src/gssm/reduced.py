@@ -19,7 +19,7 @@ from scipy.signal import periodogram
 
 from .errors import NumericalError, ValidationError
 from .pade import RationalMap, pade_univariate, rational_parts
-from .series import MultiSeries, format_float
+from .series import MultiSeries
 from .ssm import (PolarNormalForm, PolySystem, SpectralData, SSMModel,
                   foliation_projection, realify_parametrization)
 from .trajectory import TrajectoryData
@@ -450,22 +450,6 @@ def forcing_projection(model: SSMModel, forcing_vector, eps: float) -> float:
     if v.shape != (model.n,):
         raise ValidationError("forcing vector must have the ambient dim")
     return float(eps * abs(np.dot(model.master_left[0], v)) / 2.0)
-
-
-def backbone_to_csv(curve: np.ndarray, path: str,
-                    component: str = "omega") -> None:
-    with open(path, "w") as fh:
-        fh.write(f"rho,{component}\n")
-        for rho, val in curve:
-            fh.write(f"{format_float(rho)},{format_float(val)}\n")
-
-
-def frc_to_csv(branch: FRCBranch, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("rho,Omega,amp,stable\n")
-        for p in branch.points:
-            fh.write(f"{format_float(p.rho)},{format_float(p.Omega)},"
-                     f"{format_float(p.amplitude)},{int(p.stable)}\n")
 
 
 # ---- stroboscopic sampling, Lyapunov exponent, PSD ---------------------------

@@ -107,7 +107,7 @@ class GrlexTable:
 
     def __init__(self, dim: int, order: int):
         n_pairs = math.comb(order + 2 * dim, 2 * dim)
-        if n_pairs > _MAX_PAIRS or (order + 1) ** dim >= 2 ** 62:
+        if n_pairs > _MAX_PAIRS:
             raise ValueError(f"{dim} variables through order {order} are too "
                              f"many for the dense algebra ({n_pairs} pairs)")
         self.dim, self.order = dim, order
@@ -115,16 +115,30 @@ class GrlexTable:
         self.row = {k: i for i, k in enumerate(self.keys)}
         self.exps = np.array(self.keys, dtype=np.int64).reshape(-1, dim)
         self._sizes = [math.comb(k + dim, dim) for k in range(order + 1)]
-        # row of an exponent vector: mixed-radix codes are lexicographic
-        weights = (order + 1) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-        by_code = np.argsort(self.exps @ weights)
-        codes = (self.exps @ weights)[by_code]
+        # row of exponent vectors e of degree k <= order: the size(k - 1)
+        # monomials of lower degree, plus per position j the
+        # C(r + m, m) - C(r - e_j + m, m) of degree k that agree before j and
+        # are smaller at j (r: degree left from j on, m = dim - 1 - j)
+        below_degree = np.array([0] + self._sizes)
+        binom = np.array([[math.comb(r + m, m) for r in range(order + 1)]
+                          for m in range(dim)], dtype=np.int64)
 
         def rank(e):
-            return by_code[np.searchsorted(codes, e @ weights)]
+            rest = e.sum(axis=1)
+            row = below_degree[rest]
+            for j in range(dim - 1):
+                m = dim - 1 - j
+                row = row + binom[m, rest] - binom[m, rest - e[:, j]]
+                rest = rest - e[:, j]
+            return row
 
-        degree = self.exps.sum(axis=1)
-        left, right = np.nonzero(degree[:, None] + degree[None, :] <= order)
+        # pairs row by row: the rows of degree a times the rows of degree
+        # <= order - a, which are a prefix
+        blocks = [(np.arange(self.size(a - 1), self.size(a)),
+                   self.size(order - a)) for a in range(order + 1)]
+        left = np.concatenate([np.repeat(rows, n) for rows, n in blocks])
+        right = np.concatenate([np.tile(np.arange(n), len(rows))
+                                for rows, n in blocks])
         out = rank(self.exps[left] + self.exps[right])
         by_out = np.argsort(out, kind="stable")
         self.left, self.right, self.out = left[by_out], right[by_out], out[by_out]
@@ -437,13 +451,11 @@ class MultiSeries:
         """Partial derivative with respect to variable i."""
         if not 0 <= i < self.dim_in:
             raise ValueError("variable index out of range")
-        coeffs = {}
-        for idx, v in self.coeffs.items():
-            if idx[i] == 0:
-                continue
-            lower = tuple(e - 1 if j == i else e for j, e in enumerate(idx))
-            coeffs[lower] = coeffs.get(lower, 0) + idx[i] * v
-        return MultiSeries(self.dim_in, self.dim_out, max(self.order - 1, 0), coeffs)
+        order = max(self.order - 1, 0)
+        table = grlex_table(self.dim_in, self.order)
+        return MultiSeries.from_grlex(
+            table.derivative(self.grlex(self.order), i, table.size(order)),
+            self.dim_in, order)
 
     def jacobian_rows(self) -> List["MultiSeries"]:
         """List of d series, the columns of the Jacobian (derivative per variable)."""
@@ -592,29 +604,92 @@ def invert_map(f: MultiSeries, order: int) -> MultiSeries:
     return MultiSeries.from_grlex(g, d, order)
 
 
-# ---- text serialization ---------------------------------------------------
+# ---- text formats -----------------------------------------------------------
+#
+# A text artifact is a header line (a kind word and its fields) followed by
+# section-name lines, each with its rows under it.  Blank lines and '#'
+# comment lines are skipped, complex numbers are re im pairs at 17
+# significant digits, and a section appears at most once.
 
 
 def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def complex_row(values) -> str:
+    """re im pairs of complex values on one line (as Python numbers, which
+    format faster than NumPy scalars)."""
+    return " ".join([f"{format_float(c.real)} {format_float(c.imag)}"
+                     for c in np.asarray(values).tolist()])
+
+
+def read_complex_row(line: str, count: int) -> np.ndarray:
+    """The `count` values of a complex_row line; complex(re, im) per pair
+    keeps signed zeros."""
+    toks = [float(t) for t in line.split()]
+    if len(toks) != 2 * count:
+        raise ValidationError(f"expected {count} re/im pairs: {line!r}")
+    return np.array([complex(re, im) for re, im in zip(toks[::2], toks[1::2])])
+
+
 def coeff_lines(s: MultiSeries) -> List[str]:
-    """One line per index: k1 .. kd followed by re im pairs per component."""
-    lines = []
-    for idx, v in s.terms():
-        parts = [str(i) for i in idx]
-        for c in v:
-            parts.append(format_float(float(c.real)))
-            parts.append(format_float(float(c.imag)))
-        lines.append(" ".join(parts))
-    return lines
+    """One line per term: k1 .. kd, then the coefficient as a complex_row."""
+    return [" ".join([*map(str, idx), complex_row(v)]) for idx, v in s.terms()]
+
+
+def parse_coeff_lines(lines: Iterable[str], dim_in: int, dim_out: int,
+                      order: int) -> MultiSeries:
+    """Series of coeff_lines rows."""
+    coeffs: Dict[MultiIndex, np.ndarray] = {}
+    for ln in lines:
+        toks = ln.split(None, dim_in)
+        if len(toks) != dim_in + 1:
+            raise ValidationError(f"bad coefficient line (expected {dim_in} "
+                                  f"indices and {dim_out} re/im pairs): {ln!r}")
+        idx = tuple(int(t) for t in toks[:dim_in])
+        if idx in coeffs:
+            raise ValidationError(f"repeated coefficient index {idx}")
+        coeffs[idx] = read_complex_row(toks[dim_in], dim_out)
+    return MultiSeries(dim_in, dim_out, order, coeffs)
 
 
 def content_lines(text: str) -> List[str]:
     """Stripped lines of a text format without blank and '#' comment lines."""
     return [ln.strip() for ln in text.splitlines()
             if ln.strip() and not ln.strip().startswith("#")]
+
+
+def read_header(lines: Sequence[str], kind: str, count: int) -> List[str]:
+    """The `count` fields after the word `kind` on the first content line."""
+    first = lines[0] if lines else ""
+    head = first.split()
+    if head[:1] != [kind] or len(head) != count + 1:
+        raise ValidationError(f"bad {kind} header: {first!r}")
+    return head[1:]
+
+
+def read_sections(lines: Sequence[str], names: Sequence[str],
+                  optional: Sequence[str] = ()) -> Dict[str, List[str]]:
+    """The rows under each section-name line, by name.
+
+    Content before the first name, a name that appears twice and a missing
+    section that is not optional raise ValidationError.
+    """
+    sections: Dict[str, List[str]] = {}
+    rows = None
+    for ln in lines:
+        if ln in names:
+            if ln in sections:
+                raise ValidationError(f"repeated {ln} section")
+            rows = sections[ln] = []
+        elif rows is None:
+            raise ValidationError(f"content before the first section: {ln!r}")
+        else:
+            rows.append(ln)
+    for name in names:
+        if name not in sections and name not in optional:
+            raise ValidationError(f"missing {name} section")
+    return sections
 
 
 def text_reader(kind: str):
@@ -633,20 +708,16 @@ def text_reader(kind: str):
     return decorate
 
 
-def parse_coeff_lines(lines: Iterable[str], dim_in: int, dim_out: int,
-                      order: int) -> MultiSeries:
-    """Coefficients from content lines (see content_lines)."""
-    coeffs: Dict[MultiIndex, np.ndarray] = {}
-    for ln in lines:
-        toks = ln.split()
-        if len(toks) != dim_in + 2 * dim_out:
-            raise ValueError(f"bad coefficient line (expected {dim_in} indices "
-                             f"and {dim_out} re/im pairs): {ln!r}")
-        idx = tuple(int(t) for t in toks[:dim_in])
-        vals = [float(t) for t in toks[dim_in:]]
-        coeffs[idx] = np.array([complex(vals[2 * j], vals[2 * j + 1])
-                                for j in range(dim_out)])
-    return MultiSeries(dim_in, dim_out, order, coeffs)
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Comma-separated rows under a header line; numbers are written as
+    format_float writes them, strings as they are.  An array of rows is
+    read as Python floats, which format faster than NumPy scalars."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join([v if isinstance(v, str) else format_float(v)
+                                for v in row]) + "\n" for row in rows)
 
 
 def series_to_text(s: MultiSeries) -> str:
@@ -656,10 +727,5 @@ def series_to_text(s: MultiSeries) -> str:
 
 @text_reader("series")
 def series_from_text(lines: List[str]) -> MultiSeries:
-    if not lines:
-        raise ValidationError("empty series text")
-    head = lines[0].split()
-    if head[0] != "series" or len(head) != 4:
-        raise ValidationError(f"bad series header: {lines[0]!r}")
-    dim_in, dim_out, order = (int(t) for t in head[1:])
+    dim_in, dim_out, order = (int(t) for t in read_header(lines, "series", 3))
     return parse_coeff_lines(lines[1:], dim_in, dim_out, order)

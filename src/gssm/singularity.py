@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .pade import RationalMap
-from .series import MultiSeries, format_float
+from .series import MultiSeries
 
 ZERO_COEFF_RTOL = 1e-12
 DEFAULT_SCAN_FLOOR = 1e-6
@@ -248,15 +248,6 @@ def denominator_zero_scan(r: RationalMap, axes: Sequence,
             add(int(np.ravel_multi_index(tuple(neighbor), shape)),
                 "sign-change")
     return [flagged[i] for i in sorted(flagged)]
-
-
-def scan_to_csv(flags: List[ScanFlag], path: str, dim: int) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(f"x{i + 1}" for i in range(dim))
-                 + ",denominator,reason\n")
-        for fl in flags:
-            coords = ",".join(format_float(v) for v in fl.point)
-            fh.write(f"{coords},{format_float(fl.value)},{fl.reason}\n")
 
 
 def synthetic_pattern_series(r: float, theta: float, nu: float,

@@ -20,10 +20,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import NumericalError, SmallDivisorError, ValidationError
-from .series import (Composition, MultiSeries, coeff_lines, compose_truncated,
-                     format_float, grlex_table, indices_of_order, invert_map,
-                     multiply_truncated, parse_coeff_lines, product_rows,
-                     text_reader)
+from .series import (Composition, MultiSeries, coeff_lines, complex_row,
+                     compose_truncated, format_float, grlex_table,
+                     indices_of_order, invert_map, multiply_truncated,
+                     parse_coeff_lines, product_rows, read_complex_row,
+                     read_header, read_sections, text_reader)
 
 RESONANCE_TOL_FACTOR = 1e-8
 STYLES = ("graph", "normal-form")
@@ -659,22 +660,15 @@ def to_coordinate_graph(model: SSMModel, coords: Sequence[int]) -> CoordinateGra
 # ---- model files -------------------------------------------------------------
 
 
-def _complex_pair(c: complex) -> str:
-    return f"{format_float(c.real)} {format_float(c.imag)}"
-
-
 def model_to_text(model: SSMModel) -> str:
     lines = [f"ssm {model.n} {model.d} {model.style} {model.order}"]
     lines.append("EIGENVALUES")
-    for lam in model.master_eigenvalues:
-        lines.append(_complex_pair(lam))
+    lines.extend(complex_row([lam]) for lam in model.master_eigenvalues)
     lines.append("EIGENVECTORS")
-    for row in model.master_right:
-        lines.append(" ".join(_complex_pair(c) for c in row))
+    lines.extend(map(complex_row, model.master_right))
     if model.master_left is not None:
         lines.append("LEFT_EIGENVECTORS")
-        for row in model.master_left:
-            lines.append(" ".join(_complex_pair(c) for c in row))
+        lines.extend(map(complex_row, model.master_left))
     lines.append("W")
     lines.extend(coeff_lines(model.W))
     lines.append("R")
@@ -694,45 +688,26 @@ def model_to_text(model: SSMModel) -> str:
 
 @text_reader("model")
 def model_from_text(lines: List[str]) -> SSMModel:
-    if not lines or not lines[0].startswith("ssm "):
-        raise ValidationError("missing ssm header")
-    head = lines[0].split()
-    if len(head) != 5:
-        raise ValidationError(f"bad ssm header: {lines[0]!r}")
-    n, d = int(head[1]), int(head[2])
-    style, order = head[3], int(head[4])
+    n, d, style, order = read_header(lines, "ssm", 4)
+    n, d, order = int(n), int(d), int(order)
+    # POLAR is informational; kappa/omega re-derive from R on demand
+    sections = read_sections(lines[1:], ("EIGENVALUES", "EIGENVECTORS",
+                                         "LEFT_EIGENVECTORS", "W", "R", "POLAR"),
+                             optional=("LEFT_EIGENVECTORS", "POLAR"))
 
-    sections = {}
-    current = None
-    for ln in lines[1:]:
-        if ln in ("EIGENVALUES", "EIGENVECTORS", "LEFT_EIGENVECTORS",
-                  "W", "R", "POLAR"):
-            # POLAR is informational; kappa/omega re-derive from R on demand
-            current = ln
-            sections[current] = []
-            continue
-        if current is None:
-            raise ValidationError(f"content before first section: {ln!r}")
-        sections[current].append(ln)
-    for required in ("EIGENVALUES", "EIGENVECTORS", "W", "R"):
-        if required not in sections:
-            raise ValidationError(f"missing {required} section")
+    def block(name, count):
+        return np.array([read_complex_row(ln, count) for ln in sections[name]],
+                        dtype=complex).reshape(-1, count)
 
-    def parse_complex_row(ln, count):
-        toks = [float(t) for t in ln.split()]
-        if len(toks) != 2 * count:
-            raise ValidationError(f"expected {count} complex pairs: {ln!r}")
-        return np.array([complex(toks[2 * i], toks[2 * i + 1]) for i in range(count)])
-
-    lam = np.array([parse_complex_row(ln, 1)[0] for ln in sections["EIGENVALUES"]])
+    lam = block("EIGENVALUES", 1)[:, 0]
     if len(lam) != d:
         raise ValidationError(f"expected {d} eigenvalues, found {len(lam)}")
-    right = np.array([parse_complex_row(ln, d) for ln in sections["EIGENVECTORS"]])
+    right = block("EIGENVECTORS", d)
     if right.shape != (n, d):
         raise ValidationError(f"eigenvector block must be {n} rows of {d} pairs")
     left = None
     if "LEFT_EIGENVECTORS" in sections:
-        left = np.array([parse_complex_row(ln, n) for ln in sections["LEFT_EIGENVECTORS"]])
+        left = block("LEFT_EIGENVECTORS", n)
         if left.shape != (d, n):
             raise ValidationError("left eigenvector block must be d rows of n pairs")
     w = parse_coeff_lines(sections["W"], d, n, order)

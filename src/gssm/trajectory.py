@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .series import format_float
+from .series import write_csv
 
 
 @dataclass
@@ -56,10 +56,7 @@ def trajectory_to_csv(traj: TrajectoryData, path: str,
         names = [f"x{i + 1}" for i in range(traj.n_components)]
     if len(names) != traj.n_components:
         raise ValidationError("one column name per component required")
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(names) + "\n")
-        for t, row in zip(traj.times, traj.values):
-            fh.write(",".join(format_float(v) for v in (t, *row)) + "\n")
+    write_csv(path, ["t", *names], np.column_stack([traj.times, traj.values]))
 
 
 def trajectory_from_csv(path: str) -> TrajectoryData:

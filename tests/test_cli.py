@@ -194,6 +194,20 @@ R
 """
 
 
+# a valid model; malformed cases below repeat its R section or R row
+MODEL_GRAPH_ORDER_1 = """ssm 2 1 graph 1
+EIGENVALUES
+-1 0
+EIGENVECTORS
+1 0
+0 0
+W
+1 1 0 0 0
+R
+1 -1 0
+"""
+
+
 @pytest.mark.parametrize("text, argv", [
     ("series 1 1 3\n0 abc 0\n",
      ["singularity", "radius", "--series"]),
@@ -209,9 +223,20 @@ R
       "--chart"]),
     ("1 0.5 abc 0.125\n", ["singularity", "radius", "--coeffs"]),
     ("t,x1\n0,1\n1,2,3\n2,3\n", ["analyze", "psd", "--data"]),
+    (MODEL_GRAPH_ORDER_1 + "R\n1 -1 0\n", ["ssm", "--import-model"]),
+    (MODEL_GRAPH_ORDER_1.replace("R\n", "R\n1 -1 0\n"),
+     ["ssm", "--import-model"]),
+    ("pade 1 1 0 1\nNUMERATOR\n0 1 0\nNUMERATOR\n0 1 0\n"
+     "DENOMINATOR\n0 1 0\n1 -1 0\n",
+     ["singularity", "scan", "--min", "0", "--max", "0.5", "--points", "5",
+      "--rationals"]),
+    ("chart 2 1 2 1 0\nCENTER\n0 0\n0 0\nBASIS\n1\n0\n",
+     ["predict", "--fit", "fit.txt", "--data", "data.csv", "--horizon", "1",
+      "--chart"]),
 ], ids=["series-token", "series-index-above-order", "pade-float",
         "model-eigenvalue", "chart-truncated", "coeffs-token",
-        "trajectory-ragged"])
+        "trajectory-ragged", "model-repeated-section", "model-repeated-row",
+        "pade-repeated-section", "chart-two-center-rows"])
 def test_malformed_text_inputs_exit_2(tmp_path, capsys, text, argv):
     path = tmp_path / "input.txt"
     path.write_text(text)
@@ -323,8 +348,10 @@ def test_backbone_and_frc_cli(tmp_path, capsys):
                             "--rho-max", 0.3, "--points", 30)
     assert rc == 0
     assert float(fields["eps_f"]) > 0.0
-    assert (tmp_path / "frc.csv").is_file()
-    assert int(fields["points"]) > 0
+    rows = (tmp_path / "frc.csv").read_text().splitlines()
+    assert rows[0] == "rho,Omega,amp,stable"
+    assert len(rows) == int(fields["points"]) + 1 > 1
+    assert {row.split(",")[3] for row in rows[1:]} <= {"0", "1"}
 
 
 def test_poincare_and_lyapunov_cli(tmp_path, capsys):
@@ -353,3 +380,20 @@ def test_psd_cli(tmp_path, capsys):
     assert abs(float(fields["peak_freq"]) - 0.5) < 0.02
     header = (tmp_path / "psd.csv").read_text().splitlines()[0]
     assert header == "freq,power"
+
+
+def test_repeated_section_inputs_load_once_the_repeat_is_gone(tmp_path, capsys):
+    # controls for the repeated-section and repeated-row cases of
+    # test_malformed_text_inputs_exit_2: without the repeat they load
+    model = tmp_path / "model.txt"
+    model.write_text(MODEL_GRAPH_ORDER_1)
+    rc, _, _ = run_cli(capsys, "--out", tmp_path, "ssm", "--import-model",
+                       model)
+    assert rc == 0
+    rat = tmp_path / "rat.txt"
+    rat.write_text("pade 1 1 0 1\nNUMERATOR\n0 1 0\n"
+                   "DENOMINATOR\n0 1 0\n1 -1 0\n")
+    rc, _, _ = run_cli(capsys, "--out", tmp_path, "singularity", "scan",
+                       "--min", "0", "--max", "0.5", "--points", "5",
+                       "--rationals", rat)
+    assert rc == 0

@@ -4,7 +4,8 @@ from numpy.polynomial import polynomial as npoly
 from scipy.integrate import solve_ivp
 
 from gssm.datadriven import (ChartProjection, EmbeddingConfig,
-                             RegressionProblem, delay_embed,
+                             RegressionProblem, chart_from_text,
+                             chart_to_text, delay_embed,
                              estimate_derivatives, fit_polynomial_field,
                              fit_rational_field, predict, tangent_space_pca)
 from gssm.errors import NumericalError, ValidationError
@@ -77,6 +78,25 @@ def test_pca_default_center_is_late_time_mean():
     vals = np.column_stack([1.0 + np.exp(-8 * t), np.exp(-8 * t)])
     chart = tangent_space_pca(TrajectoryData(t, vals), 1)
     assert np.allclose(chart.center, [1.0, 0.0], atol=2e-3)
+
+
+def test_chart_text_round_trip_is_exact():
+    rng = np.random.default_rng(3)
+    basis = np.linalg.qr(rng.normal(size=(5, 2)))[0]
+    chart = ChartProjection(basis, np.array([0.1, -0.0, 1e-300, -2.5, 3.0]))
+    cfg = EmbeddingConfig(5, 2, 0)
+    text = chart_to_text(chart, cfg)
+    back, back_cfg = chart_from_text(text)
+    assert chart_to_text(back, back_cfg) == text
+    assert np.array_equal(back.basis, chart.basis)
+    assert np.array_equal(back.center, chart.center)
+    assert (back_cfg.delays, back_cfg.lag, back_cfg.observable) == (5, 2, 0)
+    rows = text.splitlines()
+    for bad in (rows[:3] + rows[2:],             # two CENTER rows
+                rows[:3] + rows[1:3] + rows[3:],  # a second CENTER section
+                rows + rows[4:5]):               # one BASIS row too many
+        with pytest.raises(ValidationError):
+            chart_from_text("\n".join(bad))
 
 
 def test_chart_projection_validates_orthonormality():

@@ -226,6 +226,20 @@ def test_rational_text_round_trip():
     assert rationals_to_text(back2) == text2
 
 
+def test_evaluation_follows_a_replaced_coefficient():
+    r = pade_univariate([1.0, 0.5, 0.25, 0.125, 0.0625], 2, 2)
+    x = np.array([[0.3]])
+    assert np.isclose(evaluate_rational_many(r, x)[0, 0], 1.0 / 0.85)
+    coeffs = r.numerator.coeffs
+    idx = max(coeffs, key=lambda k: abs(coeffs[k][0]))
+    coeffs[idx] = 2.0 * coeffs[idx]
+    want = r.numerator.evaluate(x[0])[0] / r.denominator.evaluate(x[0])[0]
+    assert np.isclose(want, 2.0 / 0.85)
+    assert evaluate_rational_many(r, x)[0, 0] == want
+    r.denominator.coeffs[(1,)] = np.array([-0.25 + 0j])
+    assert np.isclose(evaluate_rational_many(r, x)[0, 0], 2.0 / 0.925)
+
+
 def test_quotient_evaluation_matches_manual_division():
     rng = np.random.default_rng(8)
     c = rng.normal(size=7)

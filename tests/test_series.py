@@ -3,11 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gssm.errors import ValidationError
 from gssm.series import (_BLOCK_ENTRIES, _BLOCK_ROWS, MultiSeries,
                          compose_truncated, indices_of_order,
                          indices_up_to_order, invert_map, multiply_truncated,
-                         power_truncated, reciprocal_truncated,
-                         series_from_text, series_to_text)
+                         power_truncated, read_sections,
+                         reciprocal_truncated, series_from_text,
+                         series_to_text)
 
 
 def uni(*coeffs):
@@ -285,6 +287,26 @@ def test_derivative_of_monomials():
     assert np.allclose(dy.get((2, 0)), 4.0)
 
 
+def test_derivative_matches_termwise_rule():
+    rng = np.random.default_rng(21)
+    for d, order in ((1, 9), (2, 7), (3, 5)):
+        keys = indices_up_to_order(d, order)
+        s = MultiSeries(d, 2, order, {keys[k]: rng.normal(size=2)
+                                      + 1j * rng.normal(size=2)
+                                      for k in rng.choice(len(keys), 12)})
+        for i in range(d):
+            want = {}
+            for idx, v in s.coeffs.items():
+                if idx[i]:
+                    lower = idx[:i] + (idx[i] - 1,) + idx[i + 1:]
+                    want[lower] = idx[i] * v
+            got = s.derivative(i)
+            assert got.order == order - 1
+            assert set(got.coeffs) == set(want)
+            for idx, v in want.items():
+                assert np.array_equal(got.coeffs[idx], v)
+
+
 def test_power_matches_repeated_multiplication():
     s = uni(0.0, 1.0, 0.5, -0.25)
     direct = multiply_truncated(multiply_truncated(s, s, 8), s, 8)
@@ -384,6 +406,24 @@ def test_text_round_trip_is_bitwise():
         assert np.array_equal(back.coeffs[k], v)
     # serialization is deterministic
     assert series_to_text(back) == text
+
+
+def test_text_keeps_signed_zeros():
+    s = MultiSeries(1, 2, 2, {(1,): [complex(-0.0, 1.0), complex(1.0, -0.0)],
+                              (2,): [complex(-0.0, -0.0), 2.0]})
+    text = series_to_text(s)
+    assert "1 -0 1 1 -0" in text and "2 -0 -0 2 0" in text
+    assert series_to_text(series_from_text(text)) == text
+
+
+def test_read_sections_rejects_repeats_and_stray_content():
+    names = ("A", "B")
+    assert read_sections(["A", "1", "B", "2", "3"], names) == \
+        {"A": ["1"], "B": ["2", "3"]}
+    assert read_sections(["B"], names, optional=("A",)) == {"B": []}
+    for lines in (["A", "1", "A", "2", "B"], ["1", "A", "B"], ["A", "1"]):
+        with pytest.raises(ValidationError):
+            read_sections(lines, names)
 
 
 def test_rejects_dimension_mismatch():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gssm.errors import NumericalError, SmallDivisorError, ValidationError
-from gssm.series import MultiSeries
+from gssm.series import MultiSeries, complex_row
 from gssm.ssm import (PolySystem, check_nonresonance, compute_ssm,
                       extract_polar, invariance_residual, model_from_text,
                       model_to_text, realify_parametrization, realify_reduced,
@@ -224,9 +224,8 @@ def test_model_import_validates_tangency():
     model = compute_ssm(sys, spec, 3, style="graph")
     text = model_to_text(model)
     lam = model.master_eigenvalues[0]
-    from gssm.ssm import _complex_pair
-    old = _complex_pair(lam)
-    new = _complex_pair(lam * 1.01)
+    old = complex_row([lam])
+    new = complex_row([lam * 1.01])
     tampered = text.replace(old, new, 1)
     assert tampered != text
     with pytest.raises(ValidationError):
