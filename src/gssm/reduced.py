@@ -112,6 +112,60 @@ class ReducedField:
                    for r in self.rationals)
 
 
+def _run(rhs, y0, t_span, rtol: float, atol: float,
+         field: Optional[ReducedField] = None,
+         blowup_factor: float = DEFAULT_BLOWUP_FACTOR,
+         pole_floor: float = DEFAULT_POLE_EVENT_FLOOR,
+         t_eval: Optional[np.ndarray] = None):
+    """One RK45 solve of y' = rhs(t, y): (times, states, stop), with the
+    states at the solver's steps or at t_eval.
+
+    With a field, y0 must be one finite state of it off the pole floor, and
+    the run stops where the state norm passes blowup_factor * max(1, |y0|)
+    or a rational field's denominator falls to pole_floor; stop is then
+    (flag, t_stop, u_stop), else None.  Without a field (a stacked pair)
+    nothing is checked or watched.  Solver failure raises NumericalError.
+    """
+    y0 = np.asarray(y0, dtype=float).reshape(-1)
+    events = None
+    if field is not None:
+        if y0.shape != (field.dim,):
+            raise ValidationError(f"initial condition must have dim {field.dim}")
+        if not np.all(np.isfinite(y0)):
+            raise ValidationError("initial condition must be finite")
+        bound = blowup_factor * max(1.0, float(np.linalg.norm(y0)))
+        if field.kind == "rational" and field.min_denominator(y0) < pole_floor:
+            raise ValidationError("initial condition is within the pole floor")
+
+        def blowup_event(t, u):
+            return np.linalg.norm(u) - bound
+
+        def pole_event(t, u):
+            return field.min_denominator(u) - pole_floor
+
+        blowup_event.terminal = pole_event.terminal = True
+        events = [blowup_event]
+        if field.kind == "rational":
+            events.append(pole_event)
+    sol = solve_ivp(rhs, t_span, y0, method="RK45", rtol=rtol, atol=atol,
+                    t_eval=t_eval, events=events)
+    stop = None
+    if sol.status == 1:
+        if len(sol.t_events[0]):
+            t_stop, u_stop = sol.t_events[0][0], sol.y_events[0][0]
+            flag = (f"blowup at t={t_stop:.6g}: state norm exceeded "
+                    f"{bound:.3g}")
+        else:
+            t_stop, u_stop = sol.t_events[1][0], sol.y_events[1][0]
+            flag = (f"pole crossing at t={t_stop:.6g}, "
+                    f"u={np.array2string(u_stop, precision=6)}")
+        stop = (flag, t_stop, u_stop)
+    elif sol.status != 0:
+        raise NumericalError(f"integration failed: {sol.message}")
+    # with t_eval, sol.t and sol.y are empty lists if no point was reached
+    return np.asarray(sol.t), np.reshape(sol.y, (len(y0), -1)).T, stop
+
+
 def integrate_reduced(f: ReducedField, ic, t_span: Tuple[float, float],
                       rtol: float = 1e-9, atol: float = 1e-12,
                       n_out: int = 1001,
@@ -124,48 +178,14 @@ def integrate_reduced(f: ReducedField, ic, t_span: Tuple[float, float],
     run stops at the threshold and the trajectory carries a flag instead of
     the solver erroring out.
     """
-    ic = np.asarray(ic, dtype=float).reshape(-1)
-    if ic.shape != (f.dim,):
-        raise ValidationError(f"initial condition must have dim {f.dim}")
-    if not np.all(np.isfinite(ic)):
-        raise ValidationError("initial condition must be finite")
-    bound = blowup_factor * max(1.0, float(np.linalg.norm(ic)))
-    if f.kind == "rational" and f.min_denominator(ic) < pole_floor:
-        raise ValidationError("initial condition is within the pole floor")
-
-    def blowup_event(t, u):
-        return np.linalg.norm(u) - bound
-    blowup_event.terminal = True
-
-    events = [blowup_event]
-    if f.kind == "rational":
-        def pole_event(t, u):
-            return f.min_denominator(u) - pole_floor
-        pole_event.terminal = True
-        events.append(pole_event)
-
-    t_eval = np.linspace(t_span[0], t_span[1], n_out)
-    sol = solve_ivp(f.rhs, t_span, ic, method="RK45", rtol=rtol, atol=atol,
-                    t_eval=t_eval, events=events, dense_output=False)
-    flags: List[str] = []
-    times, values = sol.t, sol.y.T
-    if sol.status == 1:
-        if len(sol.t_events[0]):
-            t_stop = sol.t_events[0][0]
-            flags.append(f"blowup at t={t_stop:.6g}: state norm exceeded "
-                         f"{bound:.3g}")
-            times = np.append(times, t_stop)
-            values = np.vstack([values, sol.y_events[0][0]])
-        elif len(sol.t_events) > 1 and len(sol.t_events[1]):
-            t_stop = sol.t_events[1][0]
-            u_stop = sol.y_events[1][0]
-            flags.append(f"pole crossing at t={t_stop:.6g}, "
-                         f"u={np.array2string(u_stop, precision=6)}")
-            times = np.append(times, t_stop)
-            values = np.vstack([values, u_stop])
-    elif sol.status != 0:
-        raise NumericalError(f"integration failed: {sol.message}")
-    return TrajectoryData(times, values, flags)
+    times, values, stop = _run(f.rhs, ic, t_span, rtol, atol, f,
+                               blowup_factor, pole_floor,
+                               t_eval=np.linspace(t_span[0], t_span[1], n_out))
+    if stop is None:
+        return TrajectoryData(times, values)
+    flag, t_stop, u_stop = stop
+    return TrajectoryData(np.append(times, t_stop), np.vstack([values, u_stop]),
+                          [flag])
 
 
 def lift(chart, traj: TrajectoryData) -> TrajectoryData:
@@ -216,9 +236,10 @@ def _univariate_value_and_deriv(rep, rho: np.ndarray,
                                 component: str) -> Tuple[np.ndarray,
                                                          np.ndarray]:
     if isinstance(rep, PolarNormalForm):
-        if component == "omega":
-            return rep.omega_at(rho), rep.omega_prime_at(rho)
-        return rep.kappa_at(rho), rep.kappa_prime_at(rho)
+        series = rep.omega_series() if component == "omega" \
+            else rep.kappa_series()
+        rep = RationalMap(series, MultiSeries.from_univariate([1.0]),
+                          (series.order, 0))
     if not isinstance(rep, RationalMap):
         raise ValidationError("curve representation must be PolarNormalForm "
                               "or RationalMap")
@@ -458,7 +479,10 @@ def forcing_projection(model: SSMModel, forcing_vector, eps: float) -> float:
 def poincare_sample(f: ReducedField, ic, n_periods: int,
                     skip: int = 20, omega: Optional[float] = None,
                     rtol: float = 1e-9, atol: float = 1e-12) -> TrajectoryData:
-    """States at multiples of the driving period, after a transient skip."""
+    """States at multiples of the driving period, after a transient skip.
+
+    A blowup or pole crossing ends the samples there, with its flag.
+    """
     if omega is None:
         if f.forcing is None:
             raise ValidationError("no forcing frequency to sample at; "
@@ -467,27 +491,13 @@ def poincare_sample(f: ReducedField, ic, n_periods: int,
     if omega <= 0 or n_periods < 1:
         raise ValidationError("need omega > 0 and n_periods >= 1")
     period = 2.0 * math.pi / omega
-    ic = np.asarray(ic, dtype=float).reshape(-1)
-    bound = DEFAULT_BLOWUP_FACTOR * max(1.0, float(np.linalg.norm(ic)))
-
-    def blowup_event(t, u):
-        return np.linalg.norm(u) - bound
-    blowup_event.terminal = True
-
-    t_end = (skip + n_periods) * period
-    sol = solve_ivp(f.rhs, (0.0, t_end), ic, method="RK45", rtol=rtol,
-                    atol=atol, dense_output=True, events=[blowup_event])
-    flags: List[str] = []
-    reached = sol.t[-1]
-    if sol.status == 1:
-        flags.append(f"blowup at t={reached:.6g}; samples truncated")
-    elif sol.status != 0:
-        raise NumericalError(f"integration failed: {sol.message}")
-    stamps = np.array([(skip + j) * period for j in range(1, n_periods + 1)])
-    stamps = stamps[stamps <= reached + 1e-12]
-    if len(stamps) == 0:
-        raise NumericalError("trajectory ended before the first section")
-    return TrajectoryData(stamps, sol.sol(stamps).T, flags)
+    stamps = (skip + np.arange(1, n_periods + 1)) * period
+    times, values, stop = _run(f.rhs, ic, (0.0, stamps[-1]), rtol, atol, f,
+                               t_eval=stamps)
+    if len(times) == 0:
+        raise NumericalError(f"trajectory ended before the first section: "
+                             f"{stop[0]}")
+    return TrajectoryData(times, values, [stop[0]] if stop else [])
 
 
 @dataclass
@@ -509,19 +519,17 @@ def lyapunov_estimate(f: ReducedField, ic, perturbation_size: float = 1e-7,
     renormalization after every interval keeps the pair inside the linear
     regime.  If the very first interval already saturates (separation
     comparable to the state scale) the estimate is flagged as unreliable.
+    A blowup or pole crossing in the transient raises NumericalError.
     """
     if perturbation_size <= 0:
         raise ValidationError("perturbation_size must be positive")
-    ic = np.asarray(ic, dtype=float).reshape(-1)
     if transient > 0:
-        warm = solve_ivp(f.rhs, (0.0, transient), ic, method="RK45",
-                         rtol=rtol, atol=atol)
-        if warm.status != 0:
-            raise NumericalError(f"transient integration failed: {warm.message}")
-        u = warm.y[:, -1]
-        t0 = transient
+        _, states, stop = _run(f.rhs, ic, (0.0, transient), rtol, atol, f)
+        if stop is not None:
+            raise NumericalError(f"transient integration stopped: {stop[0]}")
+        u, t0 = states[-1], transient
     else:
-        u, t0 = ic.copy(), 0.0
+        u, t0 = np.asarray(ic, dtype=float).reshape(-1), 0.0
     direction = np.ones_like(u) / math.sqrt(len(u))
     v = u + perturbation_size * direction
 
@@ -530,18 +538,13 @@ def lyapunov_estimate(f: ReducedField, ic, perturbation_size: float = 1e-7,
     log_growth = np.zeros(n_steps)
     total = 0.0
     flags: List[str] = []
+
+    def pair_rhs(t, z):
+        return f.rhs(t, z.reshape(2, -1)).ravel()
+
     for k in range(n_steps):
         t1 = t0 + renorm_interval
-        pair = np.concatenate([u, v])
-
-        def pair_rhs(t, z):
-            return f.rhs(t, z.reshape(2, -1)).ravel()
-
-        sol = solve_ivp(pair_rhs, (t0, t1), pair, method="RK45",
-                        rtol=rtol, atol=atol)
-        if sol.status != 0:
-            raise NumericalError(f"integration failed: {sol.message}")
-        z = sol.y[:, -1]
+        z = _run(pair_rhs, np.concatenate([u, v]), (t0, t1), rtol, atol)[1][-1]
         u, v = z[:len(u)], z[len(u):]
         dist = np.linalg.norm(v - u)
         if dist == 0.0:

@@ -448,14 +448,14 @@ class MultiSeries:
     # ---- calculus ------------------------------------------------------
 
     def derivative(self, i: int) -> "MultiSeries":
-        """Partial derivative with respect to variable i."""
+        """Partial derivative with respect to variable i, term by term, so
+        that a sparse series in many variables stays cheap; lowering idx[i]
+        keeps the terms in grlex order."""
         if not 0 <= i < self.dim_in:
             raise ValueError("variable index out of range")
-        order = max(self.order - 1, 0)
-        table = grlex_table(self.dim_in, self.order)
-        return MultiSeries.from_grlex(
-            table.derivative(self.grlex(self.order), i, table.size(order)),
-            self.dim_in, order)
+        return MultiSeries(self.dim_in, self.dim_out, max(self.order - 1, 0),
+                           {idx[:i] + (idx[i] - 1,) + idx[i + 1:]: idx[i] * v
+                            for idx, v in self.terms() if idx[i]})
 
     def jacobian_rows(self) -> List["MultiSeries"]:
         """List of d series, the columns of the Jacobian (derivative per variable)."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NumericalError, SmallDivisorError, ValidationError
 from .series import (Composition, MultiSeries, coeff_lines, complex_row,
-                     compose_truncated, format_float, grlex_table,
+                     compose_truncated, grlex_table,
                      indices_of_order, invert_map, multiply_truncated,
                      parse_coeff_lines, product_rows, read_complex_row,
                      read_header, read_sections, text_reader)
@@ -439,18 +439,6 @@ class PolarNormalForm:
         if self.kappa.shape != self.omega.shape:
             raise ValidationError("kappa and omega must have equal length")
 
-    def kappa_at(self, rho):
-        return _real_values(self.kappa_series(), rho)
-
-    def omega_at(self, rho):
-        return _real_values(self.omega_series(), rho)
-
-    def kappa_prime_at(self, rho):
-        return _real_values(self.kappa_series().derivative(0), rho)
-
-    def omega_prime_at(self, rho):
-        return _real_values(self.omega_series().derivative(0), rho)
-
     def omega_series(self) -> MultiSeries:
         return _even_series(self.omega)
 
@@ -462,12 +450,6 @@ def _even_series(coeffs) -> MultiSeries:
     """sum_n coeffs[n] rho^(2n) as a scalar univariate series."""
     return MultiSeries(1, 1, 2 * (len(coeffs) - 1),
                        {(2 * i,): [complex(c)] for i, c in enumerate(coeffs)})
-
-
-def _real_values(s: MultiSeries, x):
-    """Real part of a scalar univariate series at x (a float or an array)."""
-    x = np.asarray(x, dtype=float)
-    return s.evaluate_many(x.reshape(-1, 1))[:, 0].real.reshape(x.shape)[()]
 
 
 def extract_polar(model: SSMModel) -> PolarNormalForm:
@@ -673,16 +655,6 @@ def model_to_text(model: SSMModel) -> str:
     lines.extend(coeff_lines(model.W))
     lines.append("R")
     lines.extend(coeff_lines(model.R))
-    # derivable convenience block: amplitude-dependent damping and frequency
-    if model.style == "normal-form" and model.is_oscillatory_pair():
-        try:
-            polar = extract_polar(model)
-        except (ValidationError, NumericalError):
-            polar = None
-        if polar is not None:
-            lines.append("POLAR")
-            for kap, om in zip(polar.kappa, polar.omega):
-                lines.append(f"{format_float(kap)} {format_float(om)}")
     return "\n".join(lines) + "\n"
 
 
@@ -690,10 +662,9 @@ def model_to_text(model: SSMModel) -> str:
 def model_from_text(lines: List[str]) -> SSMModel:
     n, d, style, order = read_header(lines, "ssm", 4)
     n, d, order = int(n), int(d), int(order)
-    # POLAR is informational; kappa/omega re-derive from R on demand
     sections = read_sections(lines[1:], ("EIGENVALUES", "EIGENVECTORS",
-                                         "LEFT_EIGENVECTORS", "W", "R", "POLAR"),
-                             optional=("LEFT_EIGENVECTORS", "POLAR"))
+                                         "LEFT_EIGENVECTORS", "W", "R"),
+                             optional=("LEFT_EIGENVECTORS",))
 
     def block(name, count):
         return np.array([read_complex_row(ln, count) for ln in sections[name]],

@@ -1,0 +1,69 @@
+"""The gssm names the benchmark harness in perfbench/ depends on.
+
+perfbench/tracer.py wraps every (module, attribute) of its TARGETS table,
+and perfbench/workloads.py calls gssm through module attributes such as
+``reduced.lyapunov_estimate``.  Renaming or deleting one of them breaks the
+benchmark run; these tests make it break the test suite first.  The files
+are read as source, never imported.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOAD_MODULES = ("cli", "datadriven", "pade", "reduced", "ssm", "systems")
+
+
+def _tree(name):
+    return ast.parse((PERFBENCH / name).read_text())
+
+
+def tracer_targets():
+    """(module, attribute) of each TARGETS row of tracer.py."""
+    for node in ast.walk(_tree("tracer.py")):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS"
+                for t in node.targets):
+            return [(row.elts[1].value, row.elts[2].value)
+                    for row in node.value.elts]
+    raise AssertionError("tracer.py has no TARGETS table")
+
+
+def workload_attributes():
+    """Sorted (gssm module, attribute) pairs that workloads.py reads."""
+    return sorted({(f"gssm.{node.value.id}", node.attr)
+                   for node in ast.walk(_tree("workloads.py"))
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id in WORKLOAD_MODULES})
+
+
+def _resolve(module, attr):
+    owner = importlib.import_module(module)
+    if "." in attr:
+        # the tracer wraps a method in the class's own __dict__
+        cls_name, meth = attr.split(".")
+        assert meth in vars(getattr(owner, cls_name)), f"{module}.{attr}"
+    else:
+        assert hasattr(owner, attr), f"{module}.{attr}"
+
+
+def test_tables_are_found():
+    assert len(tracer_targets()) >= 30
+    assert len(workload_attributes()) >= 20
+    assert ("gssm.reduced", "solve_ivp") in tracer_targets()
+
+
+@pytest.mark.parametrize("module, attr", tracer_targets(),
+                         ids=lambda x: x)
+def test_tracer_target_resolves(module, attr):
+    _resolve(module, attr)
+
+
+@pytest.mark.parametrize("module, attr", workload_attributes(),
+                         ids=lambda x: x)
+def test_workload_attribute_resolves(module, attr):
+    _resolve(module, attr)

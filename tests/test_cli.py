@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from gssm.cli import main
-from gssm.pade import RationalMap, rational_from_text, rationals_from_text, \
-    rationals_to_text
+from gssm.pade import RationalMap, rational_from_text, rational_to_text, \
+    rationals_from_text, rationals_to_text
 from gssm.series import MultiSeries
 from gssm.ssm import model_from_text, model_to_text, SSMModel
 from gssm.trajectory import TrajectoryData, trajectory_from_csv, \
@@ -233,15 +233,34 @@ R
     ("chart 2 1 2 1 0\nCENTER\n0 0\n0 0\nBASIS\n1\n0\n",
      ["predict", "--fit", "fit.txt", "--data", "data.csv", "--horizon", "1",
       "--chart"]),
+    (MODEL_GRAPH_ORDER_1 + "POLAR\ngarbage\n", ["ssm", "--import-model"]),
 ], ids=["series-token", "series-index-above-order", "pade-float",
         "model-eigenvalue", "chart-truncated", "coeffs-token",
         "trajectory-ragged", "model-repeated-section", "model-repeated-row",
-        "pade-repeated-section", "chart-two-center-rows"])
+        "pade-repeated-section", "chart-two-center-rows",
+        "model-polar-section"])
 def test_malformed_text_inputs_exit_2(tmp_path, capsys, text, argv):
     path = tmp_path / "input.txt"
     path.write_text(text)
+    if argv[0] == "predict":
+        # a valid fit and data window, so the exit 2 comes from the chart
+        _write_predict_inputs(tmp_path, d=int(text.split()[2]))
+        argv = [str(tmp_path / a) if a in ("fit.txt", "data.csv") else a
+                for a in argv]
     rc, _, fields = run_cli(capsys, "--out", tmp_path, *argv, path)
     assert rc == 2 and fields["status"] == "validation-error"
+    assert "no such file" not in fields["message"]
+
+
+def _write_predict_inputs(tmp_path, d):
+    """fit.txt, the decay eta' = -eta in d variables, and data.csv, a
+    decaying window."""
+    decay = RationalMap(MultiSeries(d, d, 1, {tuple(e): -e for e in
+                                              np.eye(d, dtype=int)}),
+                        MultiSeries.constant([1.0], d, 0), (1, 0))
+    (tmp_path / "fit.txt").write_text(rational_to_text(decay))
+    t = np.linspace(0.0, 3.0, 61)
+    trajectory_to_csv(TrajectoryData(t, np.exp(-t)), str(tmp_path / "data.csv"))
 
 
 def test_gssm_out_env(tmp_path, monkeypatch, capsys):
@@ -396,4 +415,12 @@ def test_repeated_section_inputs_load_once_the_repeat_is_gone(tmp_path, capsys):
     rc, _, _ = run_cli(capsys, "--out", tmp_path, "singularity", "scan",
                        "--min", "0", "--max", "0.5", "--points", "5",
                        "--rationals", rat)
+    assert rc == 0
+    # the chart-two-center-rows case with one CENTER row predicts
+    chart = tmp_path / "chart.txt"
+    chart.write_text("chart 2 1 2 1 0\nCENTER\n0 0\nBASIS\n1\n0\n")
+    _write_predict_inputs(tmp_path, d=1)
+    rc, _, _ = run_cli(capsys, "--out", tmp_path, "predict", "--fit",
+                       tmp_path / "fit.txt", "--data", tmp_path / "data.csv",
+                       "--horizon", "1", "--chart", chart)
     assert rc == 0

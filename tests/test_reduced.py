@@ -219,14 +219,20 @@ def test_foliation_forcing_is_constant_for_linear_system():
         assert h == 0.0 and hp == 0.0
 
 
+def _real_at(series, rho):
+    """A univariate series with real coefficients at rho."""
+    return series.evaluate([rho])[0].real
+
+
 def _scalar_equation_branch(polar, eps_f, grid):
     """Roots Omega = omega +- sqrt((eps_f/rho)^2 - kappa^2) of the constant-
     forcing equation, with stability from its closed-form (rho, psi)
     Jacobian."""
     out = []
+    kappa, omega = polar.kappa_series(), polar.omega_series()
     for rho in grid:
-        k, kp = polar.kappa_at(rho), polar.kappa_prime_at(rho)
-        w, wp = polar.omega_at(rho), polar.omega_prime_at(rho)
+        k, kp = _real_at(kappa, rho), _real_at(kappa.derivative(0), rho)
+        w, wp = _real_at(omega, rho), _real_at(omega.derivative(0), rho)
         disc = (eps_f / rho) ** 2 - k ** 2
         if disc < 0:
             continue
@@ -292,8 +298,9 @@ def test_foliation_forcing_refuses_growing_or_positive_pole_approximants():
 def _averaged_field(polar, mf, omega_f, rho, psi):
     g, _, h, _ = mf.at(rho)
     f = 0.5 * mf.eps * (g * np.exp(-1j * psi) + h * np.exp(1j * psi))
-    return np.array([polar.kappa_at(rho) * rho + f.real,
-                     polar.omega_at(rho) - omega_f + f.imag / rho])
+    return np.array([_real_at(polar.kappa_series(), rho) * rho + f.real,
+                     _real_at(polar.omega_series(), rho) - omega_f
+                     + f.imag / rho])
 
 
 def test_modal_frc_stability_matches_averaged_field_eigenvalues():
@@ -355,6 +362,31 @@ def test_poincare_unforced_needs_explicit_frequency():
     # autonomous decay: stroboscopic samples shrink monotonically
     norms = np.linalg.norm(ps.values, axis=1)
     assert np.all(np.diff(norms) < 0)
+
+
+def _pole_field():
+    """u' = 1/(1 - u): from u = 0.5, u = 1 - sqrt(0.25 - 2t) reaches the
+    pole at t = 0.125."""
+    den = MultiSeries(1, 1, 1, {(0,): [1.0], (1,): [-1.0]})
+    return ReducedField.from_rationals(
+        RationalMap(MultiSeries(1, 1, 0, {(0,): [1.0]}), den, (0, 1)))
+
+
+def test_every_run_stops_at_the_pole():
+    f = _pole_field()
+    tr = integrate_reduced(f, [0.5], (0.0, 1.0))
+    assert tr.flags[0].startswith("pole crossing at t=0.125")
+    ps = poincare_sample(f, [0.5], 100, skip=0, omega=2.0 * math.pi / 0.01)
+    assert ps.flags == tr.flags
+    assert ps.n_samples == 12
+    assert np.allclose(ps.values[:, 0], 1.0 - np.sqrt(0.25 - 2.0 * ps.times),
+                       atol=1e-6)
+    with pytest.raises(NumericalError, match="pole crossing"):
+        poincare_sample(f, [0.5], 10, skip=20, omega=2.0 * math.pi / 0.01)
+    with pytest.raises(NumericalError, match="pole crossing"):
+        lyapunov_estimate(f, [0.5])
+    with pytest.raises(ValidationError, match="dim 1"):
+        poincare_sample(f, [0.5, 0.0], 10, omega=1.0)
 
 
 def test_lyapunov_linear_fields():

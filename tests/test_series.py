@@ -289,19 +289,30 @@ def test_derivative_of_monomials():
 
 def test_derivative_matches_termwise_rule():
     rng = np.random.default_rng(21)
+    cases = []
     for d, order in ((1, 9), (2, 7), (3, 5)):
         keys = indices_up_to_order(d, order)
-        s = MultiSeries(d, 2, order, {keys[k]: rng.normal(size=2)
-                                      + 1j * rng.normal(size=2)
-                                      for k in rng.choice(len(keys), 12)})
-        for i in range(d):
+        cases.append(MultiSeries(d, 2, order, {keys[k]: rng.normal(size=2)
+                                               + 1j * rng.normal(size=2)
+                                               for k in rng.choice(len(keys), 12)}))
+    # a sparse cubic in 100 variables, too many for a dense grlex table
+    keys = []
+    for _ in range(50):
+        idx = np.zeros(100, dtype=int)
+        np.add.at(idx, rng.integers(100, size=rng.integers(1, 4)), 1)
+        keys.append(tuple(idx.tolist()))
+    cases.append(MultiSeries(100, 2, 3, {k: rng.normal(size=2)
+                                         + 1j * rng.normal(size=2)
+                                         for k in keys}))
+    for s in cases:
+        for i in range(s.dim_in):
             want = {}
             for idx, v in s.coeffs.items():
                 if idx[i]:
                     lower = idx[:i] + (idx[i] - 1,) + idx[i + 1:]
                     want[lower] = idx[i] * v
             got = s.derivative(i)
-            assert got.order == order - 1
+            assert got.order == s.order - 1
             assert set(got.coeffs) == set(want)
             for idx, v in want.items():
                 assert np.array_equal(got.coeffs[idx], v)
