@@ -38,7 +38,7 @@ from .singularity import (classify_sign_pattern, denominator_zero_scan,
 from .ssm import (SSMModel, compute_ssm, extract_polar, model_from_text,
                   model_to_text, realify_parametrization, realify_reduced,
                   spectral_analysis)
-from .systems import DEFAULTS, SYSTEM_IDS, make_system
+from .systems import SYSTEM_IDS, make_system
 from .trajectory import TrajectoryData, trajectory_from_csv, trajectory_to_csv
 
 # ---- plumbing ----------------------------------------------------------------
@@ -150,9 +150,6 @@ def _load_field(args) -> ReducedField:
 
 def cmd_systems(args) -> int:
     for sid in SYSTEM_IDS:
-        if sid == "custom":
-            print("custom: linear_part and nonlinearity supplied in code")
-            continue
         ns = make_system(sid)
         params = " ".join(f"{k}={v:g}" for k, v in sorted(ns.parameters.items()))
         print(f"{sid}: dim={ns.realization.dim}" + (f" {params}" if params else ""))
@@ -602,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler="cmd_systems")
 
     p = sub.add_parser("ssm", help="compute or import a manifold model")
-    p.add_argument("--system", choices=[s for s in SYSTEM_IDS if s != "custom"])
+    p.add_argument("--system", choices=SYSTEM_IDS)
     p.add_argument("--param", action="append", metavar="NAME=VALUE")
     p.add_argument("--import-model", dest="import_model")
     p.add_argument("--d", type=int, default=2)

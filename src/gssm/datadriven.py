@@ -8,7 +8,7 @@ from sneaking a zero into the training region.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import numpy as np
 from scipy.optimize import linprog, minimize
@@ -105,11 +105,10 @@ class ChartProjection:
 
 
 def tangent_space_pca(embedded, d: int,
-                      center: Optional[np.ndarray] = None,
-                      late_fraction: float = 0.1) -> ChartProjection:
+                      center: Optional[np.ndarray] = None) -> ChartProjection:
     """Top-d principal directions of the centered embedded samples.
 
-    The center defaults to the mean of the late-time samples of each
+    The center defaults to the mean of the last 10% of the samples of each
     trajectory, which is where trajectories have settled near the anchor
     fixed point.
     """
@@ -123,7 +122,7 @@ def tangent_space_pca(embedded, d: int,
     if d < 1 or d > q:
         raise ValidationError(f"cannot extract {d} directions from {q} dims")
     if center is None:
-        tails = [b[-max(1, int(round(late_fraction * len(b)))):]
+        tails = [b[-max(1, int(round(0.1 * len(b)))):]
                  for b in blocks]
         center = np.mean(np.vstack(tails), axis=0)
     center = np.asarray(center, dtype=float)
@@ -143,15 +142,15 @@ def tangent_space_pca(embedded, d: int,
 
 
 def estimate_derivatives(traj: TrajectoryData,
-                         smooth_window: Optional[int] = None,
-                         smooth_order: int = 3) -> TrajectoryData:
-    """Fourth-order finite-difference time derivatives of each component."""
+                         smooth_window: Optional[int] = None) -> TrajectoryData:
+    """Fourth-order finite-difference time derivatives of each component,
+    after a cubic Savitzky-Golay filter of smooth_window samples if given."""
     dt = traj.uniform_dt()
     if traj.n_samples < 5:
         raise ValidationError("need at least 5 samples for the stencil")
     vals = np.asarray(traj.values, dtype=float)
     if smooth_window is not None:
-        vals = savgol_filter(vals, smooth_window, smooth_order, axis=0)
+        vals = savgol_filter(vals, smooth_window, 3, axis=0)
     f = vals
     d = np.empty_like(f)
     d[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * dt)
@@ -493,7 +492,7 @@ def chart_from_text(lines: List[str]):
 
 
 def predict(chart: ChartProjection,
-            fitted: Union[RationalMap, MultiSeries, ReducedField],
+            fitted: Union[RationalMap, MultiSeries],
             window: TrajectoryData, cfg: EmbeddingConfig, horizon: float,
             n_out: int = 1001) -> TrajectoryData:
     """Embed the tail of a measured window, integrate, and reconstruct.
@@ -507,12 +506,8 @@ def predict(chart: ChartProjection,
     y0 = embedded.values[-1]
     t0 = float(embedded.times[-1])
     eta0 = chart.project(y0)
-    if isinstance(fitted, ReducedField):
-        rf = fitted
-    elif isinstance(fitted, RationalMap):
-        rf = ReducedField.from_rationals(fitted)
-    else:
-        rf = ReducedField.from_series(fitted)
+    rf = ReducedField.from_rationals(fitted) \
+        if isinstance(fitted, RationalMap) else ReducedField.from_series(fitted)
     traj = integrate_reduced(rf, eta0, (t0, t0 + horizon), n_out=n_out)
     recon = chart.reconstruct(traj.values)
     return TrajectoryData(traj.times, recon[:, 0], list(traj.flags))

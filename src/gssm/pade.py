@@ -51,6 +51,12 @@ class RationalMap:
         if b0 != 1.0:
             raise ValidationError(f"denominator constant term must be 1, got {b0}")
 
+    @classmethod
+    def polynomial(cls, numerator: MultiSeries, flags=()) -> "RationalMap":
+        """The [order/0] map numerator / 1."""
+        return cls(numerator, MultiSeries.constant([1.0], numerator.dim_in, 0),
+                   (numerator.order, 0), list(flags))
+
     @property
     def dim_in(self) -> int:
         return self.numerator.dim_in
@@ -81,18 +87,17 @@ def rational_parts(r: RationalMap, points) -> Tuple[np.ndarray, np.ndarray]:
     return vals[:, :-1], vals[:, -1]
 
 
-def evaluate_rational(r: RationalMap, point, floor: float = DEFAULT_POLE_FLOOR) -> np.ndarray:
-    return evaluate_rational_many(r, np.asarray(point, dtype=complex)[None],
-                                  floor)[0]
+def evaluate_rational(r: RationalMap, point) -> np.ndarray:
+    return evaluate_rational_many(r, np.asarray(point, dtype=complex)[None])[0]
 
 
-def evaluate_rational_many(r: RationalMap, points, floor: float = DEFAULT_POLE_FLOOR) -> np.ndarray:
+def evaluate_rational_many(r: RationalMap, points) -> np.ndarray:
     pts = np.asarray(points, dtype=complex)
     num, den = rational_parts(r, pts)
-    bad = np.abs(den) < floor
+    bad = np.abs(den) < DEFAULT_POLE_FLOOR
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise PoleProximityError(pts[i], den[i], floor)
+        raise PoleProximityError(pts[i], den[i], DEFAULT_POLE_FLOOR)
     return num / den[:, None]
 
 
@@ -107,14 +112,14 @@ def taylor_of_rational(r: RationalMap, order: int) -> MultiSeries:
 # ---- univariate -----------------------------------------------------------
 
 
-def pade_univariate(coeffs, N: int, M: int,
-                    svd_tol: float = DEFAULT_SVD_TOL) -> RationalMap:
+def pade_univariate(coeffs, N: int, M: int) -> RationalMap:
     """[N/M] approximant of a univariate scalar series.
 
     coeffs may be a MultiSeries (d=1, scalar) or a flat coefficient sequence
     (c_0, ..., c_K) with K >= N+M.  Degrees are reduced when the Toeplitz
-    system is rank-deficient at svd_tol (relative to the largest singular
-    value), or when the denominator solution has a vanishing constant term.
+    system is rank-deficient at DEFAULT_SVD_TOL (relative to the largest
+    singular value), or when the denominator solution has a vanishing
+    constant term.
     """
     if isinstance(coeffs, MultiSeries):
         if coeffs.dim_in != 1 or coeffs.dim_out != 1:
@@ -146,10 +151,9 @@ def pade_univariate(coeffs, N: int, M: int,
         c = c * alpha ** -np.arange(len(c), dtype=float)
     scale = float(np.max(np.abs(c)))
     if scale == 0.0:
-        return RationalMap(MultiSeries.zero(1, 1, 0),
-                           MultiSeries.from_univariate([1.0]), (0, 0),
-                           ["all-zero input"])
-    tol_abs = svd_tol * scale
+        return RationalMap.polynomial(MultiSeries.zero(1, 1, 0),
+                                      ["all-zero input"])
+    tol_abs = DEFAULT_SVD_TOL * scale
 
     # strip leading (numerically) zero coefficients; the factor z^shift goes
     # to the numerator afterwards
@@ -157,9 +161,9 @@ def pade_univariate(coeffs, N: int, M: int,
     while shift <= N and abs(c[shift]) <= tol_abs:
         shift += 1
     if shift > N:
-        return RationalMap(MultiSeries.zero(1, 1, 0),
-                           MultiSeries.from_univariate([1.0]), (0, 0),
-                           ["input vanishes through requested numerator order"])
+        return RationalMap.polynomial(
+            MultiSeries.zero(1, 1, 0),
+            ["input vanishes through requested numerator order"])
     if shift:
         flags.append(f"leading zeros: numerator carries z^{shift}")
     cs = c[shift:]
@@ -176,7 +180,7 @@ def pade_univariate(coeffs, N: int, M: int,
         z = toeplitz(cs[n + 1:n + 1 + m], first_row)
         u, s, vh = np.linalg.svd(z)
         smax = s[0] if len(s) else 0.0
-        rank = int(np.sum(s > svd_tol * smax)) if smax > 0 else 0
+        rank = int(np.sum(s > DEFAULT_SVD_TOL * smax)) if smax > 0 else 0
         if rank < m:
             n_new = max(n - (m - rank), 0)
             flags.append(f"rank deficiency: [{n + shift}/{m}] -> [{n_new + shift}/{rank}]")
@@ -197,7 +201,7 @@ def pade_univariate(coeffs, N: int, M: int,
     a_sig = np.abs(a) > tol_abs
     n_eff = int(np.max(np.nonzero(a_sig))) if np.any(a_sig) else 0
     a = a[:n_eff + 1]
-    b_sig = np.abs(b) > svd_tol * np.max(np.abs(b))
+    b_sig = np.abs(b) > DEFAULT_SVD_TOL * np.max(np.abs(b))
     m_eff = int(np.max(np.nonzero(b_sig)))
     b = b[:m_eff + 1]
     if n_eff < n or m_eff < m:
@@ -217,8 +221,7 @@ def pade_univariate(coeffs, N: int, M: int,
 
 
 def pade_multivariate(coeffs: MultiSeries, N: int, M: int,
-                      shared_denominator: bool = False,
-                      svd_tol: float = DEFAULT_SVD_TOL):
+                      shared_denominator: bool = False):
     """Homogeneous [N/M] approximant of a multivariate series.
 
     Denominator coefficients minimize the homogeneous matching conditions
@@ -231,11 +234,11 @@ def pade_multivariate(coeffs: MultiSeries, N: int, M: int,
     if coeffs.order < N + M:
         raise ValidationError(f"series order {coeffs.order} < N+M = {N + M}")
     if coeffs.dim_in < 2:
-        return pade_univariate(coeffs, N, M, svd_tol) if coeffs.dim_out == 1 else \
-            [pade_univariate(coeffs.component(j), N, M, svd_tol)
+        return pade_univariate(coeffs, N, M) if coeffs.dim_out == 1 else \
+            [pade_univariate(coeffs.component(j), N, M)
              for j in range(coeffs.dim_out)]
     if coeffs.dim_out > 1 and not shared_denominator:
-        return [pade_multivariate(coeffs.component(j), N, M, True, svd_tol)
+        return [pade_multivariate(coeffs.component(j), N, M, True)
                 for j in range(coeffs.dim_out)]
 
     d = coeffs.dim_in
@@ -243,8 +246,7 @@ def pade_multivariate(coeffs: MultiSeries, N: int, M: int,
     flags: List[str] = []
 
     if M == 0:
-        num = coeffs.truncated(N)
-        return RationalMap(num, MultiSeries.constant([1.0], d, 0), (N, 0), flags)
+        return RationalMap.polynomial(coeffs.truncated(N))
 
     # c_pad[quot[k, kb]] is the coefficient at monomial k / kb, or the zero
     # row past the end where kb does not divide k
@@ -264,7 +266,7 @@ def pade_multivariate(coeffs: MultiSeries, N: int, M: int,
         # b0 = 1: move the first column to the right-hand side
         a_mat = z[:, 1:]
         rhs = -z[:, 0]
-        sol, _, rank, sv = np.linalg.lstsq(a_mat, rhs, rcond=svd_tol)
+        sol, _, rank, sv = np.linalg.lstsq(a_mat, rhs, rcond=DEFAULT_SVD_TOL)
         if rank < a_mat.shape[1]:
             flags.append(f"underdetermined denominator system (rank {rank} of "
                          f"{a_mat.shape[1]}): smallest-norm solution chosen")

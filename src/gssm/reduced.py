@@ -18,7 +18,8 @@ from scipy.integrate import solve_ivp
 from scipy.signal import periodogram
 
 from .errors import NumericalError, ValidationError
-from .pade import RationalMap, pade_univariate, rational_parts
+from .pade import (DEFAULT_POLE_FLOOR, RationalMap, pade_univariate,
+                   rational_parts)
 from .series import MultiSeries
 from .ssm import (PolarNormalForm, PolySystem, SpectralData, SSMModel,
                   foliation_projection, realify_parametrization)
@@ -27,6 +28,7 @@ from .trajectory import TrajectoryData
 FIELD_KINDS = ("series", "rational")
 DEFAULT_BLOWUP_FACTOR = 1e6
 DEFAULT_POLE_EVENT_FLOOR = 1e-6
+DEFAULT_RTOL, DEFAULT_ATOL = 1e-9, 1e-12
 
 
 @dataclass
@@ -112,36 +114,44 @@ class ReducedField:
                    for r in self.rationals)
 
 
+def _initial_state(field: ReducedField, ic) -> np.ndarray:
+    """ic as a state of the field; ValidationError unless it has the
+    field's dim, is finite and lies off the pole floor."""
+    y0 = np.asarray(ic, dtype=float).reshape(-1)
+    if y0.shape != (field.dim,):
+        raise ValidationError(f"initial condition must have dim {field.dim}")
+    if not np.all(np.isfinite(y0)):
+        raise ValidationError("initial condition must be finite")
+    if field.kind == "rational" and \
+            field.min_denominator(y0) < DEFAULT_POLE_EVENT_FLOOR:
+        raise ValidationError("initial condition is within the pole floor")
+    return y0
+
+
 def _run(rhs, y0, t_span, rtol: float, atol: float,
          field: Optional[ReducedField] = None,
-         blowup_factor: float = DEFAULT_BLOWUP_FACTOR,
-         pole_floor: float = DEFAULT_POLE_EVENT_FLOOR,
          t_eval: Optional[np.ndarray] = None):
     """One RK45 solve of y' = rhs(t, y): (times, states, stop), with the
     states at the solver's steps or at t_eval.
 
-    With a field, y0 must be one finite state of it off the pole floor, and
-    the run stops where the state norm passes blowup_factor * max(1, |y0|)
-    or a rational field's denominator falls to pole_floor; stop is then
+    With a field, y0 must pass _initial_state, and the run stops where the
+    state norm passes DEFAULT_BLOWUP_FACTOR * max(1, |y0|) or a rational
+    field's denominator falls to DEFAULT_POLE_EVENT_FLOOR; stop is then
     (flag, t_stop, u_stop), else None.  Without a field (a stacked pair)
     nothing is checked or watched.  Solver failure raises NumericalError.
     """
-    y0 = np.asarray(y0, dtype=float).reshape(-1)
     events = None
-    if field is not None:
-        if y0.shape != (field.dim,):
-            raise ValidationError(f"initial condition must have dim {field.dim}")
-        if not np.all(np.isfinite(y0)):
-            raise ValidationError("initial condition must be finite")
-        bound = blowup_factor * max(1.0, float(np.linalg.norm(y0)))
-        if field.kind == "rational" and field.min_denominator(y0) < pole_floor:
-            raise ValidationError("initial condition is within the pole floor")
+    if field is None:
+        y0 = np.asarray(y0, dtype=float).reshape(-1)
+    else:
+        y0 = _initial_state(field, y0)
+        bound = DEFAULT_BLOWUP_FACTOR * max(1.0, float(np.linalg.norm(y0)))
 
         def blowup_event(t, u):
             return np.linalg.norm(u) - bound
 
         def pole_event(t, u):
-            return field.min_denominator(u) - pole_floor
+            return field.min_denominator(u) - DEFAULT_POLE_EVENT_FLOOR
 
         blowup_event.terminal = pole_event.terminal = True
         events = [blowup_event]
@@ -167,11 +177,8 @@ def _run(rhs, y0, t_span, rtol: float, atol: float,
 
 
 def integrate_reduced(f: ReducedField, ic, t_span: Tuple[float, float],
-                      rtol: float = 1e-9, atol: float = 1e-12,
-                      n_out: int = 1001,
-                      blowup_factor: float = DEFAULT_BLOWUP_FACTOR,
-                      pole_floor: float = DEFAULT_POLE_EVENT_FLOOR
-                      ) -> TrajectoryData:
+                      rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
+                      n_out: int = 1001) -> TrajectoryData:
     """Adaptive integration with blowup and pole-crossing termination.
 
     Finite-time blowup of truncated Taylor fields is expected behavior: the
@@ -179,8 +186,7 @@ def integrate_reduced(f: ReducedField, ic, t_span: Tuple[float, float],
     the solver erroring out.
     """
     times, values, stop = _run(f.rhs, ic, t_span, rtol, atol, f,
-                               blowup_factor, pole_floor,
-                               t_eval=np.linspace(t_span[0], t_span[1], n_out))
+                               np.linspace(t_span[0], t_span[1], n_out))
     if stop is None:
         return TrajectoryData(times, values)
     flag, t_stop, u_stop = stop
@@ -191,23 +197,20 @@ def integrate_reduced(f: ReducedField, ic, t_span: Tuple[float, float],
 def lift(chart, traj: TrajectoryData) -> TrajectoryData:
     """Map a reduced trajectory to ambient space through the parametrization.
 
-    chart may be an SSMModel (realified automatically for oscillatory
-    pairs), a real MultiSeries, or a RationalMap.  Pole-adjacent samples of
-    a rational chart turn into NaN rows with a flag, so one bad sample does
-    not discard the rest of the trajectory.
+    chart may be an SSMModel (lifted through realify_parametrization, so a
+    model whose W does not realify raises NumericalError), a real
+    MultiSeries, or a RationalMap.  Pole-adjacent samples of a rational
+    chart turn into NaN rows with a flag, so one bad sample does not discard
+    the rest of the trajectory.
     """
     if isinstance(chart, SSMModel):
-        if chart.d == 2 and chart.is_oscillatory_pair():
-            w = realify_parametrization(chart)
-        else:
-            w = chart.W
-        return lift(w, traj)
+        return lift(realify_parametrization(chart), traj)
     flags = list(traj.flags)
     if isinstance(chart, MultiSeries):
         rows = chart.evaluate_many(traj.values).real
     elif isinstance(chart, RationalMap):
         num, den = rational_parts(chart, traj.values)
-        bad = np.abs(den.real) < 1e-12
+        bad = np.abs(den.real) < DEFAULT_POLE_FLOOR
         rows = num.real / np.where(bad, np.nan, den.real)[:, None]
         if np.any(bad):
             flags.append(f"{np.count_nonzero(bad)} samples within the pole "
@@ -236,10 +239,8 @@ def _univariate_value_and_deriv(rep, rho: np.ndarray,
                                 component: str) -> Tuple[np.ndarray,
                                                          np.ndarray]:
     if isinstance(rep, PolarNormalForm):
-        series = rep.omega_series() if component == "omega" \
-            else rep.kappa_series()
-        rep = RationalMap(series, MultiSeries.from_univariate([1.0]),
-                          (series.order, 0))
+        rep = RationalMap.polynomial(rep.omega_series() if component == "omega"
+                                     else rep.kappa_series())
     if not isinstance(rep, RationalMap):
         raise ValidationError("curve representation must be PolarNormalForm "
                               "or RationalMap")
@@ -280,13 +281,6 @@ class FRCBranch:
                          for p in self.points]).reshape(-1, 4)
 
 
-def _polynomial_map(coeffs) -> RationalMap:
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    return RationalMap(MultiSeries.from_univariate(coeffs),
-                       MultiSeries.from_univariate([1.0]),
-                       (len(coeffs) - 1, 0))
-
-
 @dataclass
 class ModalForcing:
     """Resonant part of the O(eps) reduced forcing eps * L(p) F cos(Omega t).
@@ -305,7 +299,8 @@ class ModalForcing:
     def polynomial(cls, eps: float, g_coeffs, h_coeffs=(0.0,)
                    ) -> "ModalForcing":
         """g and h from coefficients of u^0, u^1, ... (u = rho^2)."""
-        return cls(eps, _polynomial_map(g_coeffs), _polynomial_map(h_coeffs))
+        return cls(eps, *(RationalMap.polynomial(MultiSeries.from_univariate(c))
+                          for c in (g_coeffs, h_coeffs)))
 
     @property
     def leading_order(self) -> float:
@@ -326,7 +321,7 @@ def _globalize_in_u(coeffs) -> RationalMap:
     denominator has a zero with Re u >= 0.
     """
     if not coeffs:
-        return _polynomial_map([0.0])
+        return RationalMap.polynomial(MultiSeries.zero(1, 1, 0))
     m = len(coeffs) // 2
     rat = pade_univariate(coeffs, len(coeffs) - 1 - m, m)
     if rat.type_tag[0] > rat.type_tag[1]:
@@ -477,8 +472,8 @@ def forcing_projection(model: SSMModel, forcing_vector, eps: float) -> float:
 
 
 def poincare_sample(f: ReducedField, ic, n_periods: int,
-                    skip: int = 20, omega: Optional[float] = None,
-                    rtol: float = 1e-9, atol: float = 1e-12) -> TrajectoryData:
+                    skip: int = 20, omega: Optional[float] = None
+                    ) -> TrajectoryData:
     """States at multiples of the driving period, after a transient skip.
 
     A blowup or pole crossing ends the samples there, with its flag.
@@ -492,8 +487,8 @@ def poincare_sample(f: ReducedField, ic, n_periods: int,
         raise ValidationError("need omega > 0 and n_periods >= 1")
     period = 2.0 * math.pi / omega
     stamps = (skip + np.arange(1, n_periods + 1)) * period
-    times, values, stop = _run(f.rhs, ic, (0.0, stamps[-1]), rtol, atol, f,
-                               t_eval=stamps)
+    times, values, stop = _run(f.rhs, ic, (0.0, stamps[-1]), DEFAULT_RTOL,
+                               DEFAULT_ATOL, f, stamps)
     if len(times) == 0:
         raise NumericalError(f"trajectory ended before the first section: "
                              f"{stop[0]}")
@@ -511,25 +506,26 @@ class LyapunovEstimate:
 
 def lyapunov_estimate(f: ReducedField, ic, perturbation_size: float = 1e-7,
                       horizon: float = 200.0, renorm_interval: float = 1.0,
-                      transient: float = 50.0, rtol: float = 1e-9,
-                      atol: float = 1e-12) -> LyapunovEstimate:
+                      transient: float = 50.0) -> LyapunovEstimate:
     """Largest Lyapunov exponent by two-trajectory renormalization.
 
     The cumulative log separation is fitted against time by least squares;
     renormalization after every interval keeps the pair inside the linear
     regime.  If the very first interval already saturates (separation
     comparable to the state scale) the estimate is flagged as unreliable.
-    A blowup or pole crossing in the transient raises NumericalError.
+    The initial condition is checked as in integrate_reduced, and a blowup
+    or pole crossing in the transient raises NumericalError; the
+    renormalization intervals are not watched.
     """
     if perturbation_size <= 0:
         raise ValidationError("perturbation_size must be positive")
+    u, t0 = _initial_state(f, ic), 0.0
     if transient > 0:
-        _, states, stop = _run(f.rhs, ic, (0.0, transient), rtol, atol, f)
+        _, states, stop = _run(f.rhs, u, (0.0, transient), DEFAULT_RTOL,
+                               DEFAULT_ATOL, f)
         if stop is not None:
             raise NumericalError(f"transient integration stopped: {stop[0]}")
         u, t0 = states[-1], transient
-    else:
-        u, t0 = np.asarray(ic, dtype=float).reshape(-1), 0.0
     direction = np.ones_like(u) / math.sqrt(len(u))
     v = u + perturbation_size * direction
 
@@ -544,7 +540,8 @@ def lyapunov_estimate(f: ReducedField, ic, perturbation_size: float = 1e-7,
 
     for k in range(n_steps):
         t1 = t0 + renorm_interval
-        z = _run(pair_rhs, np.concatenate([u, v]), (t0, t1), rtol, atol)[1][-1]
+        z = _run(pair_rhs, np.concatenate([u, v]), (t0, t1), DEFAULT_RTOL,
+                 DEFAULT_ATOL)[1][-1]
         u, v = z[:len(u)], z[len(u):]
         dist = np.linalg.norm(v - u)
         if dist == 0.0:
@@ -580,16 +577,15 @@ def psd_estimate(traj: TrajectoryData, component: int = 0
     return freq, power
 
 
-def double_well_field(damping: float = 0.3, amplitude: float = 0.5,
-                      frequency: float = 1.2) -> ReducedField:
-    """Forced double-well (Duffing) field, chaotic at the default values.
+def double_well_field(amplitude: float = 0.5) -> ReducedField:
+    """Forced double-well (Duffing) field, chaotic at the default amplitude.
 
-    x' = v, v' = x - x^3 - damping v + amplitude cos(frequency t).
+    x' = v, v' = x - x^3 - 0.3 v + amplitude cos(1.2 t).
     """
     g = MultiSeries(2, 2, 3, {
-        (0, 1): [1.0, -damping],
+        (0, 1): [1.0, -0.3],
         (1, 0): [0.0, 1.0],
         (3, 0): [0.0, -1.0],
     })
-    forcing = Forcing(amplitude, frequency, np.array([0.0, 1.0]))
+    forcing = Forcing(amplitude, 1.2, np.array([0.0, 1.0]))
     return ReducedField.from_series(g, forcing=forcing)

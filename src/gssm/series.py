@@ -280,13 +280,11 @@ class MultiSeries:
         return cls(dim, dim, order, coeffs)
 
     @classmethod
-    def from_univariate(cls, coeffs: Sequence[complex], order: int | None = None) -> "MultiSeries":
+    def from_univariate(cls, coeffs: Sequence[complex]) -> "MultiSeries":
         """Scalar univariate series from a flat coefficient list (c_0, c_1, ...)."""
         coeffs = list(coeffs)
-        if order is None:
-            order = len(coeffs) - 1
-        d = {(k,): np.array([complex(c)]) for k, c in enumerate(coeffs) if k <= order}
-        return cls(1, 1, order, d)
+        return cls(1, 1, len(coeffs) - 1,
+                   {(k,): np.array([complex(c)]) for k, c in enumerate(coeffs)})
 
     @classmethod
     def from_grlex(cls, arr: np.ndarray, dim_in: int, order: int) -> "MultiSeries":

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NumericalError, SmallDivisorError, ValidationError
 from .series import (Composition, MultiSeries, coeff_lines, complex_row,
-                     compose_truncated, grlex_table,
+                     compose_truncated, grlex_key, grlex_table,
                      indices_of_order, invert_map, multiply_truncated,
                      parse_coeff_lines, product_rows, read_complex_row,
                      read_header, read_sections, text_reader)
@@ -35,18 +35,16 @@ STYLES = ("graph", "normal-form")
 
 @dataclass
 class PolySystem:
-    """First-order analytic system x' = A x + f(x) + eps * f_ext * cos(Omega t).
+    """First-order analytic system x' = A x + f(x).
 
     f is a MultiSeries with no constant or linear terms.  rhs_callable, when
     given, replaces A x + f(x) entirely (demo systems with rational right-hand
-    sides); the polynomial SSM solver rejects such systems.
+    sides); the polynomial SSM solver rejects such systems.  A forcing enters
+    through the reduced model (reduced.foliation_forcing, reduced.Forcing).
     """
 
     linear_part: np.ndarray
     nonlinearity: MultiSeries
-    forcing_vector: Optional[np.ndarray] = None
-    forcing_amplitude: float = 0.0
-    forcing_frequency: float = 0.0
     rhs_callable: Optional[Callable] = None
     _jac_series: Optional[List[MultiSeries]] = field(default=None, repr=False)
 
@@ -59,10 +57,6 @@ class PolySystem:
             raise ValidationError("nonlinearity must map state space to itself")
         if self.nonlinearity.coeffs and self.nonlinearity.min_order_present() < 2:
             raise ValidationError("nonlinearity must start at total order 2")
-        if self.forcing_vector is not None:
-            self.forcing_vector = np.asarray(self.forcing_vector, dtype=float)
-            if self.forcing_vector.shape != (n,):
-                raise ValidationError("forcing vector shape mismatch")
 
     @property
     def dim(self) -> int:
@@ -74,13 +68,6 @@ class PolySystem:
             return np.asarray(self.rhs_callable(x))
         out = self.linear_part @ x + self.nonlinearity.evaluate(x)
         return out.real if np.isrealobj(x) else out
-
-    def rhs(self, x, t: float = 0.0) -> np.ndarray:
-        out = self.autonomous_rhs(x)
-        if self.forcing_amplitude and self.forcing_vector is not None:
-            out = out + self.forcing_amplitude * self.forcing_vector * \
-                np.cos(self.forcing_frequency * t)
-        return out
 
     def jacobian(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -452,6 +439,22 @@ def _even_series(coeffs) -> MultiSeries:
                        {(2 * i,): [complex(c)] for i, c in enumerate(coeffs)})
 
 
+def _conjugate_row(model: SSMModel) -> int:
+    """Position of z in a conjugate pair (z, zbar), after checking that the
+    zbar row of R mirrors the z row: R_zbar at (b, a) must be conj(R_z) at
+    (a, b) within 1e-9 of the largest coefficient of R.  A mismatch signals
+    a gauge error and raises NumericalError naming the z-row index."""
+    plus = int(np.argmax(model.master_eigenvalues.imag))
+    r = model.R
+    scale = max(np.max(np.abs(val)) for val in r.coeffs.values())
+    for idx in sorted(set(r.coeffs) | {k[::-1] for k in r.coeffs}, key=grlex_key):
+        if abs(r.get(idx[::-1])[1 - plus] - np.conj(r.get(idx)[plus])) \
+                > 1e-9 * scale:
+            raise NumericalError(
+                f"reduced dynamics are not conjugate-symmetric at {idx}")
+    return plus
+
+
 def extract_polar(model: SSMModel) -> PolarNormalForm:
     """kappa_n + i omega_n from the resonant coefficients R_{(n+1,n)}.
 
@@ -461,22 +464,10 @@ def extract_polar(model: SSMModel) -> PolarNormalForm:
         raise ValidationError("polar extraction requires a normal-form model")
     if not model.is_oscillatory_pair():
         raise ValidationError("polar extraction requires a conjugate master pair")
-    plus = int(np.argmax(model.master_eigenvalues.imag))
-    n_terms = (model.order - 1) // 2 + 1
-    kappa = np.zeros(n_terms)
-    omega = np.zeros(n_terms)
-    scale = max(np.max(np.abs(val)) for val in model.R.coeffs.values())
-    for nn in range(n_terms):
-        idx = (nn + 1, nn) if plus == 0 else (nn, nn + 1)
-        c = model.R.get(idx)[plus]
-        # conjugate row must mirror it; a mismatch signals a gauge error
-        mate = model.R.get(idx[::-1])[1 - plus]
-        if abs(mate - np.conj(c)) > 1e-9 * scale:
-            raise NumericalError(
-                f"reduced dynamics are not conjugate-symmetric at {idx}")
-        kappa[nn] = c.real
-        omega[nn] = c.imag
-    return PolarNormalForm(kappa, omega)
+    plus = _conjugate_row(model)
+    c = np.array([model.R.get((nn + 1, nn) if plus == 0 else (nn, nn + 1))[plus]
+                  for nn in range((model.order - 1) // 2 + 1)])
+    return PolarNormalForm(c.real, c.imag)
 
 
 # ---- realification ----------------------------------------------------------
@@ -520,7 +511,7 @@ def realify_reduced(model: SSMModel) -> MultiSeries:
     keep R, whose coefficients must already be real."""
     if not model.is_oscillatory_pair():
         return _real_coefficients(model.R, "reduced dynamics")
-    plus = int(np.argmax(model.master_eigenvalues.imag))
+    plus = _conjugate_row(model)
     c = compose_truncated(model.R.component(plus), _conjugate_substitution(model.order),
                           model.order).grlex(model.order)
     # a' + i b' is the z row of R: the field is its real and imaginary part
@@ -540,27 +531,25 @@ class ResidualStats:
     slope: float
 
 
-def _sample_points(model: SSMModel, radius: float, n_angles: int) -> np.ndarray:
+def _sample_points(model: SSMModel, radius: float) -> np.ndarray:
     if model.d == 1:
         return np.array([[radius], [-radius]], dtype=complex)
-    thetas = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
+    thetas = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
     if model.is_oscillatory_pair():
         z = radius * np.exp(1j * thetas)
         return np.stack([z, np.conj(z)], axis=1)
     return radius * np.stack([np.cos(thetas), np.sin(thetas)], axis=1).astype(complex)
 
 
-def invariance_residual(sys: PolySystem, model: SSMModel,
-                        radii=None, n_angles: int = 12) -> ResidualStats:
-    """Defect of A W + f(W) - DW R on circles |p| = r, with a fitted slope.
+def invariance_residual(sys: PolySystem, model: SSMModel) -> ResidualStats:
+    """Defect of A W + f(W) - DW R on 34 circles |p| = r, r from 1e-6 to
+    10^0.3, at 12 angles each, with a fitted slope.
 
     The log-log slope is fitted only where the defect stands clear of the
     floating-point noise floor of the participating terms and below the
     regime where the truncation has fully diverged.
     """
-    if radii is None:
-        radii = np.logspace(-6.0, 0.3, 34)
-    radii = np.asarray(radii, dtype=float)
+    radii = np.logspace(-6.0, 0.3, 34)
     a = np.asarray(sys.linear_part, dtype=complex)
     dw = model.W.jacobian_rows()
     a_norm = np.linalg.norm(a)
@@ -578,7 +567,7 @@ def invariance_residual(sys: PolySystem, model: SSMModel,
         floors[ir] = a_norm * w_scale + f_scale + j_scale * r_scale
 
     # every radius has the same number of sample points
-    pts = np.concatenate([_sample_points(model, r, n_angles) for r in radii])
+    pts = np.concatenate([_sample_points(model, r) for r in radii])
     x = model.W.evaluate_many(pts)
     t1 = x @ a.T
     if sys.rhs_callable is not None:

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -12,9 +12,6 @@ from scipy.integrate import quad
 from .errors import ValidationError
 from .series import MultiSeries, compose_truncated
 from .ssm import PolySystem, SSMModel
-
-SYSTEM_IDS = ("euler", "dauchot_manneville", "imaginary_sing", "shaw_pierre", "custom")
-
 
 @dataclass
 class NamedSystem:
@@ -50,8 +47,7 @@ def _imaginary_sing_system() -> PolySystem:
     return PolySystem(a, f, rhs_callable=rhs)
 
 
-def _shaw_pierre_system(k: float, c: float, gamma: float,
-                        eps: float, omega_f: float) -> PolySystem:
+def _shaw_pierre_system(k: float, c: float, gamma: float) -> PolySystem:
     # two unit masses, springs/dampers to ground and between, cubic spring on
     # the first mass; state (q1, q1', q2, q2')
     a = np.array([
@@ -61,49 +57,31 @@ def _shaw_pierre_system(k: float, c: float, gamma: float,
         [k, c, -2.0 * k, -2.0 * c],
     ])
     f = MultiSeries(4, 4, 3, {(3, 0, 0, 0): [0.0, -gamma, 0.0, 0.0]})
-    return PolySystem(a, f, forcing_vector=np.array([0.0, 1.0, 0.0, 0.0]),
-                      forcing_amplitude=eps, forcing_frequency=omega_f)
+    return PolySystem(a, f)
 
 
-DEFAULTS: Dict[str, Dict[str, float]] = {
-    "euler": {},
-    "dauchot_manneville": {"s1": -0.038, "s2": -1.0},
-    "imaginary_sing": {},
-    "shaw_pierre": {"k": 3.0, "c": 0.003, "gamma": 0.5, "eps": 0.0, "omega_f": 0.0},
-    "custom": {},
+# id -> (builder taking the parameters by name, default parameters, notes)
+_SYSTEMS: Dict[str, Tuple[Callable[..., PolySystem], Dict[str, float], str]] = {
+    "euler": (_euler_system, {}, ""),
+    "dauchot_manneville": (_dauchot_manneville_system,
+                           {"s1": -0.038, "s2": -1.0}, ""),
+    "imaginary_sing": (_imaginary_sing_system, {},
+                       "rational right-hand side; use imaginary_sing_model"),
+    "shaw_pierre": (_shaw_pierre_system, {"k": 3.0, "c": 0.003, "gamma": 0.5}, ""),
 }
+SYSTEM_IDS = tuple(_SYSTEMS)
 
 
 def make_system(system_id: str, **params) -> NamedSystem:
-    if system_id not in SYSTEM_IDS:
+    if system_id not in _SYSTEMS:
         raise ValidationError(f"unknown system id {system_id!r}; "
                               f"known: {', '.join(SYSTEM_IDS)}")
-    merged = dict(DEFAULTS[system_id])
-    for key, val in params.items():
-        if system_id != "custom" and key not in merged:
+    build, defaults, notes = _SYSTEMS[system_id]
+    for key in params:
+        if key not in defaults:
             raise ValidationError(f"unknown parameter {key!r} for {system_id}")
-        merged[key] = val
-    if system_id == "euler":
-        return NamedSystem(system_id, merged, _euler_system())
-    if system_id == "dauchot_manneville":
-        return NamedSystem(system_id, merged,
-                           _dauchot_manneville_system(merged["s1"], merged["s2"]))
-    if system_id == "imaginary_sing":
-        return NamedSystem(system_id, merged, _imaginary_sing_system(),
-                           notes="rational right-hand side; use imaginary_sing_model")
-    if system_id == "shaw_pierre":
-        return NamedSystem(system_id, merged,
-                           _shaw_pierre_system(merged["k"], merged["c"],
-                                               merged["gamma"], merged["eps"],
-                                               merged["omega_f"]))
-    # custom: caller supplies the realization pieces directly
-    if "linear_part" not in params or "nonlinearity" not in params:
-        raise ValidationError("custom system needs linear_part and nonlinearity")
-    sys = PolySystem(params["linear_part"], params["nonlinearity"],
-                     forcing_vector=params.get("forcing_vector"),
-                     forcing_amplitude=params.get("forcing_amplitude", 0.0),
-                     forcing_frequency=params.get("forcing_frequency", 0.0))
-    return NamedSystem("custom", {}, sys)
+    merged = {**defaults, **params}
+    return NamedSystem(system_id, merged, build(**merged), notes)
 
 
 # ---- closed forms and oracles -----------------------------------------------
@@ -165,20 +143,19 @@ class FixedPoint:
     label: str
 
 
-def _stability_label(eigs: np.ndarray, tol: float = 1e-10) -> str:
+def _stability_label(eigs: np.ndarray) -> str:
     re = eigs.real
-    if np.all(re < -tol):
+    if np.all(re < -1e-10):
         return "stable"
-    if np.all(re > tol):
+    if np.all(re > 1e-10):
         return "unstable"
-    if np.any(np.abs(re) <= tol):
+    if np.any(np.abs(re) <= 1e-10):
         return "marginal"
     return "saddle"
 
 
 def fixed_points_oracle(sys: PolySystem, box: List[Tuple[float, float]],
-                        seeds_per_axis: int = 7,
-                        dedupe_tol: float = 1e-8) -> List[FixedPoint]:
+                        seeds_per_axis: int = 7) -> List[FixedPoint]:
     """Damped-Newton roots of the autonomous right-hand side from a seed grid."""
     n = sys.dim
     if len(box) != n:
@@ -224,7 +201,7 @@ def fixed_points_oracle(sys: PolySystem, box: List[Tuple[float, float]],
         if any(lo - 1e-9 > xi or xi > hi + 1e-9
                for xi, (lo, hi) in zip(x, box)):
             continue
-        if any(np.linalg.norm(x - r) < dedupe_tol * (1 + np.linalg.norm(r))
+        if any(np.linalg.norm(x - r) < 1e-8 * (1 + np.linalg.norm(r))
                for r in roots):
             continue
         roots.append(x)

@@ -39,13 +39,14 @@ class TrajectoryData:
     def component(self, i: int) -> np.ndarray:
         return self.values[:, i]
 
-    def uniform_dt(self, rtol: float = 1e-9) -> float:
-        """The common sampling step; rejects non-uniform timestamps."""
+    def uniform_dt(self) -> float:
+        """The common sampling step; rejects timestamps whose steps differ
+        by more than 1e-9 of the first."""
         if self.n_samples < 2:
             raise ValidationError("need at least two samples")
         steps = np.diff(self.times)
         dt = steps[0]
-        if dt == 0 or np.max(np.abs(steps - dt)) > rtol * abs(dt):
+        if dt == 0 or np.max(np.abs(steps - dt)) > 1e-9 * abs(dt):
             raise ValidationError("sampling is not uniform")
         return float(dt)
 

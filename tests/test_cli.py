@@ -51,8 +51,9 @@ def test_systems_list(capsys):
     assert rc == 0
     assert fields["status"] == "ok" and fields["command"] == "systems"
     for sid in ("euler", "dauchot_manneville", "imaginary_sing",
-                "shaw_pierre", "custom"):
+                "shaw_pierre"):
         assert any(ln.startswith(sid + ":") for ln in out.splitlines())
+    assert not any(ln.startswith("custom:") for ln in out.splitlines())
 
 
 def test_ssm_write_and_import_roundtrip(tmp_path, capsys):

@@ -16,7 +16,7 @@ from gssm.series import MultiSeries
 from gssm.ssm import (PolarNormalForm, PolySystem, compute_ssm, extract_polar,
                       foliation_projection, realify_parametrization,
                       spectral_analysis)
-from gssm.systems import make_system
+from gssm.systems import imaginary_sing_model, make_system
 from gssm.trajectory import TrajectoryData, trajectory_from_csv, trajectory_to_csv
 
 
@@ -387,6 +387,26 @@ def test_every_run_stops_at_the_pole():
         lyapunov_estimate(f, [0.5])
     with pytest.raises(ValidationError, match="dim 1"):
         poincare_sample(f, [0.5, 0.0], 10, omega=1.0)
+
+
+def test_lyapunov_without_transient_checks_its_initial_condition():
+    f = _pole_field()
+    for ic, match in (([0.5, 0.0], "dim 1"), ([math.nan], "finite"),
+                      ([1.0 - 1e-9], "pole floor")):
+        with pytest.raises(ValidationError, match=match):
+            lyapunov_estimate(f, ic, horizon=5.0, transient=0.0)
+
+
+def test_lift_refuses_a_model_that_does_not_realify():
+    model = imaginary_sing_model(7)
+    traj = TrajectoryData([0.0, 1.0], [[0.1], [0.2]])
+    assert np.allclose(lift(model, traj).values,
+                       model.W.evaluate_many(traj.values).real)
+    w = dict(model.W.coeffs)
+    w[(3,)] = model.W.get((3,)) + np.array([0.0, 0.3j])
+    model.W = MultiSeries(1, 2, model.order, w)
+    with pytest.raises(NumericalError, match="does not realify"):
+        lift(model, traj)
 
 
 def test_lyapunov_linear_fields():

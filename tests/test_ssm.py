@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,32 @@ def test_realified_series_match_complex_chart():
         ab_dot = r_real.evaluate([a, b])
         assert np.isclose(ab_dot[0].real, pdot.real, atol=1e-12)
         assert np.isclose(ab_dot[1].real, pdot.imag, atol=1e-12)
+
+
+def _with_r_shift(model, idx, shift):
+    """A copy of the model with shift (one entry per row) added to R at idx."""
+    coeffs = dict(model.R.coeffs)
+    coeffs[idx] = model.R.get(idx) + np.asarray(shift, dtype=complex)
+    return dataclasses.replace(
+        model, R=MultiSeries(2, 2, model.R.order, coeffs))
+
+
+def test_one_conjugate_symmetry_check_guards_realify_and_polar():
+    sys = make_system("shaw_pierre").realization
+    spec = spectral_analysis(sys, 2)
+    model = compute_ssm(sys, spec, 7, style="normal-form")
+    # the zbar row's coefficient at (1, 2) mirrors the z row's at (2, 1)
+    bad = _with_r_shift(model, (1, 2), [0.0, 0.5])
+    for analysis in (realify_reduced, extract_polar):
+        analysis(model)
+        with pytest.raises(NumericalError,
+                           match=r"not conjugate-symmetric at \(2, 1\)"):
+            analysis(bad)
+    # a non-resonant zbar-row term of a graph-style model is checked too
+    graph = compute_ssm(sys, spec, 7, style="graph")
+    realify_reduced(graph)
+    with pytest.raises(NumericalError, match=r"at \(3, 0\)"):
+        realify_reduced(_with_r_shift(graph, (0, 3), [0.0, 1e-3]))
 
 
 def test_normal_form_keeps_only_resonant_terms():
