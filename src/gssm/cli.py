@@ -2,9 +2,12 @@
 
 Subcommands follow the four-step recipe: pick or import a system, compute
 the manifold model, globalize it with rational approximants, and analyze
-the reduced dynamics. Every run writes a manifest.json recording the
-resolved options and sha256 hashes of the input files, so identical
-invocations produce identical artifacts.
+the reduced dynamics. A run that writes artifacts also writes a
+manifest.json recording the resolved options, sha256 hashes of the input
+files and the names of the artifacts, so identical invocations produce
+identical artifacts. It does so also when the run then fails numerically
+(exit 3), but not on a malformed request (exit 2), and `systems` writes
+nothing.
 
 Exit codes: 0 success, 2 malformed request, 3 numerical failure (resonance,
 pole, blowup). The last stdout line is always machine readable:
@@ -52,33 +55,77 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _outdir(args) -> Path:
-    out = args.out or os.environ.get("GSSM_OUT") or "."
-    p = Path(out)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+class _Run:
+    """Where one command writes its artifacts.  The output directory is
+    created on the first write, and every name written is recorded for the
+    manifest.  A body sets failed for a flagged result that exits 3."""
+
+    def __init__(self, out: str):
+        self.dir = Path(out)
+        self.outputs = []
+        self.failed = False
+
+    def path(self, name: str) -> Path:
+        if not self.outputs:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(name)
+        return self.dir / name
+
+    def write(self, name: str, text: str) -> None:
+        self.path(name).write_text(text)
 
 
-def _write_manifest(outdir: Path, args, inputs, outputs) -> None:
-    options = {k: v for k, v in sorted(vars(args).items())
-               if k not in ("handler", "out") and not k.startswith("_")}
-    manifest = {
-        "command": args.command,
-        "options": options,
-        "inputs": {str(p): _sha256(Path(p)) for p in sorted(set(map(str, inputs)))},
-        "outputs": sorted(outputs),
-    }
-    text = json.dumps(manifest, indent=2, sort_keys=True, default=str)
-    (outdir / "manifest.json").write_text(text + "\n")
+def _command(body):
+    """Turn body(args, run) -> status fields into a handler(args) -> exit
+    code.  manifest.json records the options, the sha256 of each input file
+    the command declares and the outputs.  It is written whenever the body
+    wrote an artifact, also when a NumericalError followed, and never after
+    a ValidationError, when inputs may be missing.  The status line comes
+    last: ok (exit 0), or numerical-error (exit 3) when run.failed is set."""
+
+    def write_manifest(args, run):
+        if not run.outputs:
+            return
+        options = {k: v for k, v in sorted(vars(args).items())
+                   if k not in ("handler", "inputs", "out")}
+        files = {str(getattr(args, k)) for k in args.inputs if getattr(args, k)}
+        manifest = {
+            "command": args.command,
+            "options": options,
+            "inputs": {f: _sha256(Path(f)) for f in sorted(files)},
+            "outputs": sorted(run.outputs),
+        }
+        text = json.dumps(manifest, indent=2, sort_keys=True, default=str)
+        (run.dir / "manifest.json").write_text(text + "\n")
+
+    @functools.wraps(body)
+    def handler(args) -> int:
+        run = _Run(args.out or os.environ.get("GSSM_OUT") or ".")
+        try:
+            fields = body(args, run)
+        except NumericalError:
+            write_manifest(args, run)
+            raise
+        write_manifest(args, run)
+        parts = [f"gssm: status={'numerical-error' if run.failed else 'ok'} "
+                 f"command={args.command}"]
+        for k, v in fields.items():
+            v = str(v)
+            parts.append(f"{k}={json.dumps(v) if ' ' in v else v}")
+        print(" ".join(parts))
+        return 3 if run.failed else 0
+
+    return handler
 
 
-def _status(command: str, ok: bool = True, **kv) -> None:
-    state = "ok" if ok else "numerical-error"
-    parts = [f"gssm: status={state} command={command}"]
-    for k, v in kv.items():
-        v = str(v)
-        parts.append(f"{k}={json.dumps(v) if ' ' in v else v}")
-    print(" ".join(parts))
+def _flags(flags) -> str:
+    return ";".join(flags) or "none"
+
+
+def _trajectory_status(run: _Run, traj: TrajectoryData) -> dict:
+    """Status fields of an integrated trajectory; a flagged one exits 3."""
+    run.failed = bool(traj.flags)
+    return {"samples": traj.n_samples, "flags": _flags(traj.flags)}
 
 
 def _floats(text: str) -> np.ndarray:
@@ -113,17 +160,16 @@ def _load_model(path) -> SSMModel:
 
 
 def _parse_forcing(args, dim: int):
-    amp = getattr(args, "f_amp", None)
-    if amp is None:
+    if args.f_amp is None:
+        if args.f_freq is not None or args.f_vector is not None:
+            raise ValidationError("--f-freq and --f-vector need --f-amp")
         return None
-    freq = getattr(args, "f_freq", None)
-    if freq is None:
+    if args.f_freq is None:
         raise ValidationError("--f-amp needs --f-freq")
-    vec_text = getattr(args, "f_vector", None)
-    vec = _floats(vec_text) if vec_text else np.eye(dim)[-1]
+    vec = _floats(args.f_vector) if args.f_vector else np.eye(dim)[-1]
     if vec.shape != (dim,):
         raise ValidationError(f"forcing vector must have {dim} entries")
-    return Forcing(amp, freq, vec)
+    return Forcing(args.f_amp, args.f_freq, vec)
 
 
 def _load_field(args) -> ReducedField:
@@ -133,6 +179,10 @@ def _load_field(args) -> ReducedField:
         raise ValidationError(
             "exactly one of --rationals, --model, --double-well is required")
     if sources[0] == "double_well":
+        if (args.f_amp, args.f_freq, args.f_vector) != (None, None, None):
+            raise ValidationError("--double-well has its own forcing; "
+                                  "--f-amp, --f-freq and --f-vector do not "
+                                  "apply")
         return double_well_field()
     if sources[0] == "rationals":
         maps = rationals_from_text(_read(args.rationals))
@@ -148,26 +198,24 @@ def _load_field(args) -> ReducedField:
 # ---- systems -----------------------------------------------------------------
 
 
-def cmd_systems(args) -> int:
+@_command
+def cmd_systems(args, run):
     for sid in SYSTEM_IDS:
         ns = make_system(sid)
         params = " ".join(f"{k}={v:g}" for k, v in sorted(ns.parameters.items()))
         print(f"{sid}: dim={ns.realization.dim}" + (f" {params}" if params else ""))
-    _status("systems", count=len(SYSTEM_IDS))
-    return 0
+    return {"count": len(SYSTEM_IDS)}
 
 
 # ---- ssm ---------------------------------------------------------------------
 
 
-def cmd_ssm(args) -> int:
-    outdir = _outdir(args)
-    inputs = []
+@_command
+def cmd_ssm(args, run):
     if (args.system is None) == (args.import_model is None):
         raise ValidationError("exactly one of --system or --import-model "
                               "is required")
     if args.import_model:
-        inputs.append(args.import_model)
         model = _load_model(args.import_model)
     else:
         params = {}
@@ -180,12 +228,10 @@ def cmd_ssm(args) -> int:
         master = _ints(args.master) if args.master else None
         spec = spectral_analysis(ns.realization, args.d, master_indices=master)
         model = compute_ssm(ns.realization, spec, args.order, style=args.style)
-    name = args.model_out
-    (outdir / name).write_text(model_to_text(model))
-    _write_manifest(outdir, args, inputs, [name])
-    _status("ssm", file=name, n=model.n, d=model.d, style=model.style,
-            order=model.order, flags=len(model.flags))
-    return 0
+    run.write(args.model_out, model_to_text(model))
+    return {"file": args.model_out, "n": model.n, "d": model.d,
+            "style": model.style, "order": model.order,
+            "flags": len(model.flags)}
 
 
 # ---- pade --------------------------------------------------------------------
@@ -231,13 +277,13 @@ def _ladder(series: MultiSeries, n0: int, m0: int, radius: float,
     return None, None, report
 
 
-def cmd_pade(args) -> int:
-    outdir = _outdir(args)
+@_command
+def cmd_pade(args, run):
     model = _load_model(args.model)
     n0 = args.N if args.N is not None else model.order // 2
     m0 = args.M if args.M is not None else model.order // 2
     wanted = args.targets.split(",") if args.targets else None
-    outputs, notes = [], []
+    fields = {}
     for name, series, nonneg in _pade_targets(model):
         if wanted and name not in wanted:
             continue
@@ -248,51 +294,33 @@ def cmd_pade(args) -> int:
             for n_, m_, cnt in report:
                 what = "series too short" if cnt < 0 else f"{cnt} flagged points"
                 lines.append(f"  [{n_}/{m_}]: {what}")
-            (outdir / f"pade_{name}_report.txt").write_text("\n".join(lines) + "\n")
-            _write_manifest(outdir, args, [args.model],
-                            outputs + [f"pade_{name}_report.txt"])
+            run.write(f"pade_{name}_report.txt", "\n".join(lines) + "\n")
             raise NumericalError(
                 f"no pole-free [{n0}/{m0}] ladder member for {name}; "
                 f"see pade_{name}_report.txt")
-        fname = f"pade_{name}.txt"
-        (outdir / fname).write_text(rationals_to_text(maps))
-        outputs.append(fname)
-        notes.append(f"{name}=[{orders[0]}/{orders[1]}]")
+        run.write(f"pade_{name}.txt", rationals_to_text(maps))
+        fields[name] = f"[{orders[0]}/{orders[1]}]"
         if orders != (n0, m0):
-            notes.append(f"{name}_fallback_from=[{n0}/{m0}]")
-    if not outputs:
+            fields[f"{name}_fallback_from"] = f"[{n0}/{m0}]"
+    if not fields:
         raise ValidationError(f"no matching targets among {args.targets!r}")
-    _write_manifest(outdir, args, [args.model], outputs)
-    _status("pade", **dict(note.split("=") for note in notes))
-    return 0
+    return fields
 
 
 # ---- analyze -----------------------------------------------------------------
 
 
-def _input_files(args, *names):
-    return [getattr(args, n) for n in names if getattr(args, n, None)]
-
-
-def cmd_integrate(args) -> int:
-    outdir = _outdir(args)
+@_command
+def cmd_integrate(args, run):
     field = _load_field(args)
     ic = _floats(args.ic)
     traj = integrate_reduced(field, ic, (args.t0, args.t1), n_out=args.n_out)
-    outputs = ["trajectory.csv"]
-    trajectory_to_csv(traj, str(outdir / "trajectory.csv"))
+    trajectory_to_csv(traj, str(run.path("trajectory.csv")))
     if args.lift_model:
         model = _load_model(args.lift_model)
         lifted = lift(model, traj)
-        trajectory_to_csv(lifted, str(outdir / "lifted.csv"))
-        outputs.append("lifted.csv")
-    _write_manifest(outdir, args,
-                    _input_files(args, "rationals", "model", "lift_model"),
-                    outputs)
-    ok = not traj.flags
-    _status("analyze-integrate", ok=ok, samples=traj.n_samples,
-            flags=";".join(traj.flags) or "none")
-    return 0 if ok else 3
+        trajectory_to_csv(lifted, str(run.path("lifted.csv")))
+    return _trajectory_status(run, traj)
 
 
 def _curve_reps(args, model=None):
@@ -312,24 +340,17 @@ def _curve_reps(args, model=None):
     return polar, polar
 
 
-def cmd_backbone(args) -> int:
-    outdir = _outdir(args)
+@_command
+def cmd_backbone(args, run):
     kappa_rep, omega_rep = _curve_reps(args)
     grid = np.linspace(0.0, args.rho_max, args.points)
-    outputs = []
     components = ("omega", "kappa") if args.component == "both" \
         else (args.component,)
     for comp in components:
         rep = omega_rep if comp == "omega" else kappa_rep
         curve = backbone(rep, grid, component=comp)
-        fname = f"backbone_{comp}.csv"
-        write_csv(outdir / fname, ["rho", comp], curve)
-        outputs.append(fname)
-    _write_manifest(outdir, args, _input_files(args, "model", "kappa", "omega"),
-                    outputs)
-    _status("analyze-backbone", components=",".join(components),
-            points=args.points)
-    return 0
+        write_csv(run.path(f"backbone_{comp}.csv"), ["rho", comp], curve)
+    return {"components": ",".join(components), "points": args.points}
 
 
 def _lift_amplitude(model: SSMModel, component: int, grid: np.ndarray):
@@ -343,8 +364,8 @@ def _lift_amplitude(model: SSMModel, component: int, grid: np.ndarray):
     return dict(zip(grid.tolist(), amps.tolist())).__getitem__
 
 
-def cmd_frc(args) -> int:
-    outdir = _outdir(args)
+@_command
+def cmd_frc(args, run):
     model = _load_model(args.model)
     vec = _floats(args.forcing_vector)
     eps_f = forcing_projection(model, vec, args.eps)
@@ -354,37 +375,28 @@ def cmd_frc(args) -> int:
         if args.amplitude == "lift" else None
     branch = forced_response(kappa_rep, omega_rep, eps_f, grid,
                              amplitude_fn=amp_fn)
-    write_csv(outdir / "frc.csv", ["rho", "Omega", "amp", "stable"],
+    write_csv(run.path("frc.csv"), ["rho", "Omega", "amp", "stable"],
               ((p.rho, p.Omega, p.amplitude, "1" if p.stable else "0")
                for p in branch.points))
-    _write_manifest(outdir, args,
-                    _input_files(args, "model", "kappa", "omega"), ["frc.csv"])
+    fields = {"eps_f": f"{eps_f:.6g}", "points": len(branch.points)}
     if branch.points:
         arr = branch.as_array()
         peak = arr[np.argmax(arr[:, 2])]
-        _status("analyze-frc", eps_f=f"{eps_f:.6g}", points=len(branch.points),
-                peak_amp=f"{peak[2]:.6g}", peak_freq=f"{peak[1]:.6g}")
-    else:
-        _status("analyze-frc", eps_f=f"{eps_f:.6g}", points=0)
-    return 0
+        fields.update(peak_amp=f"{peak[2]:.6g}", peak_freq=f"{peak[1]:.6g}")
+    return fields
 
 
-def cmd_poincare(args) -> int:
-    outdir = _outdir(args)
+@_command
+def cmd_poincare(args, run):
     field = _load_field(args)
     traj = poincare_sample(field, _floats(args.ic), args.n_periods,
                            skip=args.skip, omega=args.omega)
-    trajectory_to_csv(traj, str(outdir / "poincare.csv"))
-    _write_manifest(outdir, args, _input_files(args, "rationals", "model"),
-                    ["poincare.csv"])
-    ok = not traj.flags
-    _status("analyze-poincare", ok=ok, samples=traj.n_samples,
-            flags=";".join(traj.flags) or "none")
-    return 0 if ok else 3
+    trajectory_to_csv(traj, str(run.path("poincare.csv")))
+    return _trajectory_status(run, traj)
 
 
-def cmd_lyapunov(args) -> int:
-    outdir = _outdir(args)
+@_command
+def cmd_lyapunov(args, run):
     field = _load_field(args)
     est = lyapunov_estimate(field, _floats(args.ic),
                             perturbation_size=args.perturbation,
@@ -392,26 +404,20 @@ def cmd_lyapunov(args) -> int:
                             renorm_interval=args.renorm_interval,
                             transient=args.transient)
     growth = TrajectoryData(est.times, est.log_growth)
-    trajectory_to_csv(growth, str(outdir / "lyapunov_growth.csv"),
+    trajectory_to_csv(growth, str(run.path("lyapunov_growth.csv")),
                       names=["log_growth"])
-    _write_manifest(outdir, args, _input_files(args, "rationals", "model"),
-                    ["lyapunov_growth.csv"])
-    _status("analyze-lyapunov", value=f"{est.value:.6g}",
-            fit_error=f"{est.fit_error:.3g}",
-            flags=";".join(est.flags) or "none")
-    return 0
+    return {"value": f"{est.value:.6g}", "fit_error": f"{est.fit_error:.3g}",
+            "flags": _flags(est.flags)}
 
 
-def cmd_psd(args) -> int:
-    outdir = _outdir(args)
+@_command
+def cmd_psd(args, run):
     traj = _load_traj(args.data)
     freq, power = psd_estimate(traj, component=args.component)
-    write_csv(outdir / "psd.csv", ["freq", "power"],
+    write_csv(run.path("psd.csv"), ["freq", "power"],
               np.column_stack([freq, power]))
-    _write_manifest(outdir, args, [args.data], ["psd.csv"])
     peak = freq[int(np.argmax(power))] if len(freq) else float("nan")
-    _status("analyze-psd", bins=len(freq), peak_freq=f"{peak:.6g}")
-    return 0
+    return {"bins": len(freq), "peak_freq": f"{peak:.6g}"}
 
 
 # ---- singularity -------------------------------------------------------------
@@ -435,51 +441,42 @@ def _coefficients_from(args) -> np.ndarray:
     return series.univariate_coeffs().real
 
 
-def _write_singularity_report(outdir, radius, angle, pattern, confidence,
+def _write_singularity_report(run, radius, angle, pattern, confidence,
                               flags) -> None:
     lines = [f"radius {format_float(radius)}",
              f"theta {format_float(angle)}",
              f"pattern {pattern}",
              f"confidence {format_float(confidence)}"]
     lines += [f"flag {f}" for f in flags]
-    (outdir / "singularity.txt").write_text("\n".join(lines) + "\n")
+    run.write("singularity.txt", "\n".join(lines) + "\n")
 
 
-def cmd_sing_radius(args) -> int:
-    outdir = _outdir(args)
+@_command
+def cmd_sing_radius(args, run):
     est = estimate_radius(_coefficients_from(args))
-    _write_singularity_report(outdir, est.radius, float("nan"), "-",
+    _write_singularity_report(run, est.radius, float("nan"), "-",
                               float("nan"), est.flags)
-    _write_manifest(outdir, args,
-                    _input_files(args, "coeffs", "series", "model"),
-                    ["singularity.txt"])
-    _status("singularity-radius", radius=f"{est.radius:.6g}",
-            fit_residual=f"{est.fit_residual:.3g}",
-            flags=";".join(est.flags) or "none")
-    return 0
+    return {"radius": f"{est.radius:.6g}",
+            "fit_residual": f"{est.fit_residual:.3g}",
+            "flags": _flags(est.flags)}
 
 
-def cmd_sing_pattern(args) -> int:
-    outdir = _outdir(args)
+@_command
+def cmd_sing_pattern(args, run):
     coeffs = _coefficients_from(args)
     pat = classify_sign_pattern(coeffs)
     try:
         radius = estimate_radius(coeffs).radius
     except ValidationError:
         radius = float("nan")
-    _write_singularity_report(outdir, radius, pat.angle, pat.pattern,
+    _write_singularity_report(run, radius, pat.angle, pat.pattern,
                               pat.confidence, pat.flags)
-    _write_manifest(outdir, args,
-                    _input_files(args, "coeffs", "series", "model"),
-                    ["singularity.txt"])
-    _status("singularity-pattern", radius=f"{radius:.6g}",
-            theta=f"{pat.angle:.6g}", pattern=pat.pattern,
-            confidence=f"{pat.confidence:.4f}")
-    return 0
+    return {"radius": f"{radius:.6g}", "theta": f"{pat.angle:.6g}",
+            "pattern": pat.pattern, "confidence": f"{pat.confidence:.4f}"}
 
 
-def cmd_sing_scan(args) -> int:
-    outdir = _outdir(args)
+@_command
+def cmd_sing_scan(args, run):
     rmap = rationals_from_text(_read(args.rationals))[0]
     lo, hi = _floats(args.min), _floats(args.max)
     pts = _ints(args.points)
@@ -489,11 +486,9 @@ def cmd_sing_scan(args) -> int:
     axes = [np.linspace(a, b, n) for a, b, n in zip(lo, hi, pts)]
     flags = denominator_zero_scan(rmap, axes, floor=args.floor)
     coords = [f"x{i + 1}" for i in range(rmap.dim_in)]
-    write_csv(outdir / "scan.csv", coords + ["denominator", "reason"],
+    write_csv(run.path("scan.csv"), coords + ["denominator", "reason"],
               ((*fl.point.tolist(), fl.value, fl.reason) for fl in flags))
-    _write_manifest(outdir, args, [args.rationals], ["scan.csv"])
-    _status("singularity-scan", flagged=len(flags), floor=f"{args.floor:g}")
-    return 0
+    return {"flagged": len(flags), "floor": f"{args.floor:g}"}
 
 
 # ---- regress / predict -------------------------------------------------------
@@ -507,8 +502,10 @@ def _pointwise_error(field, eta, zeta) -> float:
     return float(np.sum((pred - zeta) ** 2))
 
 
-def cmd_regress(args) -> int:
-    outdir = _outdir(args)
+@_command
+def cmd_regress(args, run):
+    if args.poly_order is None:  # on args, so the manifest records it
+        args.poly_order = args.N + args.M + 1
     series = _load_traj(args.data)
     cfg = EmbeddingConfig(args.delays, args.lag, args.observable)
     cfg.check_for_dimension(args.d)
@@ -538,20 +535,16 @@ def cmd_regress(args) -> int:
     if n_hold:
         report.append(f"held-out error: {poly_hold:.6e}")
 
-    (outdir / "rational_fit.txt").write_text(rationals_to_text([rat.rational]))
-    (outdir / "poly_fit.txt").write_text(series_to_text(poly.series))
-    (outdir / "chart.txt").write_text(chart_to_text(chart, cfg))
-    (outdir / "report.txt").write_text("\n".join(report) + "\n")
-    _write_manifest(outdir, args, [args.data],
-                    ["rational_fit.txt", "poly_fit.txt", "chart.txt",
-                     "report.txt"])
-    _status("regress", **status,
-            rat_params=rat.n_parameters, poly_params=poly.n_parameters)
-    return 0
+    run.write("rational_fit.txt", rationals_to_text([rat.rational]))
+    run.write("poly_fit.txt", series_to_text(poly.series))
+    run.write("chart.txt", chart_to_text(chart, cfg))
+    run.write("report.txt", "\n".join(report) + "\n")
+    return dict(status, rat_params=rat.n_parameters,
+                poly_params=poly.n_parameters)
 
 
-def cmd_predict(args) -> int:
-    outdir = _outdir(args)
+@_command
+def cmd_predict(args, run):
     chart, cfg = chart_from_text(_read(args.chart))
     if (args.fit is None) == (args.poly is None):
         raise ValidationError("exactly one of --fit or --poly is required")
@@ -562,14 +555,8 @@ def cmd_predict(args) -> int:
     window = _load_traj(args.data)
     traj = predict(chart, fitted, window, cfg, args.horizon,
                    n_out=args.n_out)
-    trajectory_to_csv(traj, str(outdir / "prediction.csv"), names=["y"])
-    _write_manifest(outdir, args,
-                    _input_files(args, "chart", "fit", "poly", "data"),
-                    ["prediction.csv"])
-    ok = not traj.flags
-    _status("predict", ok=ok, samples=traj.n_samples,
-            flags=";".join(traj.flags) or "none")
-    return 0 if ok else 3
+    trajectory_to_csv(traj, str(run.path("prediction.csv")), names=["y"])
+    return _trajectory_status(run, traj)
 
 
 # ---- parser ------------------------------------------------------------------
@@ -589,7 +576,8 @@ def _add_field_flags(p) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process (parsing leaves it
     unchanged).  Each command names its handler, a function of this module
-    looked up when main runs it."""
+    looked up when main runs it, and its inputs: the options that name
+    input files, which the manifest hashes."""
     top = argparse.ArgumentParser(prog="gssm")
     top.add_argument("--out", help="output directory (or env GSSM_OUT)")
     sub = top.add_subparsers(dest="command", required=True)
@@ -608,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="normal-form")
     p.add_argument("--master", help="comma list of eigenvalue positions")
     p.add_argument("--model-out", dest="model_out", default="model.txt")
-    p.set_defaults(handler="cmd_ssm")
+    p.set_defaults(handler="cmd_ssm", inputs=("import_model",))
 
     p = sub.add_parser("pade", help="rational approximants with zero-scan "
                                     "gating and the [N/M] fallback ladder")
@@ -618,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--scan-points", dest="scan_points", type=int, default=41)
     p.add_argument("--targets", help="comma subset of W,R,kappa,omega")
-    p.set_defaults(handler="cmd_pade")
+    p.set_defaults(handler="cmd_pade", inputs=("model",))
 
     pa = sub.add_parser("analyze", help="reduced-model analyses")
     asub = pa.add_subparsers(dest="mode", required=True)
@@ -630,7 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", type=float, required=True)
     p.add_argument("--n-out", dest="n_out", type=int, default=1001)
     p.add_argument("--lift-model", dest="lift_model")
-    p.set_defaults(handler="cmd_integrate", command="analyze-integrate")
+    p.set_defaults(handler="cmd_integrate", command="analyze-integrate",
+                   inputs=("rationals", "model", "lift_model"))
 
     p = asub.add_parser("backbone")
     p.add_argument("--model")
@@ -640,7 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=201)
     p.add_argument("--component", choices=["omega", "kappa", "both"],
                    default="both")
-    p.set_defaults(handler="cmd_backbone", command="analyze-backbone")
+    p.set_defaults(handler="cmd_backbone", command="analyze-backbone",
+                   inputs=("model", "kappa", "omega"))
 
     p = asub.add_parser("frc")
     p.add_argument("--model", required=True)
@@ -653,7 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=400)
     p.add_argument("--amplitude", choices=["rho", "lift"], default="rho")
     p.add_argument("--amp-component", dest="amp_component", type=int, default=0)
-    p.set_defaults(handler="cmd_frc", command="analyze-frc")
+    p.set_defaults(handler="cmd_frc", command="analyze-frc",
+                   inputs=("model", "kappa", "omega"))
 
     p = asub.add_parser("poincare")
     _add_field_flags(p)
@@ -661,7 +652,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-periods", dest="n_periods", type=int, default=100)
     p.add_argument("--skip", type=int, default=20)
     p.add_argument("--omega", type=float)
-    p.set_defaults(handler="cmd_poincare", command="analyze-poincare")
+    p.set_defaults(handler="cmd_poincare", command="analyze-poincare",
+                   inputs=("rationals", "model"))
 
     p = asub.add_parser("lyapunov")
     _add_field_flags(p)
@@ -671,12 +663,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--renorm-interval", dest="renorm_interval", type=float,
                    default=1.0)
     p.add_argument("--transient", type=float, default=50.0)
-    p.set_defaults(handler="cmd_lyapunov", command="analyze-lyapunov")
+    p.set_defaults(handler="cmd_lyapunov", command="analyze-lyapunov",
+                   inputs=("rationals", "model"))
 
     p = asub.add_parser("psd")
     p.add_argument("--data", required=True)
     p.add_argument("--component", type=int, default=0)
-    p.set_defaults(handler="cmd_psd", command="analyze-psd")
+    p.set_defaults(handler="cmd_psd", command="analyze-psd", inputs=("data",))
 
     ps = sub.add_parser("singularity", help="convergence diagnostics")
     ssub = ps.add_subparsers(dest="mode", required=True)
@@ -686,14 +679,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series")
     p.add_argument("--model")
     p.add_argument("--rep", choices=["omega", "kappa"], default="omega")
-    p.set_defaults(handler="cmd_sing_radius", command="singularity-radius")
+    p.set_defaults(handler="cmd_sing_radius", command="singularity-radius",
+                   inputs=("coeffs", "series", "model"))
 
     p = ssub.add_parser("pattern")
     p.add_argument("--coeffs")
     p.add_argument("--series")
     p.add_argument("--model")
     p.add_argument("--rep", choices=["omega", "kappa"], default="omega")
-    p.set_defaults(handler="cmd_sing_pattern", command="singularity-pattern")
+    p.set_defaults(handler="cmd_sing_pattern", command="singularity-pattern",
+                   inputs=("coeffs", "series", "model"))
 
     p = ssub.add_parser("scan")
     p.add_argument("--rationals", required=True)
@@ -701,7 +696,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", required=True)
     p.add_argument("--points", required=True)
     p.add_argument("--floor", type=float, default=1e-6)
-    p.set_defaults(handler="cmd_sing_scan", command="singularity-scan")
+    p.set_defaults(handler="cmd_sing_scan", command="singularity-scan",
+                   inputs=("rationals",))
 
     p = sub.add_parser("regress", help="data-driven reduced model")
     p.add_argument("--data", required=True)
@@ -718,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--holdout", type=float, default=0.2)
     p.add_argument("--smooth-window", dest="smooth_window", type=int)
     p.add_argument("--unconstrained", action="store_true")
-    p.set_defaults(handler="cmd_regress")
+    p.set_defaults(handler="cmd_regress", inputs=("data",))
 
     p = sub.add_parser("predict", help="closed-loop observable prediction")
     p.add_argument("--chart", required=True)
@@ -727,15 +723,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--n-out", dest="n_out", type=int, default=1001)
-    p.set_defaults(handler="cmd_predict")
+    p.set_defaults(handler="cmd_predict",
+                   inputs=("chart", "fit", "poly", "data"))
 
     return top
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "poly_order", None) is None and args.command == "regress":
-        args.poly_order = args.N + args.M + 1
     try:
         return globals()[args.handler](args)
     except ValidationError as exc:

@@ -15,6 +15,7 @@ from gssm.pade import RationalMap, rational_from_text, rational_to_text, \
     rationals_from_text, rationals_to_text
 from gssm.series import MultiSeries
 from gssm.ssm import model_from_text, model_to_text, SSMModel
+from gssm.systems import imaginary_sing_model
 from gssm.trajectory import TrajectoryData, trajectory_from_csv, \
     trajectory_to_csv
 
@@ -425,3 +426,127 @@ def test_repeated_section_inputs_load_once_the_repeat_is_gone(tmp_path, capsys):
                        tmp_path / "fit.txt", "--data", tmp_path / "data.csv",
                        "--horizon", "1", "--chart", chart)
     assert rc == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "lyapunov", "--double-well", "--f-amp", "0.1",
+     "--f-freq", "2.0", "--ic", "0.1,0.1", "--horizon", "20"],
+    ["analyze", "poincare", "--double-well", "--f-vector", "0,1",
+     "--ic", "0.1,0.1", "--n-periods", "5"],
+    ["analyze", "integrate", "--rationals", "field.txt", "--f-freq", "2.0",
+     "--ic", "0.5", "--t1", "1"],
+    ["analyze", "integrate", "--rationals", "field.txt", "--f-vector", "1",
+     "--ic", "0.5", "--t1", "1"],
+], ids=["double-well-amp-freq", "double-well-vector", "freq-without-amp",
+        "vector-without-amp"])
+def test_forcing_flags_that_would_be_ignored_exit_2(tmp_path, capsys, argv):
+    decay = RationalMap(MultiSeries(1, 1, 1, {(1,): [-1.0]}),
+                        MultiSeries.constant([1.0], 1, 0), (1, 0))
+    (tmp_path / "field.txt").write_text(rationals_to_text([decay]))
+    argv = [str(tmp_path / a) if a == "field.txt" else a for a in argv]
+    rc, _, fields = run_cli(capsys, "--out", tmp_path / "out", *argv)
+    assert rc == 2 and fields["status"] == "validation-error"
+    assert not (tmp_path / "out").exists()
+
+
+def test_lift_failure_keeps_a_manifest_of_the_trajectory(tmp_path, capsys):
+    # the model of test_lift_refuses_a_model_that_does_not_realify: its
+    # reduced field integrates, but lift refuses it
+    model = imaginary_sing_model(7)
+    w = dict(model.W.coeffs)
+    w[(3,)] = model.W.get((3,)) + np.array([0.0, 0.3j])
+    model.W = MultiSeries(1, 2, model.order, w)
+    mfile = tmp_path / "m.txt"
+    mfile.write_text(model_to_text(model))
+    out = tmp_path / "out"
+    rc, _, fields = run_cli(capsys, "--out", out, "analyze", "integrate",
+                            "--model", mfile, "--lift-model", mfile,
+                            "--ic", "0.1", "--t1", 1)
+    assert rc == 3 and fields["status"] == "numerical-error"
+    assert "does not realify" in fields["message"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["trajectory.csv"]
+    assert list(manifest["inputs"]) == [str(mfile)]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json",
+                                                     "trajectory.csv"]
+
+
+FILE_OPTIONS = {"--import-model", "--model", "--lift-model", "--rationals",
+                "--kappa", "--omega", "--data", "--coeffs", "--chart",
+                "--fit", "--poly"}
+
+
+def test_every_manifest_lists_exactly_the_files_of_its_run(tmp_path, capsys):
+    ins = tmp_path / "in"
+    ins.mkdir()
+    graph = ins / "graph.txt"
+    graph.write_text(model_to_text(graph_model(
+        MultiSeries(1, 1, 5, {(1,): [1.0], (3,): [1.0]}))))
+    pole = ins / "pole.txt"
+    pole.write_text(model_to_text(graph_model(
+        MultiSeries(1, 1, 5, {(k,): [2.0 ** (k - 1)] for k in range(1, 6)}))))
+    blowup = ins / "blowup.txt"
+    blowup.write_text(rationals_to_text([RationalMap(
+        MultiSeries(1, 1, 2, {(2,): [1.0]}),
+        MultiSeries(1, 1, 0, {(0,): [1.0]}), (2, 0))]))
+    rat = ins / "rat.txt"
+    rat.write_text(rationals_to_text([RationalMap(
+        MultiSeries(1, 1, 0, {(0,): [1.0]}),
+        MultiSeries(1, 1, 1, {(0,): [1.0], (1,): [-1.0]}), (0, 1))]))
+    coeffs = ins / "coeffs.txt"
+    coeffs.write_text(" ".join(str((-0.5) ** n) for n in range(26)))
+    t = np.linspace(0.0, 100.0, 4001)
+    trajectory_to_csv(TrajectoryData(t, np.sin(np.pi * t)),
+                      str(ins / "sin.csv"))
+    t = np.linspace(0.0, 3.0, 601)
+    trajectory_to_csv(TrajectoryData(t, np.exp(-t)), str(ins / "exp.csv"))
+
+    euler, sp = tmp_path / "r0" / "model.txt", tmp_path / "r2" / "model.txt"
+    reg = tmp_path / "r14"
+    runs = [
+        (0, ["ssm", "--system", "euler", "--d", 1, "--order", 7]),
+        (0, ["ssm", "--import-model", euler]),
+        (0, ["ssm", "--system", "shaw_pierre", "--d", 2, "--order", 5]),
+        (0, ["pade", "--model", graph, "--N", 2, "--M", 2, "--radius", 1.2]),
+        (3, ["pade", "--model", pole, "--N", 2, "--M", 2, "--radius", 1.2]),
+        (0, ["analyze", "backbone", "--model", sp, "--rho-max", 0.3,
+             "--points", 16]),
+        (0, ["analyze", "frc", "--model", sp, "--eps", 0.01,
+             "--forcing-vector", "0,1,0,0", "--rho-max", 0.3,
+             "--points", 30]),
+        (3, ["analyze", "integrate", "--rationals", blowup, "--ic", "1.0",
+             "--t1", 10, "--n-out", 101]),
+        (0, ["analyze", "integrate", "--model", euler, "--ic", "0.1",
+             "--t1", 2.0, "--n-out", 51, "--lift-model", euler]),
+        (0, ["analyze", "poincare", "--double-well", "--ic", "0.1,0.1",
+             "--n-periods", 25, "--skip", 5]),
+        (0, ["analyze", "lyapunov", "--double-well", "--ic", "0.1,0.1",
+             "--horizon", 40, "--transient", 10]),
+        (0, ["analyze", "psd", "--data", ins / "sin.csv"]),
+        (0, ["singularity", "radius", "--coeffs", coeffs]),
+        (0, ["singularity", "pattern", "--coeffs", coeffs]),
+        (0, ["regress", "--data", ins / "exp.csv", "--delays", 3, "--lag", 2,
+             "--d", 1, "--N", 1, "--M", 0, "--restarts", 1]),
+        (0, ["predict", "--chart", reg / "chart.txt",
+             "--fit", reg / "rational_fit.txt", "--data", ins / "exp.csv",
+             "--horizon", 2.0, "--n-out", 201]),
+        (0, ["predict", "--chart", reg / "chart.txt",
+             "--poly", reg / "poly_fit.txt", "--data", ins / "exp.csv",
+             "--horizon", 2.0, "--n-out", 201]),
+        (0, ["singularity", "scan", "--rationals", rat, "--min", "0",
+             "--max", "2", "--points", "41", "--floor", "1e-2"]),
+    ]
+    for i, (code, argv) in enumerate(runs):
+        out = tmp_path / f"r{i}"
+        rc, _, _ = run_cli(capsys, "--out", out, *argv)
+        assert rc == code, argv
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == \
+            sorted(manifest["outputs"] + ["manifest.json"]), argv
+        passed = {str(argv[j + 1]) for j, a in enumerate(argv)
+                  if a in FILE_OPTIONS}
+        assert set(manifest["inputs"]) == passed, argv
+        assert not {"handler", "inputs", "out"} & set(manifest["options"])
+
+    rc, _, _ = run_cli(capsys, "--out", tmp_path / "none", "systems")
+    assert rc == 0 and not (tmp_path / "none").exists()
