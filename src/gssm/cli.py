@@ -26,8 +26,7 @@ import numpy as np
 
 from .datadriven import (EmbeddingConfig, RegressionProblem, chart_from_text,
                          chart_to_text, delay_embed, estimate_derivatives,
-                         fit_polynomial_field, fit_rational_field, predict,
-                         tangent_space_pca)
+                         fit_rational_field, predict, tangent_space_pca)
 from .errors import NumericalError, ValidationError
 from .pade import (RationalMap, evaluate_rational_many, pade_multivariate,
                    rational_from_text, rationals_from_text, rationals_to_text)
@@ -242,16 +241,19 @@ def _scan_axes(dim: int, radius: float, points: int, nonnegative: bool):
     return [np.linspace(lo, radius, points)] * dim
 
 
-def _pade_targets(model: SSMModel):
-    """(name, series, nonnegative scan domain) triples for a model."""
-    targets = [("W", realify_parametrization(model), False)]
+def _pade_targets(model: SSMModel, wanted):
+    """(name, series, nonnegative scan domain) triples for a model's targets
+    named in wanted (all when None); only those series are built."""
+    builders = {"W": lambda: realify_parametrization(model)}
     if not model.is_oscillatory_pair():
-        targets.append(("R", realify_reduced(model), False))
+        builders["R"] = lambda: realify_reduced(model)
     elif model.style == "normal-form":
-        polar = extract_polar(model)
-        targets.append(("kappa", polar.kappa_series(), True))
-        targets.append(("omega", polar.omega_series(), True))
-    return targets
+        polar = functools.cache(lambda: extract_polar(model))
+        builders["kappa"] = lambda: polar().kappa_series()
+        builders["omega"] = lambda: polar().omega_series()
+    return [(name, build(), name in ("kappa", "omega"))
+            for name, build in builders.items()
+            if wanted is None or name in wanted]
 
 
 def _ladder(series: MultiSeries, n0: int, m0: int, radius: float,
@@ -284,9 +286,7 @@ def cmd_pade(args, run):
     m0 = args.M if args.M is not None else model.order // 2
     wanted = args.targets.split(",") if args.targets else None
     fields = {}
-    for name, series, nonneg in _pade_targets(model):
-        if wanted and name not in wanted:
-            continue
+    for name, series, nonneg in _pade_targets(model, wanted):
         maps, orders, report = _ladder(series, n0, m0, args.radius,
                                        args.scan_points, nonneg)
         if maps is None:
@@ -494,11 +494,8 @@ def cmd_sing_scan(args, run):
 # ---- regress / predict -------------------------------------------------------
 
 
-def _pointwise_error(field, eta, zeta) -> float:
-    if isinstance(field, RationalMap):
-        pred = evaluate_rational_many(field, eta).real
-    else:
-        pred = field.evaluate_many(eta).real
+def _pointwise_error(rational, eta, zeta) -> float:
+    pred = evaluate_rational_many(rational, eta).real
     return float(np.sum((pred - zeta) ** 2))
 
 
@@ -520,14 +517,15 @@ def cmd_regress(args, run):
                              margin=args.margin)
     rat = fit_rational_field(prob, restarts=args.restarts, seed=args.seed,
                              constrained=not args.unconstrained)
-    poly = fit_polynomial_field(eta[:n_train], zeta[:n_train], args.poly_order)
+    poly = fit_rational_field(RegressionProblem(eta[:n_train], zeta[:n_train],
+                                                args.poly_order, 0))
 
     report = [f"samples: {n_train} train, {n_hold} held out",
               "", f"rational [{args.N}/{args.M}]", rat.summary()]
     status = {"rat_error": f"{rat.error:.6g}", "poly_error": f"{poly.error:.6g}"}
     if n_hold:
         rat_hold = _pointwise_error(rat.rational, eta[n_train:], zeta[n_train:])
-        poly_hold = _pointwise_error(poly.series, eta[n_train:], zeta[n_train:])
+        poly_hold = _pointwise_error(poly.rational, eta[n_train:], zeta[n_train:])
         report.append(f"held-out error: {rat_hold:.6e}")
         status["rat_holdout"] = f"{rat_hold:.6g}"
         status["poly_holdout"] = f"{poly_hold:.6g}"
@@ -536,7 +534,7 @@ def cmd_regress(args, run):
         report.append(f"held-out error: {poly_hold:.6e}")
 
     run.write("rational_fit.txt", rationals_to_text([rat.rational]))
-    run.write("poly_fit.txt", series_to_text(poly.series))
+    run.write("poly_fit.txt", series_to_text(poly.rational.numerator))
     run.write("chart.txt", chart_to_text(chart, cfg))
     run.write("report.txt", "\n".join(report) + "\n")
     return dict(status, rat_params=rat.n_parameters,

@@ -1,10 +1,10 @@
 """Data-driven reduced models from scalar time series.
 
 The pipeline is delay embedding -> PCA tangent chart -> finite-difference
-derivative targets -> regression of the reduced vector field, either as
-polynomials or as rationals with a shared, positivity-constrained
-denominator. The positivity constraint is what keeps fitted denominators
-from sneaking a zero into the training region.
+derivative targets -> one regression of the reduced vector field as
+rationals with a shared, positivity-constrained denominator. The positivity
+constraint is what keeps fitted denominators from sneaking a zero into the
+training region; denominator order 0 gives the polynomial baseline.
 """
 
 from dataclasses import dataclass, field
@@ -187,10 +187,10 @@ class RegressionProblem:
             raise ValidationError("orders must be nonnegative")
         if not self.margin > 0:
             raise ValidationError("positivity margin must be positive")
-        if self.inputs.shape[0] < self.n_parameters:
+        if self.inputs.shape[0] * self.n_outputs < self.n_parameters:
             raise ValidationError(
-                f"{self.inputs.shape[0]} samples cannot determine "
-                f"{self.n_parameters} coefficients")
+                f"{self.inputs.shape[0]} samples of {self.n_outputs} "
+                f"outputs cannot determine {self.n_parameters} coefficients")
 
     @property
     def dim(self) -> int:
@@ -232,29 +232,15 @@ class RationalFit:
         return "\n".join(lines)
 
 
-@dataclass
-class PolynomialFit:
-    series: MultiSeries
-    error: float
-    n_parameters: int
-    flags: List[str] = field(default_factory=list)
-
-    def summary(self) -> str:
-        lines = [
-            f"fit error: {self.error:.6e}",
-            f"coefficients: {self.n_parameters} "
-            f"({self.n_parameters - self.series.dim_out} excluding "
-            "constant terms)",
-        ]
-        lines += [f"note: {fl}" for fl in self.flags]
-        return "\n".join(lines)
+def _denominator(psi_tail, b):
+    """The denominator 1 + sum_i b_i psi_i at every sample."""
+    return 1.0 + psi_tail @ b
 
 
 def _quotient_error(theta, phi, psi_tail, targets, n_out):
     p = phi.shape[1]
     a = theta[:n_out * p].reshape(n_out, p)
-    b = theta[n_out * p:]
-    den = 1.0 + psi_tail @ b
+    den = _denominator(psi_tail, theta[n_out * p:])
     with np.errstate(all="ignore"):
         resid = targets - (phi @ a.T) / den[:, None]
         val = float(np.sum(resid * resid))
@@ -264,8 +250,7 @@ def _quotient_error(theta, phi, psi_tail, targets, n_out):
 def _quotient_grad(theta, phi, psi_tail, targets, n_out):
     p = phi.shape[1]
     a = theta[:n_out * p].reshape(n_out, p)
-    b = theta[n_out * p:]
-    den = 1.0 + psi_tail @ b
+    den = _denominator(psi_tail, theta[n_out * p:])
     with np.errstate(all="ignore"):
         num = phi @ a.T
         resid = targets - num / den[:, None]
@@ -277,7 +262,7 @@ def _quotient_grad(theta, phi, psi_tail, targets, n_out):
 
 def _solve_a_given_b(phi, psi_tail, targets, b):
     """Componentwise least squares for the numerator at a frozen denominator."""
-    den = 1.0 + psi_tail @ b
+    den = _denominator(psi_tail, b)
     a = np.linalg.lstsq(phi / den[:, None], targets, rcond=None)[0].T
     return a
 
@@ -308,7 +293,9 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
     descends the true quotient error from there. Both stages keep
     den(eta_i) >= margin on every training point unless constrained=False,
     which reproduces the spurious-pole failure mode and exists for
-    comparison experiments only.
+    comparison experiments only.  With denominator order 0 the fit is the
+    polynomial least-squares fit: stage 1 solves it and stage 2 is skipped.
+    A rank-deficient stage-1 system is flagged.
     """
     d, n_out = prob.dim, prob.n_outputs
     delta = prob.margin
@@ -329,9 +316,7 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
                 f"with unit constant exceeds {best_floor:.6g} on all samples")
 
     def margin_of(b):
-        if b.size == 0:
-            return 1.0
-        return float(np.min(1.0 + psi_tail @ b))
+        return float(np.min(_denominator(psi_tail, b)))
 
     def shrink_to_feasible(b):
         # scaling toward b = 0 (denominator 1) restores the constraint
@@ -341,6 +326,13 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
             b = 0.5 * b
         return np.zeros_like(b)
 
+    cons = []
+    if constrained and q > 1:
+        cons = [{"type": "ineq",
+                 "fun": lambda th: _denominator(psi_tail, th[n_out * p:]) - delta,
+                 "jac": lambda th: np.hstack(
+                     [np.zeros((k, n_out * p)), psi_tail])}]
+
     # stage 1: linearized problem
     big = np.zeros((k * n_out, n_out * p + q - 1))
     rhs = np.empty(k * n_out)
@@ -349,7 +341,14 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
         big[rows, j * p:(j + 1) * p] = -phi
         big[rows, n_out * p:] = psi_tail * prob.targets[:, j:j + 1]
         rhs[j * k:(j + 1) * k] = -prob.targets[:, j]
-    theta1 = np.linalg.lstsq(big, rhs, rcond=None)[0]
+    if q > 1:
+        theta1, _, rank, _ = np.linalg.lstsq(big, rhs, rcond=None)
+    else:  # the outputs decouple: one solve with n_out right-hand sides
+        a1, _, rank, _ = np.linalg.lstsq(phi, prob.targets, rcond=None)
+        theta1, rank = a1.T.ravel(), n_out * rank
+    if rank < big.shape[1]:
+        flags.append(f"rank-deficient linearized system ({rank} < "
+                     f"{big.shape[1]}); minimum-norm coefficients")
     if constrained and margin_of(theta1[n_out * p:]) < delta:
         def lin_obj(th):
             r = big @ th - rhs
@@ -360,10 +359,6 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
 
         a0 = np.linalg.lstsq(phi, prob.targets, rcond=None)[0].T
         start = np.concatenate([a0.ravel(), np.zeros(q - 1)])
-        cons = [{"type": "ineq",
-                 "fun": lambda th: 1.0 + psi_tail @ th[n_out * p:] - delta,
-                 "jac": lambda th: np.hstack(
-                     [np.zeros((k, n_out * p)), psi_tail])}]
         res = minimize(lin_obj, start, jac=lin_grad, method="SLSQP",
                        constraints=cons,
                        options={"maxiter": 500, "ftol": 1e-14})
@@ -373,22 +368,19 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
             [_solve_a_given_b(phi, psi_tail, prob.targets, b1).ravel(), b1])
     stage1_error = _quotient_error(theta1, phi, psi_tail, prob.targets, n_out)
 
-    # stage 2: descend the true quotient objective
-    cons = []
-    if constrained and q > 1:
-        cons = [{"type": "ineq",
-                 "fun": lambda th: 1.0 + psi_tail @ th[n_out * p:] - delta,
-                 "jac": lambda th: np.hstack(
-                     [np.zeros((k, n_out * p)), psi_tail])}]
-    rng = np.random.default_rng(seed)
-    scale = np.max(np.abs(theta1)) or 1.0
-    starts = [theta1]
-    for _ in range(restarts - 1):
-        cand = theta1 + rng.normal(scale=0.3 * scale, size=theta1.shape)
-        if constrained:
-            b = shrink_to_feasible(cand[n_out * p:])
-            cand = np.concatenate([cand[:n_out * p], b])
-        starts.append(cand)
+    # stage 2: descend the true quotient objective; without a denominator
+    # stage 1 already is the least-squares optimum
+    starts = []
+    if q > 1:
+        rng = np.random.default_rng(seed)
+        scale = np.max(np.abs(theta1)) or 1.0
+        starts = [theta1]
+        for _ in range(restarts - 1):
+            cand = theta1 + rng.normal(scale=0.3 * scale, size=theta1.shape)
+            if constrained:
+                b = shrink_to_feasible(cand[n_out * p:])
+                cand = np.concatenate([cand[:n_out * p], b])
+            starts.append(cand)
     best_theta, best_err = theta1, stage1_error
     refined = False
     den_ranges = []
@@ -400,14 +392,14 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
         if not np.all(np.isfinite(res.x)):
             continue
         bs = res.x[n_out * p:]
-        dvals = 1.0 + psi_tail @ bs if bs.size else np.ones(k)
+        dvals = _denominator(psi_tail, bs)
         den_ranges.append((float(np.min(dvals)), float(np.max(dvals))))
         if constrained and margin_of(bs) < delta - CONSTRAINT_SLACK:
             continue
         err = _quotient_error(res.x, phi, psi_tail, prob.targets, n_out)
         if err < best_err:
             best_theta, best_err, refined = res.x, err, True
-    if not refined:
+    if starts and not refined:
         flags.append("refinement did not improve the linearized fit; "
                      "keeping the stage-1 coefficients")
     if constrained:
@@ -417,52 +409,20 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
                 f"fitted denominator drops to {final_margin:.6g} on the "
                 f"training data, below the margin {delta:g}")
 
-    a = best_theta[:n_out * p].reshape(n_out, p)
     b = best_theta[n_out * p:]
-    num = MultiSeries(d, n_out, prob.numerator_order,
-                      {ex: a[:, i] for i, ex in enumerate(exps_num)
-                       if np.any(a[:, i])})
-    den_coeffs = {exps_den[0]: [1.0]}
-    for i, ex in enumerate(exps_den[1:]):
-        if b[i]:
-            den_coeffs[ex] = [b[i]]
-    den = MultiSeries(d, 1, prob.denominator_order, den_coeffs)
+    num = MultiSeries.from_grlex(
+        best_theta[:n_out * p].reshape(n_out, p).T.astype(complex, order="C"),
+        d, prob.numerator_order)
+    den = MultiSeries.from_grlex(
+        np.concatenate([[1.0], b])[:, None].astype(complex), d,
+        prob.denominator_order)
     rational = RationalMap(num, den,
                            (prob.numerator_order, prob.denominator_order))
-    den_vals = 1.0 + psi_tail @ b if b.size else np.ones(k)
+    den_vals = _denominator(psi_tail, b)
     active = int(np.sum(den_vals - delta < 1e-8 * max(1.0, delta)))
     return RationalFit(rational, best_err, stage1_error, prob.n_parameters,
                        active if constrained else 0,
                        float(np.min(den_vals)), flags, den_ranges)
-
-
-def fit_polynomial_field(inputs, targets, order: int) -> PolynomialFit:
-    """Graded-monomial least squares, the all-polynomial baseline."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    targets = np.asarray(targets, dtype=float)
-    if targets.ndim == 1:
-        targets = targets[:, None]
-    if inputs.shape[0] != targets.shape[0]:
-        raise ValidationError("inputs and targets disagree on the "
-                              "number of samples")
-    d, n_out = inputs.shape[1], targets.shape[1]
-    exps = indices_up_to_order(d, order)
-    phi = monomial_matrix(inputs, exps)
-    if inputs.shape[0] < len(exps):
-        raise ValidationError(
-            f"{inputs.shape[0]} samples cannot determine "
-            f"{n_out * len(exps)} coefficients")
-    a, _, rank, _ = np.linalg.lstsq(phi, targets, rcond=None)
-    flags = []
-    if rank < len(exps):
-        flags.append(f"rank-deficient basis ({rank} < {len(exps)}); "
-                     "minimum-norm coefficients")
-    resid = targets - phi @ a
-    series = MultiSeries(d, n_out, order,
-                         {ex: a[i, :] for i, ex in enumerate(exps)
-                          if np.any(a[i, :])})
-    return PolynomialFit(series, float(np.sum(resid * resid)),
-                         n_out * len(exps), flags)
 
 
 def chart_to_text(chart: ChartProjection, cfg: EmbeddingConfig) -> str:

@@ -274,7 +274,7 @@ class FRCPoint:
 @dataclass
 class FRCBranch:
     eps_f: float
-    points: List[FRCPoint] = field(default_factory=list)
+    points: List[FRCPoint] = field(default_factory=list, init=False)
 
     def as_array(self) -> np.ndarray:
         return np.array([[p.rho, p.Omega, p.amplitude, float(p.stable)]

@@ -46,7 +46,8 @@ class PolySystem:
     linear_part: np.ndarray
     nonlinearity: MultiSeries
     rhs_callable: Optional[Callable] = None
-    _jac_series: Optional[List[MultiSeries]] = field(default=None, repr=False)
+    _jac_series: Optional[List[MultiSeries]] = field(default=None, init=False,
+                                                     repr=False)
 
     def __post_init__(self):
         self.linear_part = np.asarray(self.linear_part, dtype=float)
@@ -194,16 +195,15 @@ def spectral_analysis(sys: PolySystem, d: int,
                     "master set splits a complex-conjugate pair")
 
     enslaved = [i for i in range(n) if i not in master]
-    if enslaved and master_indices is None:
-        gap = max(vals[i].real for i in enslaved) - min(vals[i].real for i in master)
-        if gap >= -1e-12:
-            raise NumericalError(
-                f"no spectral gap: slowest enslaved Re {max(vals[i].real for i in enslaved):.6g} "
-                f"does not lie below the master real parts")
-    elif enslaved:
-        gap = max(vals[i].real for i in enslaved) - min(vals[i].real for i in master)
-        if gap >= -1e-12:
-            flags.append("spectral gap check skipped for explicit master set")
+    if enslaved:
+        slowest = max(vals[i].real for i in enslaved)
+        if slowest - min(vals[i].real for i in master) >= -1e-12:
+            if master_indices is not None:
+                flags.append("spectral gap check skipped for explicit master set")
+            else:
+                raise NumericalError(
+                    f"no spectral gap: slowest enslaved Re {slowest:.6g} "
+                    f"does not lie below the master real parts")
 
     return SpectralData(vals, vecs, left, master, flags)
 
@@ -260,11 +260,16 @@ class SSMModel:
             raise ValidationError("R must be a d-dimensional vector field")
 
     def is_oscillatory_pair(self) -> bool:
-        return (self.d == 2 and
-                abs(self.master_eigenvalues[0] -
-                    np.conj(self.master_eigenvalues[1])) <
-                1e-8 * max(np.max(np.abs(self.master_eigenvalues)), 1.0) and
-                abs(self.master_eigenvalues[0].imag) > 0)
+        return _is_conjugate_pair(self.master_eigenvalues)
+
+
+def _is_conjugate_pair(lam_e: np.ndarray) -> bool:
+    """Two master eigenvalues off the real axis, each the conjugate of the
+    other within 1e-8 of max(max |lambda|, 1)."""
+    return (len(lam_e) == 2 and
+            abs(lam_e[0] - np.conj(lam_e[1])) <
+            1e-8 * max(np.max(np.abs(lam_e)), 1.0) and
+            abs(lam_e[0].imag) > 0)
 
 
 def compute_ssm(sys: PolySystem, spec: SpectralData, order: int,
@@ -282,8 +287,7 @@ def compute_ssm(sys: PolySystem, spec: SpectralData, order: int,
     tol = RESONANCE_TOL_FACTOR * max(np.max(np.abs(lam_all)), 1e-300)
 
     # conjugate-pair bookkeeping for the structural resonance pattern
-    oscillatory = (d == 2 and abs(lam_e[0] - np.conj(lam_e[1])) < tol * 10
-                   and abs(lam_e[0].imag) > tol)
+    oscillatory = _is_conjugate_pair(lam_e)
 
     # W~ (eigen coordinates) and R as grlex arrays, solved one degree block
     # at a time
@@ -524,11 +528,15 @@ def realify_reduced(model: SSMModel) -> MultiSeries:
 
 @dataclass
 class ResidualStats:
+    """flags says why slope is nan: too few radii clear the noise window,
+    or they span too little of the radius range."""
+
     radii: np.ndarray
     max_residual: np.ndarray
     term_scale: np.ndarray
     valid: np.ndarray
     slope: float
+    flags: List[str]
 
 
 def _sample_points(model: SSMModel, radius: float) -> np.ndarray:
@@ -583,12 +591,17 @@ def invariance_residual(sys: PolySystem, model: SSMModel) -> ResidualStats:
 
     noise = 1e-13 * np.maximum(floors, 1e-300)
     valid = (max_res > 50.0 * noise) & (max_res < 0.05 * np.maximum(scales, 1e-300))
-    slope = float("nan")
-    if np.count_nonzero(valid) >= 3 and \
-            np.ptp(np.log10(radii[valid])) >= 0.5:
+    count = np.count_nonzero(valid)
+    span = float(np.ptp(np.log10(radii[valid]))) if count else 0.0
+    slope, flags = float("nan"), []
+    if count >= 3 and span >= 0.5:
         slope = float(np.polyfit(np.log10(radii[valid]),
                                  np.log10(max_res[valid]), 1)[0])
-    return ResidualStats(radii, max_res, scales, valid, slope)
+    else:
+        flags.append(f"slope not fitted: {count} radii clear the noise "
+                     f"window and span {span:.2f} decades; the fit needs "
+                     "at least 3 radii over 0.5 decades")
+    return ResidualStats(radii, max_res, scales, valid, slope, flags)
 
 
 # ---- graphs over ambient coordinates ----------------------------------------

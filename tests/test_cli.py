@@ -120,6 +120,27 @@ def test_pade_ladder_exhaustion(tmp_path, capsys):
     assert "pade_R_report.txt" in manifest["outputs"]
 
 
+def test_pade_targets_build_only_the_requested_series(tmp_path, capsys):
+    # W carries an imaginary part at (2, 1), so W alone fails to realify
+    rc, _, _ = run_cli(capsys, "--out", tmp_path, "ssm", "--system",
+                       "shaw_pierre", "--d", 2, "--order", 11)
+    assert rc == 0
+    model = model_from_text((tmp_path / "model.txt").read_text())
+    model.W.coeffs[(2, 1)] = model.W.get((2, 1)) + 1e-3j
+    mfile = tmp_path / "complex_w.txt"
+    mfile.write_text(model_to_text(model))
+
+    rc, _, fields = run_cli(capsys, "--out", tmp_path / "all", "pade",
+                            "--model", mfile)
+    assert rc == 3 and "does not realify" in fields["message"]
+    rc, _, fields = run_cli(capsys, "--out", tmp_path / "polar", "pade",
+                            "--model", mfile, "--targets", "kappa,omega")
+    assert rc == 0
+    assert {"kappa", "omega"} <= set(fields) and "W" not in fields
+    assert sorted(p.name for p in (tmp_path / "polar").iterdir()) == \
+        ["manifest.json", "pade_kappa.txt", "pade_omega.txt"]
+
+
 def test_manifest_is_deterministic(tmp_path, capsys):
     r = MultiSeries(1, 1, 5, {(1,): [1.0], (3,): [1.0]})
     mfile = tmp_path / "model.txt"

@@ -6,10 +6,10 @@ from scipy.integrate import solve_ivp
 from gssm.datadriven import (ChartProjection, EmbeddingConfig,
                              RegressionProblem, chart_from_text,
                              chart_to_text, delay_embed,
-                             estimate_derivatives, fit_polynomial_field,
-                             fit_rational_field, predict, tangent_space_pca)
+                             estimate_derivatives, fit_rational_field,
+                             predict, tangent_space_pca)
 from gssm.errors import NumericalError, ValidationError
-from gssm.series import MultiSeries
+from gssm.series import MultiSeries, indices_up_to_order, monomial_matrix
 from gssm.trajectory import TrajectoryData
 
 
@@ -144,10 +144,12 @@ def test_rational_fit_degenerates_to_polynomial_at_m_zero():
     pts = rng.uniform(-1, 1, size=(60, 2))
     zeta = 0.3 - pts[:, 0] + 2.0 * pts[:, 0] * pts[:, 1]
     rat = fit_rational_field(RegressionProblem(pts, zeta, 2, 0))
-    poly = fit_polynomial_field(pts, zeta, 2)
+    exps = indices_up_to_order(2, 2)
+    ref = np.linalg.lstsq(monomial_matrix(pts, exps), zeta, rcond=None)[0]
     assert rat.error < 1e-20
-    for idx, vec in poly.series.terms():
-        assert np.allclose(rat.rational.numerator.get(idx), vec, atol=1e-8)
+    for idx, c in zip(exps, ref):
+        assert np.allclose(rat.rational.numerator.get(idx), c, atol=1e-8)
+    assert rat.rational.denominator.coeffs.keys() == {(0, 0)}
 
 
 def test_double_well_roots_survive_noise():
@@ -192,22 +194,54 @@ def test_regression_problem_counts_unknowns():
     assert prob.n_parameters == 2 * 3 + 5
 
 
+def _two_output_sextic(n_samples):
+    # order 6 in two variables: 28 monomials per output, 56 unknowns
+    pts = np.random.default_rng(11).uniform(-1, 1, size=(n_samples, 2))
+    zeta = np.column_stack([1.0 + pts[:, 0] ** 6, pts[:, 0] * pts[:, 1] ** 5])
+    return pts, zeta
+
+
+def test_two_output_fit_needs_fewer_samples_than_unknowns():
+    fit = fit_rational_field(RegressionProblem(*_two_output_sextic(30), 6, 0))
+    assert fit.n_parameters == 56
+    assert fit.error < 1e-20
+    assert np.allclose(fit.rational.numerator.get((6, 0)), [1.0, 0.0])
+    assert np.allclose(fit.rational.numerator.get((1, 5)), [0.0, 1.0])
+
+
+def test_samples_times_outputs_below_the_unknowns_is_refused():
+    with pytest.raises(ValidationError, match="27 samples of 2 outputs "
+                       "cannot determine 56 coefficients"):
+        RegressionProblem(*_two_output_sextic(27), 6, 0)
+
+
+def test_polynomial_fit_skips_the_refinement_stage():
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1, 1, size=(60, 2))
+    prob = RegressionProblem(pts, np.sin(2 * pts[:, 0]) * pts[:, 1], 3, 0)
+    fit = fit_rational_field(prob)
+    assert not any("refinement" in f for f in fit.flags)
+    assert fit.restart_den_ranges == []
+    assert fit.error == fit.stage1_error == \
+        fit_rational_field(prob, restarts=3).error
+
+
 def test_polynomial_fit_orders():
     rng = np.random.default_rng(7)
     x = rng.uniform(-1, 1, size=(80, 1))
-    linear = fit_polynomial_field(x, 0.5 + 2.0 * x[:, 0], 1)
+    linear = fit_rational_field(RegressionProblem(x, 0.5 + 2.0 * x[:, 0], 1, 0))
     assert linear.error < 1e-24
-    assert np.allclose(linear.series.get((1,)), 2.0)
+    assert np.allclose(linear.rational.numerator.get((1,)), 2.0)
     cubic = 1.0 - x[:, 0] + 0.25 * x[:, 0] ** 3
-    exact = fit_polynomial_field(x, cubic, 3)
+    exact = fit_rational_field(RegressionProblem(x, cubic, 3, 0))
     assert exact.error < 1e-24
-    short = fit_polynomial_field(x, cubic, 2)
+    short = fit_rational_field(RegressionProblem(x, cubic, 2, 0))
     assert short.error > 1e-4
 
 
 def test_polynomial_rank_deficiency_flagged():
     x = np.zeros((10, 1))
-    fit = fit_polynomial_field(x, np.ones(10), 2)
+    fit = fit_rational_field(RegressionProblem(x, np.ones(10), 2, 0))
     assert any("rank" in f for f in fit.flags)
 
 

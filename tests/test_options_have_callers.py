@@ -1,12 +1,16 @@
-"""Every parameter with a default in gssm is set by some call.
+"""Every parameter and dataclass field with a default in gssm is set by
+some call.
 
 A default that no call overrides is a constant spelled as an option: it
 doubles the configurations the tests must cover and never varies.  The
 sources of src/gssm, tests/ and perfbench/ are read as text (AST), never
 imported.  Calls are matched to definitions by the called name alone
-(``f(...)``, ``obj.f(...)``; a class name stands for its ``__init__``); a
-call sets a parameter by keyword, by positional index after ``self`` or
-``cls``, or wholesale through ``*args`` / ``**kwargs``.
+(``f(...)``, ``obj.f(...)``; a class name stands for its ``__init__`` or,
+for a dataclass, its generated constructor, and ``cls(...)`` inside a
+class stands for that class); a call sets a parameter by keyword, by
+positional index after ``self`` or ``cls``, or wholesale through
+``*args`` / ``**kwargs``.  A dataclass field declared with
+``field(init=False)`` is not a constructor parameter.
 """
 
 import ast
@@ -43,6 +47,35 @@ def _defined_options():
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
                     yield (f"{path.name}:{node.name}", name, arg.arg, None)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for i, (field, has_default) in enumerate(_init_fields(node)):
+                    if has_default:
+                        yield (f"{path.name}:{node.name}", node.name, field, i)
+
+
+def _is_dataclass(node):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+               == "dataclass" for d in node.decorator_list)
+
+
+def _init_fields(node):
+    """(name, has a default) of each constructor field of a dataclass, in
+    order."""
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and
+                isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        kws = {}
+        if isinstance(value, ast.Call) and getattr(value.func, "id", "") == "field":
+            kws = {k.arg: k.value for k in value.keywords}
+            init = kws.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+        has_default = value is not None and \
+            (not kws or "default" in kws or "default_factory" in kws)
+        yield item.target.id, has_default
 
 
 def _calls():
@@ -50,12 +83,17 @@ def _calls():
     seen = {}
     for directory in CALLERS:
         for _, tree in _trees(directory):
+            owner = {id(inner): node.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ClassDef)
+                     for inner in ast.walk(node)}
             for node in ast.walk(tree):
                 if not isinstance(node, ast.Call):
                     continue
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else \
                     func.attr if isinstance(func, ast.Attribute) else None
+                if name == "cls":
+                    name = owner.get(id(node))
                 if name is None:
                     continue
                 kws, count, wholesale = seen.get(name, (set(), 0, False))
@@ -78,10 +116,17 @@ def unset_options():
 
 
 def test_the_scan_sees_definitions_and_calls():
-    names = {name for _, name, _, _ in _defined_options()}
+    options = {(name, param) for _, name, param, _ in _defined_options()}
+    names = {name for name, _ in options}
     assert {"integrate_reduced", "pade_multivariate",
             "fit_rational_field"} <= names
-    assert "n_out" in _calls()["integrate_reduced"][0]
+    assert {("RegressionProblem", "margin"), ("ReducedField", "forcing"),
+            ("RationalFit", "flags")} <= options
+    assert ("FRCBranch", "points") not in options
+    calls = _calls()
+    assert "n_out" in calls["integrate_reduced"][0]
+    # ReducedField is only built as cls(...) in its classmethods
+    assert {"series", "rationals", "forcing"} <= calls["ReducedField"][0]
 
 
 def test_every_option_has_a_caller():

@@ -226,6 +226,19 @@ def test_invariance_residual_slope_tracks_order():
     assert res.slope >= 5.75
 
 
+def test_invariance_residual_says_why_its_slope_is_nan():
+    sys = make_system("shaw_pierre").realization
+    spec = spectral_analysis(sys, 2)
+    res = invariance_residual(sys, compute_ssm(sys, spec, 11))
+    assert np.count_nonzero(res.valid) == 4
+    assert np.isfinite(res.slope) and res.flags == []
+    res = invariance_residual(sys, compute_ssm(sys, spec, 13))
+    assert np.isnan(res.slope)
+    assert res.flags == ["slope not fitted: 3 radii clear the noise window "
+                         "and span 0.38 decades; the fit needs at least 3 "
+                         "radii over 0.5 decades"]
+
+
 def test_residual_slope_for_planted_rational_model():
     model = imaginary_sing_model(5)
     sys = make_system("imaginary_sing").realization
