@@ -219,10 +219,12 @@ def cmd_ssm(args, run):
     else:
         params = {}
         for kv in args.param or []:
-            if "=" not in kv:
-                raise ValidationError(f"--param expects name=value, got {kv!r}")
-            key, val = kv.split("=", 1)
-            params[key] = float(val)
+            key, _, val = kv.partition("=")
+            try:
+                params[key] = float(val)
+            except ValueError:
+                raise ValidationError(f"--param expects name=value with a "
+                                      f"number, got {kv!r}") from None
         ns = make_system(args.system, **params)
         master = _ints(args.master) if args.master else None
         spec = spectral_analysis(ns.realization, args.d, master_indices=master)

@@ -22,7 +22,8 @@ from .pade import (DEFAULT_POLE_FLOOR, RationalMap, pade_univariate,
                    rational_parts)
 from .series import MultiSeries
 from .ssm import (PolarNormalForm, PolySystem, SpectralData, SSMModel,
-                  foliation_projection, realify_parametrization)
+                  _conjugate_row, foliation_projection,
+                  realify_parametrization)
 from .trajectory import TrajectoryData
 
 FIELD_KINDS = ("series", "rational")
@@ -351,14 +352,15 @@ def foliation_forcing(sys: PolySystem, spec: SpectralData, model: SSMModel,
     order 11): a numerator degree above the denominator's makes the forcing
     outgrow the damping at large rho and plants a false resonance peak.
     NumericalError is raised where an approximant breaks that rule after
-    pade_univariate's degree reduction, or where it has a pole with
-    Re u >= 0, the half-plane that holds every amplitude u = rho^2.
+    pade_univariate's degree reduction, where it has a pole with
+    Re u >= 0, the half-plane that holds every amplitude u = rho^2, or
+    where the zbar row of R does not mirror the z row (ssm._conjugate_row).
     """
     vec = np.asarray(forcing_vector, dtype=complex).reshape(-1)
     if vec.shape != (model.n,):
         raise ValidationError("forcing vector must have the ambient dim")
     lmap = foliation_projection(sys, spec, model)
-    plus = int(np.argmax(model.master_eigenvalues.imag))
+    plus = _conjugate_row(model)
     forcing = lmap.linear_transform(np.kron(np.eye(model.d)[plus], vec)[None, :])
 
     def coeff(a: int, b: int) -> complex:

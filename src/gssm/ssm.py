@@ -15,16 +15,15 @@ resonant reduced-dynamics monomials and pushes everything else into W~.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from .errors import NumericalError, SmallDivisorError, ValidationError
 from .series import (Composition, MultiSeries, coeff_lines, complex_row,
-                     compose_truncated, grlex_key, grlex_table,
-                     indices_of_order, invert_map, multiply_truncated,
-                     parse_coeff_lines, product_rows, read_complex_row,
-                     read_header, read_sections, text_reader)
+                     compose_truncated, grlex_key, grlex_table, invert_map,
+                     multiply_truncated, parse_coeff_lines, product_rows,
+                     read_complex_row, read_header, read_sections, text_reader)
 
 RESONANCE_TOL_FACTOR = 1e-8
 STYLES = ("graph", "normal-form")
@@ -39,8 +38,9 @@ class PolySystem:
 
     f is a MultiSeries with no constant or linear terms.  rhs_callable, when
     given, replaces A x + f(x) entirely (demo systems with rational right-hand
-    sides); the polynomial SSM solver rejects such systems.  A forcing enters
-    through the reduced model (reduced.foliation_forcing, reduced.Forcing).
+    sides); the polynomial SSM solver and jacobian reject such systems.  A
+    forcing enters through the reduced model (reduced.foliation_forcing,
+    reduced.Forcing).
     """
 
     linear_part: np.ndarray
@@ -71,17 +71,10 @@ class PolySystem:
         return out.real if np.isrealobj(x) else out
 
     def jacobian(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
         if self.rhs_callable is not None:
-            n = self.dim
-            jac = np.zeros((n, n))
-            h = 1e-7 * (1.0 + np.abs(x))
-            for i in range(n):
-                dx = np.zeros(n)
-                dx[i] = h[i]
-                jac[:, i] = (self.autonomous_rhs(x + dx) -
-                             self.autonomous_rhs(x - dx)) / (2 * h[i])
-            return jac
+            raise ValidationError("the Jacobian requires a polynomial "
+                                  "right-hand side")
+        x = np.asarray(x, dtype=float)
         if self._jac_series is None:
             self._jac_series = self.nonlinearity.jacobian_rows()
         jac = self.linear_part.astype(complex).copy()
@@ -144,34 +137,27 @@ def spectral_analysis(sys: PolySystem, d: int,
     if np.linalg.cond(vecs) > 1e12:
         raise NumericalError("linear part is defective or near-defective")
 
-    order = sorted(range(n), key=lambda i: (-vals[i].real, -vals[i].imag))
-    vals = vals[order]
-    vecs = vecs[:, order]
-
-    # enforce exact conjugate pairing and the normalization gauge
-    used = np.zeros(n, dtype=bool)
+    # LAPACK lists each complex pair of a real matrix in adjacent columns,
+    # +Im first, with exactly conjugate values and vectors: mate[i] is i's
+    # partner (i itself for a real mode), carried through the sort
     imag_tol = 1e-10 * max(np.max(np.abs(vals)), 1.0)
-    for i in range(n):
-        if used[i]:
-            continue
-        if abs(vals[i].imag) <= imag_tol:
-            vals[i] = vals[i].real
-            vecs[:, i] = _normalize_phase(vecs[:, i])
-            used[i] = True
-            continue
-        partner = None
-        for j in range(i + 1, n):
-            if not used[j] and abs(vals[j] - np.conj(vals[i])) <= \
-                    1e-6 * max(abs(vals[i]), 1.0):
-                partner = j
-                break
-        if partner is None:
-            raise NumericalError(f"unpaired complex eigenvalue {vals[i]}")
-        hi, lo = (i, partner) if vals[i].imag > 0 else (partner, i)
-        vecs[:, hi] = _normalize_phase(vecs[:, hi])
-        vals[lo] = np.conj(vals[hi])
-        vecs[:, lo] = np.conj(vecs[:, hi])
-        used[i] = used[partner] = True
+    plus = np.flatnonzero(vals.imag > imag_tol)
+    if not np.array_equal(np.flatnonzero(vals.imag < -imag_tol), plus + 1):
+        raise NumericalError("complex eigenvalues are not in adjacent pairs")
+    mate = np.arange(n)
+    mate[plus], mate[plus + 1] = plus + 1, plus
+    order = np.lexsort((-vals.imag, -vals.real))
+    rank = np.argsort(order)
+    vals, vecs, mate = vals[order], vecs[:, order], rank[mate[order]]
+
+    # the normalization gauge on real modes and +Im members; each -Im
+    # member is the conjugate of its mate
+    pos = np.arange(n)
+    vals[mate == pos] = vals[mate == pos].real
+    for i in np.flatnonzero(mate >= pos):
+        vecs[:, i] = _normalize_phase(vecs[:, i])
+    minus = mate < pos
+    vecs[:, minus] = np.conj(vecs[:, mate[minus]])
 
     left = np.linalg.inv(vecs)
     flags: List[str] = []
@@ -185,14 +171,8 @@ def spectral_analysis(sys: PolySystem, d: int,
             raise ValidationError("master_indices must be d distinct positions")
         flags.append("explicit master selection")
 
-    # conjugate-pair integrity
-    for i in master:
-        if abs(vals[i].imag) > imag_tol:
-            mate = [j for j in range(n) if j != i and
-                    abs(vals[j] - np.conj(vals[i])) <= imag_tol * 10]
-            if not mate or mate[0] not in master:
-                raise ValidationError(
-                    "master set splits a complex-conjugate pair")
+    if any(mate[i] not in master for i in master):
+        raise ValidationError("master set splits a complex-conjugate pair")
 
     enslaved = [i for i in range(n) if i not in master]
     if enslaved:
@@ -206,24 +186,6 @@ def spectral_analysis(sys: PolySystem, d: int,
                     f"does not lie below the master real parts")
 
     return SpectralData(vals, vecs, left, master, flags)
-
-
-def check_nonresonance(spec: SpectralData, order: int) -> List[Tuple[int, tuple, complex]]:
-    """Near-resonant (row, multi-index, divisor) triples through the given order.
-
-    Master-row entries are informational (they are absorbed into the reduced
-    dynamics); enslaved-row entries make the solve fail.
-    """
-    lam_e = spec.master_eigenvalues
-    tol = RESONANCE_TOL_FACTOR * max(np.max(np.abs(spec.eigenvalues)), 1e-300)
-    out = []
-    for k in range(2, order + 1):
-        for m in indices_of_order(len(spec.master), k):
-            dot = complex(np.dot(m, lam_e))
-            for j, lam in enumerate(spec.eigenvalues):
-                if abs(lam - dot) < tol:
-                    out.append((j, m, lam - dot))
-    return out
 
 
 # ---- the model -------------------------------------------------------------

@@ -5,7 +5,11 @@ machine-readable status line, and the files left in the output directory.
 """
 
 import json
+import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +17,9 @@ import pytest
 from gssm.cli import main
 from gssm.pade import RationalMap, rational_from_text, rational_to_text, \
     rationals_from_text, rationals_to_text
-from gssm.series import MultiSeries
-from gssm.ssm import model_from_text, model_to_text, SSMModel
+from gssm.series import MultiSeries, series_to_text
+from gssm.singularity import estimate_radius
+from gssm.ssm import extract_polar, model_from_text, model_to_text, SSMModel
 from gssm.systems import imaginary_sing_model
 from gssm.trajectory import TrajectoryData, trajectory_from_csv, \
     trajectory_to_csv
@@ -74,6 +79,35 @@ def test_ssm_write_and_import_roundtrip(tmp_path, capsys):
 def test_ssm_requires_one_source(capsys):
     rc, _, fields = run_cli(capsys, "ssm")
     assert rc == 2 and fields["status"] == "validation-error"
+
+
+def test_module_entry_point_lists_systems(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "gssm", "systems"],
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1].startswith("gssm: status=ok")
+
+
+def test_ssm_param_sets_a_system_parameter(tmp_path, capsys):
+    rc, _, _ = run_cli(capsys, "--out", tmp_path, "ssm", "--system",
+                       "shaw_pierre", "--param", "k=2.5", "--order", 3)
+    assert rc == 0
+    model = model_from_text((tmp_path / "model.txt").read_text())
+    # the in-phase pair of Shaw-Pierre has modulus sqrt(k)
+    assert np.allclose(np.abs(model.master_eigenvalues), np.sqrt(2.5),
+                       atol=1e-6)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["options"]["param"] == ["k=2.5"]
+
+    for bad in ("k", "k=abc"):
+        rc, _, fields = run_cli(capsys, "--out", tmp_path / "bad", "ssm",
+                                "--system", "shaw_pierre", "--param", bad)
+        assert rc == 2 and fields["status"] == "validation-error"
+        assert "name=value" in fields["message"]
+        assert not (tmp_path / "bad").exists()
 
 
 def test_pade_fallback_ladder(tmp_path, capsys):
@@ -188,6 +222,31 @@ def test_integrate_with_lift(tmp_path, capsys):
     lifted = trajectory_from_csv(str(tmp_path / "lifted.csv"))
     assert lifted.n_components == 2
     assert lifted.n_samples == 51
+
+
+@pytest.mark.parametrize("vector, forced", [("1,0", 0), (None, 1)],
+                         ids=["f-vector", "default-vector"])
+def test_integrate_forced_rational_field(tmp_path, capsys, vector, forced):
+    # x' = -x, y' = -y from rest, forced by A cos(W t) along one component;
+    # the default vector is the last unit vector
+    decay = RationalMap(MultiSeries(2, 2, 1, {(1, 0): [-1.0, 0.0],
+                                              (0, 1): [0.0, -1.0]}),
+                        MultiSeries.constant([1.0], 2, 0), (1, 0))
+    rfile = tmp_path / "field.txt"
+    rfile.write_text(rationals_to_text([decay]))
+    amp, freq = 0.5, 2.0
+    argv = ["--out", tmp_path, "analyze", "integrate", "--rationals", rfile,
+            "--ic", "0,0", "--t1", 5, "--n-out", 51, "--f-amp", amp,
+            "--f-freq", freq]
+    rc, _, fields = run_cli(capsys, *argv + (["--f-vector", vector]
+                                             if vector else []))
+    assert rc == 0 and fields["flags"] == "none"
+    traj = trajectory_from_csv(str(tmp_path / "trajectory.csv"))
+    t = traj.times
+    exact = amp / (1 + freq ** 2) * (np.cos(freq * t) + freq * np.sin(freq * t)
+                                     - np.exp(-t))
+    assert np.allclose(traj.component(forced), exact, atol=1e-6)
+    assert np.all(traj.component(1 - forced) == 0.0)
 
 
 def test_validation_exit_codes(tmp_path, capsys):
@@ -394,6 +453,59 @@ def test_backbone_and_frc_cli(tmp_path, capsys):
     assert rows[0] == "rho,Omega,amp,stable"
     assert len(rows) == int(fields["points"]) + 1 > 1
     assert {row.split(",")[3] for row in rows[1:]} <= {"0", "1"}
+
+
+def test_frc_lift_amplitude_from_pade_curves(tmp_path, capsys):
+    rc, _, _ = run_cli(capsys, "--out", tmp_path, "ssm", "--system",
+                       "shaw_pierre", "--d", 2, "--order", 5)
+    assert rc == 0
+    mfile = tmp_path / "model.txt"
+    rc, _, _ = run_cli(capsys, "--out", tmp_path, "pade", "--model", mfile,
+                       "--targets", "kappa,omega")
+    assert rc == 0
+    rows = {}
+    for amplitude in ("rho", "lift"):
+        rc, _, _ = run_cli(capsys, "--out", tmp_path / amplitude, "analyze",
+                           "frc", "--model", mfile, "--eps", 0.01,
+                           "--forcing-vector", "0,1,0,0", "--rho-max", 0.3,
+                           "--points", 30, "--amplitude", amplitude,
+                           "--kappa", tmp_path / "pade_kappa.txt",
+                           "--omega", tmp_path / "pade_omega.txt")
+        assert rc == 0
+        rows[amplitude] = np.loadtxt(tmp_path / amplitude / "frc.csv",
+                                     delimiter=",", skiprows=1, ndmin=2)
+    rho, lifted = rows["rho"], rows["lift"]
+    assert len(rho) > 1 and np.array_equal(rho[:, [0, 1, 3]],
+                                           lifted[:, [0, 1, 3]])
+    assert np.array_equal(rho[:, 2], rho[:, 0])
+    # to leading order the realified W_0 is 2 Re(v_0 (a + ib)), so the lift
+    # of the smallest rho is 2 |v_0| rho, up to the 64-angle sampling
+    v0 = abs(model_from_text(mfile.read_text()).master_right[0, 0])
+    first = np.argmin(lifted[:, 0])
+    assert lifted[first, 0] < 1e-3
+    ratio = lifted[first, 2] / (2 * v0 * lifted[first, 0])
+    assert np.cos(np.pi / 64) - 1e-6 < ratio < 1 + 1e-6
+
+
+def test_singularity_radius_of_series_and_model_files(tmp_path, capsys):
+    sfile = tmp_path / "series.txt"
+    sfile.write_text(series_to_text(MultiSeries(
+        1, 1, 25, {(n,): [0.5 ** n] for n in range(26)})))
+    rc, _, fields = run_cli(capsys, "--out", tmp_path, "singularity",
+                            "radius", "--series", sfile)
+    assert rc == 0 and abs(float(fields["radius"]) - 2.0) < 0.05
+
+    rc, _, _ = run_cli(capsys, "--out", tmp_path, "ssm", "--system",
+                       "shaw_pierre", "--order", 13)
+    assert rc == 0
+    mfile = tmp_path / "model.txt"
+    polar = extract_polar(model_from_text(mfile.read_text()))
+    for rep, series in (("omega", polar.omega_series()),
+                        ("kappa", polar.kappa_series())):
+        rc, _, fields = run_cli(capsys, "--out", tmp_path, "singularity",
+                                "radius", "--model", mfile, "--rep", rep)
+        expected = estimate_radius(series.univariate_coeffs().real).radius
+        assert rc == 0 and fields["radius"] == f"{expected:.6g}"
 
 
 def test_poincare_and_lyapunov_cli(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -343,6 +344,13 @@ def test_foliation_forcing_rejects_invalid_models():
         foliation_forcing(callable_sys, spec, model, vec, 0.05)
     with pytest.raises(ValidationError):
         foliation_forcing(ns.realization, spec, model, [0.0, 1.0], 0.05)
+    # the z row comes from the conjugate-symmetry check of R
+    coeffs = dict(model.R.coeffs)
+    coeffs[(1, 2)] = model.R.get((1, 2)) + np.array([0.0, 0.5])
+    bad = dataclasses.replace(model, R=MultiSeries(2, 2, model.order, coeffs))
+    with pytest.raises(NumericalError,
+                       match=r"not conjugate-symmetric at \(2, 1\)"):
+        foliation_forcing(ns.realization, spec, bad, vec, 0.05)
 
 
 def test_poincare_of_forced_linear_system_converges_to_a_point():

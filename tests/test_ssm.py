@@ -5,9 +5,9 @@ import pytest
 
 from gssm.errors import NumericalError, SmallDivisorError, ValidationError
 from gssm.series import MultiSeries, complex_row
-from gssm.ssm import (PolySystem, check_nonresonance, compute_ssm,
-                      extract_polar, invariance_residual, model_from_text,
-                      model_to_text, realify_parametrization, realify_reduced,
+from gssm.ssm import (PolySystem, compute_ssm, extract_polar,
+                      invariance_residual, model_from_text, model_to_text,
+                      realify_parametrization, realify_reduced,
                       spectral_analysis, to_coordinate_graph)
 from gssm.systems import (dauchot_w2, dauchot_w3, euler_series,
                           imaginary_sing_model, make_system)
@@ -34,6 +34,21 @@ def test_spectral_sorting_and_conjugate_gauge():
                        atol=1e-12)
 
 
+def test_each_member_of_a_repeated_pair_keeps_its_own_mate():
+    # two identical uncoupled oscillators: the conjugate pair repeats
+    a = np.kron(np.eye(2), [[0.0, 1.0], [-4.0, -0.1]])
+    sys = PolySystem(a, MultiSeries.zero(4, 4, 2))
+    spec = spectral_analysis(sys, 2, master_indices=[0, 2])
+    vals, v = spec.eigenvalues, spec.right_vectors
+    assert np.allclose(a @ v, v * vals, atol=1e-12)
+    # the second +Im member pairs with the one column that conjugates it
+    mates = [j for j in range(4) if np.array_equal(v[:, j], np.conj(v[:, 1]))]
+    assert len(mates) == 1 and vals[mates[0]] == np.conj(vals[1])
+    spec = spectral_analysis(sys, 2, master_indices=[1, mates[0]])
+    assert np.array_equal(spec.master_right[:, 1],
+                          np.conj(spec.master_right[:, 0]))
+
+
 def test_master_defaults_to_slowest_modulus():
     sys = make_system("dauchot_manneville").realization
     spec = spectral_analysis(sys, 1)
@@ -48,15 +63,6 @@ def test_missing_spectral_gap_rejected():
     # explicit master choice downgrades the failure to a flag
     spec = spectral_analysis(sys, 1, master_indices=[1])
     assert any("gap" in f for f in spec.flags)
-
-
-def test_check_nonresonance_reports_offender():
-    a = np.array([[2.0, 0.0], [0.0, 1.0]])
-    sys = PolySystem(a, MultiSeries.zero(2, 2, 2))
-    spec = spectral_analysis(sys, 1, master_indices=[1])
-    assert np.isclose(spec.master_eigenvalues[0], 1.0)
-    hits = check_nonresonance(spec, 3)
-    assert any(j == 0 and m == (2,) for j, m, _ in hits)
 
 
 def test_euler_manifold_matches_divergent_series():
@@ -205,8 +211,16 @@ def test_small_divisor_on_enslaved_row_raises():
     sys = PolySystem(a, f)
     spec = spectral_analysis(sys, 1)
     for style in ("graph", "normal-form"):
-        with pytest.raises(SmallDivisorError):
+        with pytest.raises(SmallDivisorError) as err:
             compute_ssm(sys, spec, 2, style=style)
+        assert err.value.row == 1 and err.value.index == (2,)
+    # an exact resonance lambda_0 = 2 lambda_master of an explicit master
+    sys = PolySystem(np.diag([2.0, 1.0]), MultiSeries.zero(2, 2, 2))
+    spec = spectral_analysis(sys, 1, master_indices=[1])
+    assert spec.master_eigenvalues[0] == 1.0
+    with pytest.raises(SmallDivisorError) as err:
+        compute_ssm(sys, spec, 3)
+    assert err.value.row == 0 and err.value.index == (2,)
 
 
 def test_exact_inner_resonance_absorbed_into_reduced_dynamics():
@@ -285,6 +299,14 @@ def test_degenerate_coordinate_graph_rejected():
     model = compute_ssm(sys, spec, 3, style="graph")
     with pytest.raises(NumericalError):
         to_coordinate_graph(model, [0, 2])
+
+
+def test_callable_rhs_systems_have_no_jacobian():
+    sys = make_system("imaginary_sing").realization
+    with pytest.raises(ValidationError, match="polynomial right-hand side"):
+        sys.jacobian([0.1, 0.2])
+    with pytest.raises(ValidationError, match="polynomial right-hand side"):
+        compute_ssm(sys, spectral_analysis(sys, 1), 3)
 
 
 def test_input_validation():
