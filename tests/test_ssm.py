@@ -65,6 +65,19 @@ def test_missing_spectral_gap_rejected():
     assert any("gap" in f for f in spec.flags)
 
 
+def test_check_nonresonance_reports_offender():
+    # the nonresonance check is compute_ssm's small-divisor test: an exact
+    # resonance lambda_0 = 2 lambda_master of an explicit master names its
+    # offending row and multi-index
+    a = np.array([[2.0, 0.0], [0.0, 1.0]])
+    sys = PolySystem(a, MultiSeries.zero(2, 2, 2))
+    spec = spectral_analysis(sys, 1, master_indices=[1])
+    assert spec.master_eigenvalues[0] == 1.0
+    with pytest.raises(SmallDivisorError) as err:
+        compute_ssm(sys, spec, 3)
+    assert err.value.row == 0 and err.value.index == (2,)
+
+
 def test_euler_manifold_matches_divergent_series():
     sys = make_system("euler").realization
     spec = spectral_analysis(sys, 1)
@@ -214,13 +227,6 @@ def test_small_divisor_on_enslaved_row_raises():
         with pytest.raises(SmallDivisorError) as err:
             compute_ssm(sys, spec, 2, style=style)
         assert err.value.row == 1 and err.value.index == (2,)
-    # an exact resonance lambda_0 = 2 lambda_master of an explicit master
-    sys = PolySystem(np.diag([2.0, 1.0]), MultiSeries.zero(2, 2, 2))
-    spec = spectral_analysis(sys, 1, master_indices=[1])
-    assert spec.master_eigenvalues[0] == 1.0
-    with pytest.raises(SmallDivisorError) as err:
-        compute_ssm(sys, spec, 3)
-    assert err.value.row == 0 and err.value.index == (2,)
 
 
 def test_exact_inner_resonance_absorbed_into_reduced_dynamics():
