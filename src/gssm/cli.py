@@ -358,6 +358,9 @@ def cmd_backbone(args, run):
 def _lift_amplitude(model: SSMModel, component: int, grid: np.ndarray):
     """Lookup rho -> max |W_component| over 64 angles, for every rho of the
     grid, from one evaluation of the realified W on the whole block."""
+    if not 0 <= component < model.n:
+        raise ValidationError(f"amplitude component {component} out of range "
+                              f"for a model of {model.n} states")
     wr = realify_parametrization(model).component(component)
     thetas = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     ring = np.column_stack([np.cos(thetas), np.sin(thetas)])

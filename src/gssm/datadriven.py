@@ -56,7 +56,7 @@ class EmbeddingConfig:
 
 def delay_embed(series: TrajectoryData, cfg: EmbeddingConfig) -> TrajectoryData:
     series.uniform_dt()
-    y = np.asarray(series.values[:, cfg.observable], dtype=float)
+    y = series.component(cfg.observable)
     need = cfg.window_length()
     if series.n_samples < need:
         raise ValidationError(

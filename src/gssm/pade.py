@@ -220,63 +220,57 @@ def pade_univariate(coeffs, N: int, M: int) -> RationalMap:
 # ---- multivariate ---------------------------------------------------------
 
 
-def pade_multivariate(coeffs: MultiSeries, N: int, M: int,
-                      shared_denominator: bool = False):
+def pade_multivariate(coeffs: MultiSeries, N: int, M: int):
     """Homogeneous [N/M] approximant of a multivariate series.
 
     Denominator coefficients minimize the homogeneous matching conditions
     over total orders N+1..N+M in least squares with b0 = 1; numerator
     coefficients then come from the convolution conditions on total orders
-    0..N.  Vector-valued input is solved per component with independent
-    denominators (a list of scalar RationalMaps) unless shared_denominator
-    is requested.
+    0..N.  Each component gets its own denominator: a scalar series gives
+    one RationalMap, a vector series a list of scalar RationalMaps.
     """
     if coeffs.order < N + M:
         raise ValidationError(f"series order {coeffs.order} < N+M = {N + M}")
-    if coeffs.dim_in < 2:
-        return pade_univariate(coeffs, N, M) if coeffs.dim_out == 1 else \
-            [pade_univariate(coeffs.component(j), N, M)
-             for j in range(coeffs.dim_out)]
-    if coeffs.dim_out > 1 and not shared_denominator:
-        return [pade_multivariate(coeffs.component(j), N, M, True)
-                for j in range(coeffs.dim_out)]
+    d, l = coeffs.dim_in, coeffs.dim_out
+    if d < 2 or M == 0:
+        maps = [pade_univariate(c, N, M) if d < 2 else
+                RationalMap.polynomial(c.truncated(N))
+                for c in map(coeffs.component, range(l))]
+        return maps[0] if l == 1 else maps
 
-    d = coeffs.dim_in
-    l = coeffs.dim_out
-    flags: List[str] = []
-
-    if M == 0:
-        return RationalMap.polynomial(coeffs.truncated(N))
-
-    # c_pad[quot[k, kb]] is the coefficient at monomial k / kb, or the zero
-    # row past the end where kb does not divide k
+    # z[j, k, kb] is component j's coefficient at monomial k / kb, zero
+    # where kb does not divide k: the table's product pairs k = left * kb.
+    # A zero enters as +0, as in a scalar series, which stores no zeros:
+    # lstsq's Householder steps follow the sign of a zero.
     table = grlex_table(d, N + M)
     n_num, n_den, n_all = table.size(N), table.size(M), table.size(N + M)
-    quot = table.quotients(n_all, n_den)
-    c_pad = np.vstack([coeffs.grlex(N + M), np.zeros((1, l))])
-    # rows: one per (component, homogeneous index of order N+1..N+M);
-    # columns: denominator coefficients in grlex order
-    z = c_pad[quot[n_num:]].transpose(2, 0, 1).reshape(-1, n_den)
-    scale = float(np.max(np.abs(z))) if z.size else 0.0
-    if scale == 0.0:
-        b = np.zeros(n_den, dtype=complex)
-        b[0] = 1.0
-        flags.append("homogeneous system vanishes; denominator defaults to 1")
-    else:
-        # b0 = 1: move the first column to the right-hand side
-        a_mat = z[:, 1:]
-        rhs = -z[:, 0]
-        sol, _, rank, sv = np.linalg.lstsq(a_mat, rhs, rcond=DEFAULT_SVD_TOL)
-        if rank < a_mat.shape[1]:
-            flags.append(f"underdetermined denominator system (rank {rank} of "
-                         f"{a_mat.shape[1]}): smallest-norm solution chosen")
+    pairs = slice(0, table.starts[n_all])
+    keep = table.right[pairs] < n_den
+    c = coeffs.grlex(N + M)
+    z = np.zeros((l, n_all, n_den), dtype=complex)
+    z[:, table.out[pairs][keep], table.right[pairs][keep]] = \
+        np.where(c == 0, 0, c)[table.left[pairs][keep]].T
+    maps = []
+    for z_j in z:
+        # rows: the homogeneous indices of order N+1..N+M; columns: the
+        # denominator coefficients in grlex order, b0 = 1 moved to the right
+        a_mat, rhs = z_j[n_num:, 1:], -z_j[n_num:, 0]
+        flags: List[str] = []
+        if not z_j[n_num:].any():
+            sol = np.zeros(n_den - 1, dtype=complex)
+            flags.append("homogeneous system vanishes; denominator defaults to 1")
+        else:
+            sol, _, rank, _ = np.linalg.lstsq(a_mat, rhs, rcond=DEFAULT_SVD_TOL)
+            if rank < a_mat.shape[1]:
+                flags.append(f"underdetermined denominator system (rank {rank} "
+                             f"of {a_mat.shape[1]}): smallest-norm solution chosen")
         b = np.concatenate([[1.0 + 0j], sol])
-
-    den = MultiSeries.from_grlex(b[:, None], d, M)
-    # numerator via convolution over total orders 0..N
-    num = MultiSeries.from_grlex(np.einsum("kcj,c->kj", c_pad[quot[:n_num]], b),
-                                 d, N)
-    return RationalMap(num, den, (N, M), flags)
+        # numerator via convolution over total orders 0..N
+        num = np.einsum("kcj,c->kj", z_j[:n_num, :, None], b)
+        maps.append(RationalMap(MultiSeries.from_grlex(num, d, N),
+                                MultiSeries.from_grlex(b[:, None], d, M),
+                                (N, M), flags))
+    return maps[0] if l == 1 else maps
 
 
 # ---- serialization --------------------------------------------------------

@@ -148,7 +148,6 @@ class GrlexTable:
         below = self.exps[:self.size(order - 1)]
         for i in range(dim):
             self.raised[i, :len(below)] = rank(below + np.eye(dim, dtype=np.int64)[i])
-        self._quotients = {}
 
     def size(self, k: int) -> int:
         """Number of monomials of degree <= k."""
@@ -159,19 +158,6 @@ class GrlexTable:
         padded = np.concatenate([arr, np.zeros((1,) + arr.shape[1:])])
         up = padded[np.minimum(self.raised[i, :hi], len(arr))]
         return (self.exps[:hi, i] + 1).reshape((-1,) + (1,) * (arr.ndim - 1)) * up
-
-    def quotients(self, n_rows: int, n_cols: int) -> np.ndarray:
-        """(n_rows, n_cols) rows of monomial r / monomial c; n_rows where c
-        does not divide r.  Cached: Pade rows gather through it."""
-        key = (n_rows, n_cols)
-        if key not in self._quotients:
-            q = np.full(key, n_rows)
-            pairs = slice(0, self.starts[n_rows])
-            keep = self.right[pairs] < n_cols
-            q[self.out[pairs][keep], self.right[pairs][keep]] = \
-                self.left[pairs][keep]
-            self._quotients[key] = q
-        return self._quotients[key]
 
 
 _TABLES: Dict[int, GrlexTable] = {}

@@ -221,33 +221,19 @@ def denominator_zero_scan(r: RationalMap, axes: Sequence,
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     den = r.denominator.evaluate_many(pts.astype(complex))[:, 0].real
-    shape = tuple(len(a) for a in axes)
-    den_grid = den.reshape(shape)
-
-    flagged = {}
-
-    def add(flat_index: int, reason: str):
-        if flat_index not in flagged:
-            flagged[flat_index] = ScanFlag(pts[flat_index],
-                                           float(den[flat_index]), reason)
-
-    for i in np.nonzero(np.abs(den) < floor)[0]:
-        add(int(i), "below-floor")
-    for axis in range(len(axes)):
-        sign_change = den_grid * np.roll(den_grid, -1, axis=axis) < 0
-        # the roll wraps around; drop the last slot along the axis
-        sl = [slice(None)] * len(axes)
-        sl[axis] = slice(0, shape[axis] - 1)
-        idx = np.zeros(shape, dtype=bool)
-        idx[tuple(sl)] = sign_change[tuple(sl)]
-        for flat in np.nonzero(idx.ravel())[0]:
-            add(int(flat), "sign-change")
-            neighbor = np.unravel_index(flat, shape)
-            neighbor = list(neighbor)
-            neighbor[axis] += 1
-            add(int(np.ravel_multi_index(tuple(neighbor), shape)),
-                "sign-change")
-    return [flagged[i] for i in sorted(flagged)]
+    grid = den.reshape(mesh[0].shape)
+    below = np.abs(den) < floor
+    # both points of an adjacent pair of opposite signs, along every axis
+    change = np.zeros(grid.shape, dtype=bool)
+    for axis in range(grid.ndim):
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        pair = grid[lo] * grid[hi] < 0
+        change[lo] |= pair
+        change[hi] |= pair
+    return [ScanFlag(pts[i], float(den[i]),
+                     "below-floor" if below[i] else "sign-change")
+            for i in np.flatnonzero(below | change.ravel())]
 
 
 def synthetic_pattern_series(r: float, theta: float, nu: float,

@@ -163,8 +163,13 @@ def spectral_analysis(sys: PolySystem, d: int,
     flags: List[str] = []
 
     if master_indices is None:
-        by_modulus = sorted(range(n), key=lambda i: (abs(vals[i]), i))
-        master = sorted(by_modulus[:d])
+        # modes in modulus order, each with its mate, until d are taken; an
+        # overshoot keeps the first d, which the pair check below refuses
+        taken: List[int] = []
+        for i in sorted(range(n), key=lambda i: (abs(vals[i]), i)):
+            if len(taken) < d and i not in taken:
+                taken += sorted({i, int(mate[i])})
+        master = sorted(taken[:d])
     else:
         master = sorted(int(i) for i in master_indices)
         if len(master) != d or any(not 0 <= i < n for i in master):

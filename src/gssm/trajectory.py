@@ -37,6 +37,9 @@ class TrajectoryData:
         return self.values.shape[1]
 
     def component(self, i: int) -> np.ndarray:
+        if not 0 <= i < self.n_components:
+            raise ValidationError(f"component {i} out of range for "
+                                  f"{self.n_components} data columns")
         return self.values[:, i]
 
     def uniform_dt(self) -> float:

@@ -19,8 +19,9 @@ from gssm.pade import RationalMap, rational_from_text, rational_to_text, \
     rationals_from_text, rationals_to_text
 from gssm.series import MultiSeries, series_to_text
 from gssm.singularity import estimate_radius
-from gssm.ssm import extract_polar, model_from_text, model_to_text, SSMModel
-from gssm.systems import imaginary_sing_model
+from gssm.ssm import (compute_ssm, extract_polar, model_from_text,
+                      model_to_text, spectral_analysis, SSMModel)
+from gssm.systems import imaginary_sing_model, make_system
 from gssm.trajectory import TrajectoryData, trajectory_from_csv, \
     trajectory_to_csv
 
@@ -316,11 +317,18 @@ R
      ["predict", "--fit", "fit.txt", "--data", "data.csv", "--horizon", "1",
       "--chart"]),
     (MODEL_GRAPH_ORDER_1 + "POLAR\ngarbage\n", ["ssm", "--import-model"]),
+    ("chart 2 1 2 1 1\nCENTER\n0 0\nBASIS\n1\n0\n",
+     ["predict", "--fit", "fit.txt", "--data", "data.csv", "--horizon", "1",
+      "--chart"]),
+    ("chart 2 1 2 1 -1\nCENTER\n0 0\nBASIS\n1\n0\n",
+     ["predict", "--fit", "fit.txt", "--data", "data.csv", "--horizon", "1",
+      "--chart"]),
 ], ids=["series-token", "series-index-above-order", "pade-float",
         "model-eigenvalue", "chart-truncated", "coeffs-token",
         "trajectory-ragged", "model-repeated-section", "model-repeated-row",
         "pade-repeated-section", "chart-two-center-rows",
-        "model-polar-section"])
+        "model-polar-section", "chart-observable-past-the-data",
+        "chart-observable-negative"])
 def test_malformed_text_inputs_exit_2(tmp_path, capsys, text, argv):
     path = tmp_path / "input.txt"
     path.write_text(text)
@@ -332,6 +340,35 @@ def test_malformed_text_inputs_exit_2(tmp_path, capsys, text, argv):
     rc, _, fields = run_cli(capsys, "--out", tmp_path, *argv, path)
     assert rc == 2 and fields["status"] == "validation-error"
     assert "no such file" not in fields["message"]
+
+
+FRC_LIFT = ["analyze", "frc", "--model", "model.txt", "--eps", "0.01",
+            "--forcing-vector", "0,1,0,0", "--rho-max", "0.3", "--points",
+            "5", "--amplitude", "lift", "--amp-component"]
+PSD = ["analyze", "psd", "--data", "data.csv", "--component"]
+REGRESS = ["regress", "--data", "data.csv", "--delays", "3", "--d", "1",
+           "--N", "1", "--M", "0", "--restarts", "1", "--observable"]
+
+
+@pytest.mark.parametrize("argv", [
+    FRC_LIFT + ["7"], FRC_LIFT + ["-1"], PSD + ["5"], PSD + ["-1"],
+    REGRESS + ["3"], REGRESS + ["-1"],
+], ids=["frc-amp-component-past-the-states", "frc-amp-component-negative",
+        "psd-component-past-the-data", "psd-component-negative",
+        "regress-observable-past-the-data", "regress-observable-negative"])
+def test_out_of_range_component_indices_exit_2(tmp_path, capsys, argv):
+    # a 4-state model and a one-column trajectory; only the index is wrong
+    sp = make_system("shaw_pierre").realization
+    model = compute_ssm(sp, spectral_analysis(sp, 2), 3)
+    (tmp_path / "model.txt").write_text(model_to_text(model))
+    t = np.linspace(0.0, 3.0, 61)
+    trajectory_to_csv(TrajectoryData(t, np.exp(-t)), str(tmp_path / "data.csv"))
+    argv = [str(tmp_path / a) if a in ("model.txt", "data.csv") else a
+            for a in argv]
+    rc, _, fields = run_cli(capsys, "--out", tmp_path / "out", *argv)
+    assert rc == 2 and fields["status"] == "validation-error"
+    assert "out of range" in fields["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def _write_predict_inputs(tmp_path, d):

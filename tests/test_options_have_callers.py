@@ -118,7 +118,7 @@ def unset_options():
 def test_the_scan_sees_definitions_and_calls():
     options = {(name, param) for _, name, param, _ in _defined_options()}
     names = {name for name, _ in options}
-    assert {"integrate_reduced", "pade_multivariate",
+    assert {"integrate_reduced", "lyapunov_estimate",
             "fit_rational_field"} <= names
     assert {("RegressionProblem", "margin"), ("ReducedField", "forcing"),
             ("RationalFit", "flags")} <= options

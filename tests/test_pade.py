@@ -189,8 +189,34 @@ def test_vector_input_defaults_to_componentwise_denominators():
                                 for idx in indices_up_to_order(2, 4)[1:]})
     rs = pade_multivariate(ser, 2, 2)
     assert isinstance(rs, list) and len(rs) == 2
-    shared = pade_multivariate(ser, 2, 2, shared_denominator=True)
-    assert isinstance(shared, RationalMap) and shared.dim_out == 2
+
+
+@pytest.mark.parametrize("dim, n, m", [(2, 2, 2), (2, 3, 1), (3, 1, 2),
+                                       (2, 2, 0)])
+def test_vector_input_is_the_componentwise_scalar_approximants(dim, n, m):
+    rng = np.random.default_rng(8)
+    coeffs = {idx: rng.normal(size=3) + 1j * rng.normal(size=3)
+              for idx in indices_up_to_order(dim, n + m)}
+    # component 1 has degree n - m: the homogeneous block (orders n+1..n+m
+    # divided by orders 0..m) reads none of its coefficients; component 2
+    # has signed zeros, which a scalar series does not store
+    for i, (idx, v) in enumerate(coeffs.items()):
+        if sum(idx) > n - m:
+            v[1] = 0.0
+        if i % 2:
+            v[2] = complex(-0.0, -0.0)
+    ser = MultiSeries(dim, 3, n + m, coeffs)
+    maps = pade_multivariate(ser, n, m)
+    for j, r in enumerate(maps):
+        alone = pade_multivariate(ser.component(j), n, m)
+        assert r.type_tag == alone.type_tag and r.flags == alone.flags
+        for got, want in ((r.numerator, alone.numerator),
+                          (r.denominator, alone.denominator)):
+            assert np.array_equal(got.grlex(got.order),
+                                  want.grlex(want.order))
+    vanishes = ["homogeneous system vanishes" in " ".join(r.flags)
+                for r in maps]
+    assert vanishes == [False, m > 0, False]
 
 
 def test_match_property_on_random_bivariate_series():

@@ -131,6 +131,39 @@ def test_scan_monotone_in_floor():
     assert counts[2] > counts[1] > 0
 
 
+def test_scan_exact_zero_is_below_floor_and_not_a_sign_change():
+    # 1 - x on 0, 0.5, .., 2 is exactly 0 at x = 1; its neighbours' products
+    # with it are 0, not negative
+    flags = denominator_zero_scan(_scalar_rational([1.0, -1.0]),
+                                  [np.linspace(0.0, 2.0, 5)])
+    assert [(f.point.tolist(), f.value, f.reason) for f in flags] == \
+        [([1.0], 0.0, "below-floor")]
+
+
+def test_scan_three_axes_matches_a_pointwise_reference():
+    den = MultiSeries(3, 1, 2, {(0, 0, 0): [1.0], (1, 0, 0): [-2.0],
+                                (0, 1, 1): [1.0], (0, 0, 2): [-0.5]})
+    rmap = RationalMap(MultiSeries.constant([1.0], 3, 0), den, (0, 2))
+    axes = [np.linspace(0.0, 1.0, 6), np.linspace(-1.0, 1.0, 5),
+            np.linspace(0.0, 1.0, 4)]
+    floor = 0.05
+    grid = list(np.ndindex(6, 5, 4))  # flat (C) order
+    points = np.array([[axes[a][i] for a, i in enumerate(g)] for g in grid])
+    value = dict(zip(grid, den.evaluate_many(points)[:, 0].real))
+    want = []
+    for g in grid:
+        steps = [g[:a] + (g[a] + s,) + g[a + 1:] for a in range(3)
+                 for s in (-1, 1)]
+        if abs(value[g]) < floor:
+            want.append((g, "below-floor"))
+        elif any(value[g] * value[h] < 0 for h in steps if h in value):
+            want.append((g, "sign-change"))
+    assert {r for _, r in want} == {"below-floor", "sign-change"}
+    flags = denominator_zero_scan(rmap, axes, floor=floor)
+    assert [(f.point.tolist(), f.value, f.reason) for f in flags] == \
+        [(points[grid.index(g)].tolist(), value[g], r) for g, r in want]
+
+
 def test_scan_validates_axes():
     rmap = _scalar_rational([1.0, 0.5])
     with pytest.raises(ValidationError):

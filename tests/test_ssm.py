@@ -49,6 +49,18 @@ def test_each_member_of_a_repeated_pair_keeps_its_own_mate():
                           np.conj(spec.master_right[:, 0]))
 
 
+def test_default_master_set_takes_each_mode_with_its_mate():
+    # two identical oscillators: the slowest mode brings its own mate, so
+    # the default refuses the missing gap, not a split pair
+    a = np.kron(np.eye(2), [[0.0, 1.0], [-4.0, -0.1]])
+    sys = PolySystem(a, MultiSeries.zero(4, 4, 2))
+    with pytest.raises(NumericalError, match="no spectral gap"):
+        spectral_analysis(sys, 2)
+    # one mode of a pair overshoots d = 1 and is still a split
+    with pytest.raises(ValidationError, match="splits a complex-conjugate"):
+        spectral_analysis(make_system("shaw_pierre").realization, 1)
+
+
 def test_master_defaults_to_slowest_modulus():
     sys = make_system("dauchot_manneville").realization
     spec = spectral_analysis(sys, 1)
