@@ -108,10 +108,11 @@ class ReducedField:
         return out + eps * self.forcing.vector * math.cos(omega * t)
 
     def min_denominator(self, u: np.ndarray) -> float:
+        """Smallest |denominator| at a state or at stacked states."""
         if self.kind != "rational":
             return 1.0
-        pts = np.reshape(u, (1, self.dim))
-        return min(abs(rational_parts(r, pts)[1][0].real)
+        pts = np.reshape(u, (-1, self.dim))
+        return min(np.min(np.abs(rational_parts(r, pts)[1].real))
                    for r in self.rationals)
 
 
@@ -129,50 +130,66 @@ def _initial_state(field: ReducedField, ic) -> np.ndarray:
     return y0
 
 
-def _run(rhs, y0, t_span, rtol: float, atol: float,
-         field: Optional[ReducedField] = None,
-         t_eval: Optional[np.ndarray] = None):
-    """One RK45 solve of y' = rhs(t, y): (times, states, stop), with the
-    states at the solver's steps or at t_eval.
+def _run(field: ReducedField, y0, t_span, rtol: float, atol: float,
+         t_eval: Optional[np.ndarray] = None, pair: bool = False):
+    """One RK45 solve of the field: (times, states, stop), with the states
+    at the solver's steps or at t_eval.
 
-    With a field, y0 must pass _initial_state, and the run stops where the
-    state norm passes DEFAULT_BLOWUP_FACTOR * max(1, |y0|) or a rational
-    field's denominator falls to DEFAULT_POLE_EVENT_FLOOR; stop is then
-    (flag, t_stop, u_stop), else None.  Without a field (a stacked pair)
-    nothing is checked or watched.  Solver failure raises NumericalError.
+    y is one state of the field, or with pair two stacked states.  One
+    state must pass _initial_state, and the run stops where its norm passes
+    DEFAULT_BLOWUP_FACTOR * max(1, |y0|).  A series field's run also stops
+    where the RK45 step size collapses (RK45's only failure): a polynomial
+    field's solution can end only by growing without bound, at times faster
+    than the norm check can follow, so the stop is a blowup at the last
+    accepted step.  A rational field's run stops where the denominator at
+    any of its states falls to DEFAULT_POLE_EVENT_FLOOR.  stop is then
+    (flag, t_stop, y_stop), else None.  A pair is not checked and has no
+    norm threshold; any other solver failure raises NumericalError.
     """
-    events = None
-    if field is None:
+    events, blowup_event, last = [], None, None
+    if pair:
         y0 = np.asarray(y0, dtype=float).reshape(-1)
+
+        def rhs(t, z):
+            return field.rhs(t, z.reshape(2, -1)).ravel()
     else:
-        y0 = _initial_state(field, y0)
+        y0, rhs = _initial_state(field, y0), field.rhs
         bound = DEFAULT_BLOWUP_FACTOR * max(1.0, float(np.linalg.norm(y0)))
 
         def blowup_event(t, u):
+            # called at every accepted step; keeps the last one
+            nonlocal last
+            last = (t, u)
             return np.linalg.norm(u) - bound
 
-        def pole_event(t, u):
-            return field.min_denominator(u) - DEFAULT_POLE_EVENT_FLOOR
+        events.append(blowup_event)
+    if field.kind == "rational":
+        def pole_event(t, y):
+            return field.min_denominator(y) - DEFAULT_POLE_EVENT_FLOOR
 
-        blowup_event.terminal = pole_event.terminal = True
-        events = [blowup_event]
-        if field.kind == "rational":
-            events.append(pole_event)
+        events.append(pole_event)
+    for event in events:
+        event.terminal = True
     sol = solve_ivp(rhs, t_span, y0, method="RK45", rtol=rtol, atol=atol,
-                    t_eval=t_eval, events=events)
+                    t_eval=t_eval, events=events or None)
     stop = None
     if sol.status == 1:
-        if len(sol.t_events[0]):
-            t_stop, u_stop = sol.t_events[0][0], sol.y_events[0][0]
+        fired = next(i for i, hits in enumerate(sol.t_events) if len(hits))
+        t_stop, y_stop = sol.t_events[fired][0], sol.y_events[fired][0]
+        if events[fired] is blowup_event:
             flag = (f"blowup at t={t_stop:.6g}: state norm exceeded "
                     f"{bound:.3g}")
         else:
-            t_stop, u_stop = sol.t_events[1][0], sol.y_events[1][0]
             flag = (f"pole crossing at t={t_stop:.6g}, "
-                    f"u={np.array2string(u_stop, precision=6)}")
-        stop = (flag, t_stop, u_stop)
+                    f"u={np.array2string(y_stop, precision=6)}")
+        stop = (flag, t_stop, y_stop)
     elif sol.status != 0:
-        raise NumericalError(f"integration failed: {sol.message}")
+        if field.kind != "series":
+            raise NumericalError(f"integration failed: {sol.message}")
+        # a pair runs without t_eval, so its last step is in sol
+        t_stop, y_stop = last or (sol.t[-1], sol.y[:, -1])
+        stop = (f"blowup at t={t_stop:.6g}: step size collapsed at state "
+                f"norm {np.linalg.norm(y_stop):.3g}", t_stop, y_stop)
     # with t_eval, sol.t and sol.y are empty lists if no point was reached
     return np.asarray(sol.t), np.reshape(sol.y, (len(y0), -1)).T, stop
 
@@ -183,10 +200,12 @@ def integrate_reduced(f: ReducedField, ic, t_span: Tuple[float, float],
     """Adaptive integration with blowup and pole-crossing termination.
 
     Finite-time blowup of truncated Taylor fields is expected behavior: the
-    run stops at the threshold and the trajectory carries a flag instead of
-    the solver erroring out.
+    run stops where the state norm passes the threshold, or for a series
+    field where RK45's step size collapses first, and the trajectory ends
+    at that stop and carries a flag instead of the solver erroring out.  A
+    rational field's step collapse still raises NumericalError.
     """
-    times, values, stop = _run(f.rhs, ic, t_span, rtol, atol, f,
+    times, values, stop = _run(f, ic, t_span, rtol, atol,
                                np.linspace(t_span[0], t_span[1], n_out))
     if stop is None:
         return TrajectoryData(times, values)
@@ -489,8 +508,8 @@ def poincare_sample(f: ReducedField, ic, n_periods: int,
         raise ValidationError("need omega > 0 and n_periods >= 1")
     period = 2.0 * math.pi / omega
     stamps = (skip + np.arange(1, n_periods + 1)) * period
-    times, values, stop = _run(f.rhs, ic, (0.0, stamps[-1]), DEFAULT_RTOL,
-                               DEFAULT_ATOL, f, stamps)
+    times, values, stop = _run(f, ic, (0.0, stamps[-1]), DEFAULT_RTOL,
+                               DEFAULT_ATOL, stamps)
     if len(times) == 0:
         raise NumericalError(f"trajectory ended before the first section: "
                              f"{stop[0]}")
@@ -516,15 +535,19 @@ def lyapunov_estimate(f: ReducedField, ic, perturbation_size: float = 1e-7,
     regime.  If the very first interval already saturates (separation
     comparable to the state scale) the estimate is flagged as unreliable.
     The initial condition is checked as in integrate_reduced, and a blowup
-    or pole crossing in the transient raises NumericalError; the
-    renormalization intervals are not watched.
+    (a crossed threshold or, for a series field, a collapsed step size) or
+    a pole crossing in the transient raises NumericalError.  In the
+    renormalization intervals a rational field's denominators are watched
+    at both states of the pair, and a pole crossing raises NumericalError
+    with its time; a series field's pair has no event, and only a collapsed
+    step size raises (as a blowup).
     """
     if perturbation_size <= 0:
         raise ValidationError("perturbation_size must be positive")
     u, t0 = _initial_state(f, ic), 0.0
     if transient > 0:
-        _, states, stop = _run(f.rhs, u, (0.0, transient), DEFAULT_RTOL,
-                               DEFAULT_ATOL, f)
+        _, states, stop = _run(f, u, (0.0, transient), DEFAULT_RTOL,
+                               DEFAULT_ATOL)
         if stop is not None:
             raise NumericalError(f"transient integration stopped: {stop[0]}")
         u, t0 = states[-1], transient
@@ -537,13 +560,14 @@ def lyapunov_estimate(f: ReducedField, ic, perturbation_size: float = 1e-7,
     total = 0.0
     flags: List[str] = []
 
-    def pair_rhs(t, z):
-        return f.rhs(t, z.reshape(2, -1)).ravel()
-
     for k in range(n_steps):
         t1 = t0 + renorm_interval
-        z = _run(pair_rhs, np.concatenate([u, v]), (t0, t1), DEFAULT_RTOL,
-                 DEFAULT_ATOL)[1][-1]
+        _, states, stop = _run(f, np.concatenate([u, v]), (t0, t1),
+                               DEFAULT_RTOL, DEFAULT_ATOL, pair=True)
+        if stop is not None:
+            raise NumericalError(f"renormalization interval stopped: "
+                                 f"{stop[0]}")
+        z = states[-1]
         u, v = z[:len(u)], z[len(u):]
         dist = np.linalg.norm(v - u)
         if dist == 0.0:

@@ -349,10 +349,24 @@ class MultiSeries:
             return 0.0
         return max(float(np.max(np.abs(v.imag))) for v in self.coeffs.values())
 
-    def coeff_scale(self, radius: float) -> float:
-        """Sum of |coefficient|*radius^|k|; crude magnitude of the series at a radius."""
-        return float(sum(np.max(np.abs(v)) * radius ** sum(k)
-                         for k, v in self.coeffs.items()))
+    def coeff_scale(self, radii) -> np.ndarray:
+        """Sum over terms of max|coefficient| * r^|k| for each radius r of
+        the array `radii`, one array step for all of them.
+
+        It bounds every component of the series on the polydisc |z_i| <= r
+        before any cancellation: a crude magnitude, not a value.  The sum
+        is taken per degree and then against the matrix of radius powers.
+        It reads the terms, not the grlex form, so that a sparse series in
+        many variables (a system's nonlinearity) needs no grlex table.
+        """
+        degrees = np.fromiter(map(sum, self.coeffs), dtype=np.intp,
+                              count=len(self.coeffs))
+        mags = np.abs(np.array(list(self.coeffs.values()), dtype=complex)
+                      .reshape(-1, self.dim_out)).max(axis=1)
+        per_degree = np.bincount(degrees, weights=mags,
+                                 minlength=self.order + 1)
+        r = np.asarray(radii, dtype=float)
+        return np.power.outer(r, np.arange(self.order + 1)) @ per_degree
 
     # ---- arithmetic ----------------------------------------------------
 

@@ -495,12 +495,14 @@ def realify_reduced(model: SSMModel) -> MultiSeries:
 
 @dataclass
 class ResidualStats:
-    """flags says why slope is nan: too few radii clear the noise window,
-    or they span too little of the radius range."""
+    """noise_floor is the pre-cancellation magnitude bound per radius
+    (see invariance_residual); flags says why slope is nan: too few radii
+    clear the noise window, or they span too little of the radius range."""
 
     radii: np.ndarray
     max_residual: np.ndarray
     term_scale: np.ndarray
+    noise_floor: np.ndarray
     valid: np.ndarray
     slope: float
     flags: List[str]
@@ -522,24 +524,25 @@ def invariance_residual(sys: PolySystem, model: SSMModel) -> ResidualStats:
 
     The log-log slope is fitted only where the defect stands clear of the
     floating-point noise floor of the participating terms and below the
-    regime where the truncation has fully diverged.
+    regime where the truncation has fully diverged.  The floor at radius r
+    (ResidualStats.noise_floor) is |A|_F W(r) + f(W(r)) + sum_i DW_i(r) R(r),
+    each term a MultiSeries.coeff_scale bound, f's taken at the radius
+    W(r) (W(r)^2 if f has no terms); a defect counts as clear of it above
+    50 * 1e-13 * floor.
     """
     radii = np.logspace(-6.0, 0.3, 34)
     a = np.asarray(sys.linear_part, dtype=complex)
     dw = model.W.jacobian_rows()
     a_norm = np.linalg.norm(a)
 
-    floors = np.zeros(len(radii))
-    for ir, r in enumerate(radii):
-        # pre-cancellation magnitude bound: series evaluations can cancel
-        # down from these scales, so the measurable defect sits above
-        # epsilon times this, not above the cancelled term norms
-        w_scale = model.W.coeff_scale(r)
-        r_scale = model.R.coeff_scale(r)
-        j_scale = sum(ds.coeff_scale(r) for ds in dw)
-        f_scale = sys.nonlinearity.coeff_scale(w_scale) if sys.nonlinearity.coeffs \
-            else w_scale ** 2
-        floors[ir] = a_norm * w_scale + f_scale + j_scale * r_scale
+    # pre-cancellation magnitude bound: series evaluations can cancel down
+    # from these scales, so the measurable defect sits above epsilon times
+    # this, not above the cancelled term norms
+    w_scale = model.W.coeff_scale(radii)
+    j_scale = sum(ds.coeff_scale(radii) for ds in dw)
+    f_scale = sys.nonlinearity.coeff_scale(w_scale) if sys.nonlinearity.coeffs \
+        else w_scale ** 2
+    floors = a_norm * w_scale + f_scale + j_scale * model.R.coeff_scale(radii)
 
     # every radius has the same number of sample points
     pts = np.concatenate([_sample_points(model, r) for r in radii])
@@ -568,7 +571,7 @@ def invariance_residual(sys: PolySystem, model: SSMModel) -> ResidualStats:
         flags.append(f"slope not fitted: {count} radii clear the noise "
                      f"window and span {span:.2f} decades; the fit needs "
                      "at least 3 radii over 0.5 decades")
-    return ResidualStats(radii, max_res, scales, valid, slope, flags)
+    return ResidualStats(radii, max_res, scales, floors, valid, slope, flags)
 
 
 # ---- graphs over ambient coordinates ----------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -43,6 +44,28 @@ def test_blowup_is_flagged_not_fatal():
     # u' = u^2 from 1 has its pole at t = 1
     assert abs(tr.times[-1] - 1.0) < 1e-3
     assert np.linalg.norm(tr.values[-1]) > 1e5
+
+
+def test_step_collapse_of_a_polynomial_field_is_a_blowup():
+    # u' = u^k from 1 ends at t* = 1/(k - 1); from k = 5 on the step size
+    # collapses before the state norm reaches the blowup threshold
+    for k in (3, 5, 7, 9):
+        f = ReducedField.from_series(MultiSeries(1, 1, k, {(k,): [1.0]}))
+        tr = integrate_reduced(f, [1.0], (0.0, 5.0))
+        t_star = 1.0 / (k - 1)
+        assert len(tr.flags) == 1 and tr.flags[0].startswith("blowup at t=")
+        t_flag = float(tr.flags[0][len("blowup at t="):].split(":")[0])
+        assert abs(t_flag - t_star) < 1e-3 and abs(tr.times[-1] - t_star) < 1e-3
+    # the Lyapunov pair of the last field blows up in its first interval
+    with pytest.raises(NumericalError, match="renormalization interval "
+                       "stopped: blowup at t=0.125"):
+        lyapunov_estimate(f, [1.0], transient=0.0)
+    # the same field as a rational map still raises
+    rat = ReducedField.from_rationals(RationalMap(
+        MultiSeries(1, 1, 5, {(5,): [1.0]}), MultiSeries(1, 1, 0, {(0,): [1.0]}),
+        (5, 0)))
+    with pytest.raises(NumericalError, match="integration failed"):
+        integrate_reduced(rat, [1.0], (0.0, 5.0))
 
 
 def test_pole_crossing_terminates_rational_field():
@@ -403,6 +426,20 @@ def test_lyapunov_without_transient_checks_its_initial_condition():
                       ([1.0 - 1e-9], "pole floor")):
         with pytest.raises(ValidationError, match=match):
             lyapunov_estimate(f, ic, horizon=5.0, transient=0.0)
+
+
+def test_lyapunov_renormalization_stops_at_the_pole():
+    # without a transient the pair itself runs into the pole at
+    # t = (1 - u0)^2 / 2
+    f = _pole_field()
+    for u0 in (0.5, 0.9):
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match="renormalization interval "
+                           "stopped: pole crossing at t=") as err:
+            lyapunov_estimate(f, [u0], transient=0.0)
+        assert time.perf_counter() - start < 2.0
+        t_stop = float(str(err.value).split("t=")[1].split(",")[0])
+        assert abs(t_stop - (1.0 - u0) ** 2 / 2.0) < 1e-3
 
 
 def test_lift_refuses_a_model_that_does_not_realify():

@@ -278,6 +278,69 @@ def test_residual_slope_for_planted_rational_model():
     assert res.slope >= 5.75
 
 
+def _term_by_term_residual_window(sys, model, res):
+    """The noise floor summed term by term at each radius, and the valid
+    mask, slope and flags that invariance_residual derives from it."""
+    def scale(s, r):
+        return sum(np.max(np.abs(v)) * r ** sum(k) for k, v in s.coeffs.items())
+
+    a_norm = np.linalg.norm(np.asarray(sys.linear_part, dtype=complex))
+    dw = model.W.jacobian_rows()
+    floors = []
+    for r in res.radii:
+        w = scale(model.W, r)
+        f = scale(sys.nonlinearity, w) if sys.nonlinearity.coeffs else w ** 2
+        floors.append(a_norm * w + f
+                      + sum(scale(ds, r) for ds in dw) * scale(model.R, r))
+    floors = np.array(floors)
+    valid = (res.max_residual > 50.0 * 1e-13 * np.maximum(floors, 1e-300)) \
+        & (res.max_residual < 0.05 * np.maximum(res.term_scale, 1e-300))
+    logr = np.log10(res.radii[valid])
+    if len(logr) >= 3 and np.ptp(logr) >= 0.5:
+        slope = float(np.polyfit(logr, np.log10(res.max_residual[valid]), 1)[0])
+        flags = []
+    else:
+        span = float(np.ptp(logr)) if len(logr) else 0.0
+        slope = float("nan")
+        flags = [f"slope not fitted: {len(logr)} radii clear the noise window "
+                 f"and span {span:.2f} decades; the fit needs at least 3 "
+                 "radii over 0.5 decades"]
+    return floors, valid, slope, flags
+
+
+def _residual_cases():
+    sp = make_system("shaw_pierre").realization
+    sp_spec = spectral_analysis(sp, 2)
+    for style in ("normal-form", "graph"):
+        for order in (3, 7, 11, 15, 21):
+            yield sp, compute_ssm(sp, sp_spec, order, style=style)
+    for name, params, d in (("shaw_pierre", {"gamma": -0.5}, 2),
+                            ("dauchot_manneville", {}, 1), ("euler", {}, 1)):
+        sys = make_system(name, **params).realization
+        yield sys, compute_ssm(sys, spectral_analysis(sys, d), 9, style="graph")
+    # empty nonlinearity and a callable right-hand side
+    yield make_system("imaginary_sing").realization, imaginary_sing_model(7)
+    # a one-term cubic in 100 variables, too many for a grlex table
+    n = 100
+    a = np.diag(-np.linspace(2.0, 5.0, n))
+    a[:2, :2] = [[-0.01, 1.0], [-1.0, -0.01]]
+    cubic = MultiSeries(n, n, 3, {(3,) + (0,) * (n - 1): -0.5 * np.eye(n)[1]})
+    big = PolySystem(a, cubic)
+    yield big, compute_ssm(big, spectral_analysis(big, 2), 5)
+
+
+def test_residual_noise_floor_matches_the_term_by_term_sum():
+    for sys, model in _residual_cases():
+        res = invariance_residual(sys, model)
+        floors, valid, slope, flags = _term_by_term_residual_window(sys, model,
+                                                                    res)
+        assert res.noise_floor.shape == (34,)
+        assert np.all(np.abs(res.noise_floor - floors) <= 1e-14 * floors)
+        assert np.array_equal(res.valid, valid)
+        assert res.slope == slope or (np.isnan(res.slope) and np.isnan(slope))
+        assert res.flags == flags
+
+
 def test_model_text_round_trip_is_exact():
     sys = make_system("shaw_pierre").realization
     spec = spectral_analysis(sys, 2)
