@@ -4,7 +4,8 @@ A ReducedField is the right-hand side of the reduced model in one of two
 forms: a real polynomial series or rational maps (the globalized model).
 The analysis routines (backbone, forced response, Poincare sections,
 Lyapunov exponent, PSD) operate on these fields; everything returns plain
-arrays or TrajectoryData so the outputs can be dumped to CSV.
+arrays or TrajectoryData so the outputs can be dumped to CSV.  Every run
+of a field goes through one Taylor-series integrator (_run).
 """
 
 from __future__ import annotations
@@ -14,13 +15,15 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# only perfbench/tracer.py reads this name: it wraps reduced.solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401
+from scipy.optimize import brentq
 from scipy.signal import periodogram
 
 from .errors import NumericalError, ValidationError
 from .pade import (DEFAULT_POLE_FLOOR, RationalMap, pade_univariate,
                    rational_parts)
-from .series import MultiSeries
+from .series import MultiSeries, grlex_key
 from .ssm import (PolarNormalForm, PolySystem, SpectralData, SSMModel,
                   _conjugate_row, foliation_projection,
                   realify_parametrization)
@@ -88,8 +91,10 @@ class ReducedField:
         dim = sum(r.dim_out for r in rationals)
         return cls("rational", dim, rationals=rationals, forcing=forcing)
 
-    def autonomous_rhs(self, u: np.ndarray) -> np.ndarray:
-        """The field at a state (dim,) or at stacked states (m, dim)."""
+    def rhs(self, t: float, u: np.ndarray) -> np.ndarray:
+        """Forced field at time t; u is one state (dim,) or stacked states
+        (m, dim).  The integrator expands the field itself (_Jets); this is
+        the field's evaluation, which tests check the integrator against."""
         u = np.asarray(u)
         pts = u.reshape(-1, self.dim)
         if self.kind == "series":
@@ -97,11 +102,7 @@ class ReducedField:
         else:
             out = np.hstack([num.real / den.real[:, None] for num, den in
                              (rational_parts(r, pts) for r in self.rationals)])
-        return out.reshape(u.shape)
-
-    def rhs(self, t: float, u: np.ndarray) -> np.ndarray:
-        """Forced field at time t; u is one state or stacked states."""
-        out = self.autonomous_rhs(u)
+        out = out.reshape(u.shape)
         if self.forcing is None or self.forcing.amplitude == 0.0:
             return out
         eps, omega = self.forcing.amplitude, self.forcing.frequency
@@ -130,68 +131,225 @@ def _initial_state(field: ReducedField, ic) -> np.ndarray:
     return y0
 
 
-def _run(field: ReducedField, y0, t_span, rtol: float, atol: float,
-         t_eval: Optional[np.ndarray] = None, pair: bool = False):
-    """One RK45 solve of the field: (times, states, stop), with the states
-    at the solver's steps or at t_eval.
+# ---- the Taylor integrator ----------------------------------------------------
 
-    y is one state of the field, or with pair two stacked states.  One
-    state must pass _initial_state, and the run stops where its norm passes
-    DEFAULT_BLOWUP_FACTOR * max(1, |y0|).  A series field's run also stops
-    where the RK45 step size collapses (RK45's only failure): a polynomial
-    field's solution can end only by growing without bound, at times faster
-    than the norm check can follow, so the stop is a blowup at the last
-    accepted step.  A rational field's run stops where the denominator at
-    any of its states falls to DEFAULT_POLE_EVENT_FLOOR.  stop is then
-    (flag, t_stop, y_stop), else None.  A pair is not checked and has no
-    norm threshold; any other solver failure raises NumericalError.
+
+TAYLOR_ORDER = 24
+# Jorba & Zou's safety factor on the step size from the last two coefficients
+_STEP_SAFETY = math.exp(-0.7 / (TAYLOR_ORDER - 1))
+
+
+class _Jets:
+    """Taylor coefficients of the field's solutions, one order at a time.
+
+    The field's monomials form a chain of slots: each is a variable, or a
+    lower monomial x^par(a) times one variable x_var(a).  Along solutions
+    y(t0 + s) = sum_k Y_k s^k, slot a's k-th coefficient is the Cauchy
+    product sum_i [x^par(a)]_i Y_{k-i, var(a)}, whose one unknown term at
+    order k is [x^par(a)]_k Y_{0, var(a)}: the chain solve x_k = T h_k
+    with T = (I - L)^-1, one matrix per step, adds it to the known part h_k.
+    The numerators and denominators are linear in the slots, and each
+    quotient follows from the series-division recurrence; a series field is
+    the case of one unit denominator.  The forcing eps v cos(omega t) adds
+    its closed-form jet eps v omega^k cos(omega t0 + k pi/2) / k!.  Every
+    quantity is kept per slot, slot a standing for component var(a), so no
+    order needs a gather.
     """
-    events, blowup_event, last = [], None, None
-    if pair:
-        y0 = np.asarray(y0, dtype=float).reshape(-1)
 
-        def rhs(t, z):
-            return field.rhs(t, z.reshape(2, -1)).ravel()
-    else:
-        y0, rhs = _initial_state(field, y0), field.rhs
-        bound = DEFAULT_BLOWUP_FACTOR * max(1.0, float(np.linalg.norm(y0)))
-
-        def blowup_event(t, u):
-            # called at every accepted step; keeps the last one
-            nonlocal last
-            last = (t, u)
-            return np.linalg.norm(u) - bound
-
-        events.append(blowup_event)
-    if field.kind == "rational":
-        def pole_event(t, y):
-            return field.min_denominator(y) - DEFAULT_POLE_EVENT_FLOOR
-
-        events.append(pole_event)
-    for event in events:
-        event.terminal = True
-    sol = solve_ivp(rhs, t_span, y0, method="RK45", rtol=rtol, atol=atol,
-                    t_eval=t_eval, events=events or None)
-    stop = None
-    if sol.status == 1:
-        fired = next(i for i, hits in enumerate(sol.t_events) if len(hits))
-        t_stop, y_stop = sol.t_events[fired][0], sol.y_events[fired][0]
-        if events[fired] is blowup_event:
-            flag = (f"blowup at t={t_stop:.6g}: state norm exceeded "
-                    f"{bound:.3g}")
+    def __init__(self, field: ReducedField):
+        d = field.dim
+        if field.kind == "series":
+            maps = [(field.series, MultiSeries.constant([1.0], d, 0))]
         else:
-            flag = (f"pole crossing at t={t_stop:.6g}, "
-                    f"u={np.array2string(y_stop, precision=6)}")
-        stop = (flag, t_stop, y_stop)
-    elif sol.status != 0:
-        if field.kind != "series":
-            raise NumericalError(f"integration failed: {sol.message}")
-        # a pair runs without t_eval, so its last step is in sol
-        t_stop, y_stop = last or (sol.t[-1], sol.y[:, -1])
-        stop = (f"blowup at t={t_stop:.6g}: step size collapsed at state "
-                f"norm {np.linalg.norm(y_stop):.3g}", t_stop, y_stop)
-    # with t_eval, sol.t and sol.y are empty lists if no point was reached
-    return np.asarray(sol.t), np.reshape(sol.y, (len(y0), -1)).T, stop
+            maps = [(r.numerator, r.denominator) for r in field.rationals]
+        links = {}        # monomial -> (parent monomial, variable)
+
+        def link(e):
+            if sum(e) and e not in links:
+                j = next(i for i, p in enumerate(e) if p)
+                links[e] = (e[:j] + (e[j] - 1,) + e[j + 1:], j)
+                link(links[e][0])
+
+        units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+        for e in units + [e for pair in maps for s in pair for e in s.coeffs]:
+            link(e)
+        chain = sorted(links, key=grlex_key)
+        slot = {e: a for a, e in enumerate(chain)}
+        size = len(chain)
+        self.field, self.size = field, size
+        self.depth = sum(chain[-1])
+        self.var = np.array([links[e][1] for e in chain])
+        self.outputs = np.array([slot[e] for e in units])
+        self.linked = np.array([a for a, e in enumerate(chain) if sum(e) > 1],
+                               dtype=int)
+        self.parent = np.array([slot[links[chain[a]][0]] for a in self.linked],
+                               dtype=int)
+        # each component's map, and the coefficients of every numerator
+        # component and denominator on the constant and the slots
+        owner = np.repeat(np.arange(len(maps)), [n.dim_out for n, _ in maps])
+        num = np.zeros((size + 1, d))
+        den = np.zeros((size + 1, len(maps)))
+        for i, (n, q) in enumerate(maps):
+            for series, out, cols in ((n, num, owner == i), (q, den, [i])):
+                for e, c in series.coeffs.items():
+                    out[slot[e] if sum(e) else size, cols] = c.real
+        # rows T h_k stacks the parents, numerators and denominators of
+        # every slot at order k; `constant` is the constant monomial's share,
+        # which enters at order 0 only
+        select = np.zeros((size, size))
+        select[self.linked, self.parent] = 1.0
+        self.rows = np.vstack([select, num[:size, self.var].T,
+                               den[:size, owner[self.var]].T])
+        self.constant = np.concatenate([np.ones(size), num[size, self.var],
+                                        den[size, owner[self.var]]])
+        self.constant[self.linked] = 0.0
+        self.forcing = None
+        forcing = field.forcing
+        if forcing is not None and forcing.amplitude != 0.0:
+            k = np.arange(TAYLOR_ORDER)
+            scale = forcing.amplitude * forcing.frequency ** k / \
+                np.cumprod(np.maximum(k, 1.0)) / (k + 1)
+            self.forcing = (forcing.frequency, scale[:, None]
+                            * forcing.vector[self.var])
+
+    def expand(self, t0: float, y0: np.ndarray) -> np.ndarray:
+        """Coefficients Y_0..Y_N (N = TAYLOR_ORDER) of the solutions through
+        the states y0 (m, d) at t0, shape (N + 1, m, d)."""
+        n, size = TAYLOR_ORDER, self.size
+        m = len(y0)
+        vs = np.empty((n + 1, m, size))
+        vs[0] = y0[:, self.var]
+        # T = (I - L)^-1 = I + L + ... + L^(depth - 1), L being nilpotent
+        lower = np.zeros((m, size, size))
+        lower[:, self.linked, self.parent] = vs[0][:, self.linked]
+        chain, power = np.eye(size), lower
+        for _ in range(self.depth - 1):
+            chain = chain + power
+            power = power @ lower
+        gain = self.rows @ chain
+        rs = np.empty((n, m, 3 * size))
+        ps, nums, dens = np.split(rs, 3, axis=2)
+        qs = np.empty((n, m, size))
+        drive = np.zeros((n, size))
+        if self.forcing is not None:
+            omega, scale = self.forcing
+            drive = np.cos(omega * t0 + np.arange(n) * (math.pi / 2))[:, None] \
+                * scale
+        # order 0: the variables are their own term, and the constant adds
+        # its share
+        known = vs[0] * self.constant[:size]
+        np.matmul(gain, known[..., None], out=rs[0, ..., None])
+        rs[0] += self.constant
+        inverse = 1.0 / np.arange(1, n + 1)
+        for k in range(n):
+            if k:
+                known = np.vecdot(ps[:k], vs[k:0:-1], axis=0)
+                np.matmul(gain, known[..., None], out=rs[k, ..., None])
+                nums[k] -= np.vecdot(dens[1:k + 1], qs[k - 1::-1], axis=0)
+            np.divide(nums[k], dens[0], out=qs[k])
+            np.multiply(qs[k], inverse[k], out=vs[k + 1])
+            vs[k + 1] += drive[k]
+        return vs[:, :, self.outputs]
+
+
+def _step_size(coeffs: np.ndarray, rtol: float, atol: float) -> float:
+    """Jorba & Zou's step size from the last two coefficients, for the
+    tolerance atol + rtol |y|; inf for a polynomial solution, nan if a
+    coefficient overflowed."""
+    n = len(coeffs) - 1
+    tops = np.max(np.abs(coeffs[n - 1:].reshape(2, -1)), axis=1).tolist()
+    if not all(map(math.isfinite, tops)):
+        return math.nan
+    tol = atol + rtol * float(np.max(np.abs(coeffs[0])))
+    return _STEP_SAFETY * min((tol / top) ** (1.0 / k) if top else math.inf
+                              for k, top in zip((n - 1, n), tops))
+
+
+def _at(coeffs: np.ndarray, s) -> np.ndarray:
+    """The step polynomial sum_k Y_k s^k at an offset (flat state) or at an
+    array of offsets (one row each)."""
+    powers = np.power.outer(np.asarray(s, dtype=float), np.arange(len(coeffs)))
+    return powers @ coeffs.reshape(len(coeffs), -1)
+
+
+def _run(jets: _Jets, y0, t_span, rtol: float, atol: float,
+         t_eval: Optional[np.ndarray] = None, pair: bool = False):
+    """One Taylor integration of the field: (times, states, stop), with the
+    states at the steps or at t_eval.
+
+    Each step expands the solution to TAYLOR_ORDER (_Jets) and takes the
+    step size from the last two coefficients for the tolerance
+    atol + rtol |y|.  y is one state of the field, or with pair two stacked
+    states that run as one batch.  One state must pass _initial_state, and
+    the run stops where its norm passes DEFAULT_BLOWUP_FACTOR * max(1, |y0|).
+    A rational field's run stops where the denominator at any of its states
+    falls to DEFAULT_POLE_EVENT_FLOOR.  Both are watched at the end of each
+    step and located on its polynomial, as are the t_eval values.  A step
+    size below 10 spacings of t stops a series field: a polynomial field's
+    solution can end only by growing without bound, at times faster than
+    the norm check can follow, so the stop is a blowup at the last accepted
+    step.  A rational field's step collapse raises NumericalError.  stop is
+    (flag, t_stop, y_stop), else None.  A pair has no norm threshold.
+    """
+    field = jets.field
+    checks = []
+    if pair:
+        y = np.asarray(y0, dtype=float).reshape(2, -1)
+    else:
+        y = _initial_state(field, y0)[None]
+        bound = DEFAULT_BLOWUP_FACTOR * max(1.0, float(np.linalg.norm(y)))
+        checks.append((lambda u: np.linalg.norm(u) - bound,
+                       lambda t, u: f"blowup at t={t:.6g}: state norm "
+                                    f"exceeded {bound:.3g}"))
+    if field.kind == "rational":
+        checks.append((lambda u: field.min_denominator(u)
+                       - DEFAULT_POLE_EVENT_FLOOR,
+                       lambda t, u: f"pole crossing at t={t:.6g}, "
+                                    f"u={np.array2string(u, precision=6)}"))
+    t, t_end = float(t_span[0]), float(t_span[1])
+    sign = 1.0 if t_end >= t else -1.0
+    levels = [g(y) for g, _ in checks]
+    times, states = ([t], [y.ravel()]) if t_eval is None else ([], [])
+    keys = None if t_eval is None else sign * np.asarray(t_eval, dtype=float)
+    done, stop = 0, None
+    while t != t_end:
+        # near a blowup the high orders overflow; the step size then collapses
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = jets.expand(t, y)
+        h = _step_size(coeffs, rtol, atol)
+        if not h >= 10.0 * np.spacing(abs(t)):
+            if field.kind != "series":
+                raise NumericalError(f"integration failed: step size "
+                                     f"collapsed at t={t:.6g}")
+            stop = (f"blowup at t={t:.6g}: step size collapsed at state "
+                    f"norm {np.linalg.norm(y):.3g}", t, y.ravel())
+            break
+        t_new = t_end if h >= abs(t_end - t) else t + sign * h
+        y_new = _at(coeffs, t_new - t).reshape(y.shape)
+        new_levels = [g(y_new) for g, _ in checks]
+        crossed = [(brentq(lambda s: g(_at(coeffs, s * (t_new - t))),
+                           0.0, 1.0, xtol=1e-15), i)
+                   for i, ((g, _), a, b) in enumerate(zip(checks, levels,
+                                                          new_levels))
+                   if a * b <= 0.0]
+        if crossed:
+            s, i = min(crossed)
+            t_new = t + s * (t_new - t)
+            y_new = _at(coeffs, t_new - t)
+            stop = (checks[i][1](t_new, y_new), t_new, y_new)
+        if t_eval is None:
+            times.append(t_new)
+            states.append(y_new.ravel())
+        else:
+            upto = int(np.searchsorted(keys, sign * t_new, side="right"))
+            times.extend(t_eval[done:upto])
+            states.extend(_at(coeffs, t_eval[done:upto] - t))
+            done = upto
+        if stop is not None:
+            break
+        t, y, levels = t_new, y_new, new_levels
+    return (np.asarray(times, dtype=float),
+            np.reshape(states, (len(times), y.size)), stop)
 
 
 def integrate_reduced(f: ReducedField, ic, t_span: Tuple[float, float],
@@ -199,14 +357,20 @@ def integrate_reduced(f: ReducedField, ic, t_span: Tuple[float, float],
                       n_out: int = 1001) -> TrajectoryData:
     """Adaptive integration with blowup and pole-crossing termination.
 
-    Finite-time blowup of truncated Taylor fields is expected behavior: the
-    run stops where the state norm passes the threshold, or for a series
-    field where RK45's step size collapses first, and the trajectory ends
-    at that stop and carries a flag instead of the solver erroring out.  A
-    rational field's step collapse still raises NumericalError.
+    n_out >= 2 samples span t_span, whose ends must be finite and distinct
+    (ValidationError).  Finite-time blowup of truncated Taylor fields is
+    expected behavior: the run stops where the state norm passes the
+    threshold, or for a series field where the step size collapses first,
+    and the trajectory ends at that stop and carries a flag instead of the
+    integration erroring out.  A rational field's step collapse still
+    raises NumericalError.
     """
-    times, values, stop = _run(f, ic, t_span, rtol, atol,
-                               np.linspace(t_span[0], t_span[1], n_out))
+    t0, t1 = (float(t) for t in t_span)
+    if n_out < 2 or not (math.isfinite(t0) and math.isfinite(t1)) \
+            or t0 == t1:
+        raise ValidationError("need n_out >= 2 and finite t0 != t1")
+    times, values, stop = _run(_Jets(f), ic, (t0, t1), rtol, atol,
+                               np.linspace(t0, t1, n_out))
     if stop is None:
         return TrajectoryData(times, values)
     flag, t_stop, u_stop = stop
@@ -504,11 +668,11 @@ def poincare_sample(f: ReducedField, ic, n_periods: int,
             raise ValidationError("no forcing frequency to sample at; "
                                   "pass omega explicitly")
         omega = f.forcing.frequency
-    if omega <= 0 or n_periods < 1:
-        raise ValidationError("need omega > 0 and n_periods >= 1")
+    if omega <= 0 or n_periods < 1 or skip < 0:
+        raise ValidationError("need omega > 0, n_periods >= 1 and skip >= 0")
     period = 2.0 * math.pi / omega
     stamps = (skip + np.arange(1, n_periods + 1)) * period
-    times, values, stop = _run(f, ic, (0.0, stamps[-1]), DEFAULT_RTOL,
+    times, values, stop = _run(_Jets(f), ic, (0.0, stamps[-1]), DEFAULT_RTOL,
                                DEFAULT_ATOL, stamps)
     if len(times) == 0:
         raise NumericalError(f"trajectory ended before the first section: "
@@ -540,13 +704,20 @@ def lyapunov_estimate(f: ReducedField, ic, perturbation_size: float = 1e-7,
     renormalization intervals a rational field's denominators are watched
     at both states of the pair, and a pole crossing raises NumericalError
     with its time; a series field's pair has no event, and only a collapsed
-    step size raises (as a blowup).
+    step size raises (as a blowup).  The pair runs as one batch of the
+    Taylor integrator.  ValidationError unless the horizon is finite and
+    holds at least one interval, 0 < renorm_interval <= horizon, and the
+    transient is finite and nonnegative.
     """
     if perturbation_size <= 0:
         raise ValidationError("perturbation_size must be positive")
-    u, t0 = _initial_state(f, ic), 0.0
+    if not 0.0 < renorm_interval <= horizon < math.inf:
+        raise ValidationError("need 0 < renorm_interval <= horizon < inf")
+    if not 0.0 <= transient < math.inf:
+        raise ValidationError("transient must be finite and nonnegative")
+    jets, u, t0 = _Jets(f), _initial_state(f, ic), 0.0
     if transient > 0:
-        _, states, stop = _run(f, u, (0.0, transient), DEFAULT_RTOL,
+        _, states, stop = _run(jets, u, (0.0, transient), DEFAULT_RTOL,
                                DEFAULT_ATOL)
         if stop is not None:
             raise NumericalError(f"transient integration stopped: {stop[0]}")
@@ -562,7 +733,7 @@ def lyapunov_estimate(f: ReducedField, ic, perturbation_size: float = 1e-7,
 
     for k in range(n_steps):
         t1 = t0 + renorm_interval
-        _, states, stop = _run(f, np.concatenate([u, v]), (t0, t1),
+        _, states, stop = _run(jets, np.concatenate([u, v]), (t0, t1),
                                DEFAULT_RTOL, DEFAULT_ATOL, pair=True)
         if stop is not None:
             raise NumericalError(f"renormalization interval stopped: "

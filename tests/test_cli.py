@@ -342,6 +342,28 @@ def test_malformed_text_inputs_exit_2(tmp_path, capsys, text, argv):
     assert "no such file" not in fields["message"]
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["lyapunov", "--horizon", "0.2"], "horizon"),
+    (["lyapunov", "--renorm-interval", "0"], "renorm_interval"),
+    (["lyapunov", "--horizon", "-5"], "horizon"),
+    (["lyapunov", "--transient", "-1"], "transient"),
+    (["integrate", "--t1", "1", "--n-out", "-3"], "n_out"),
+    (["integrate", "--t1", "1", "--n-out", "0"], "n_out"),
+    (["integrate", "--t1", "0"], "t0 != t1"),
+    (["poincare", "--skip", "-5"], "skip"),
+], ids=["lyapunov-horizon-below-one-interval", "lyapunov-renorm-interval-0",
+        "lyapunov-horizon-negative", "lyapunov-transient-negative",
+        "integrate-n-out-negative", "integrate-n-out-0",
+        "integrate-zero-length-span", "poincare-skip-negative"])
+def test_out_of_range_run_parameters_exit_2(tmp_path, capsys, argv, names):
+    rc, _, fields = run_cli(capsys, "--out", tmp_path / "out", "analyze",
+                            argv[0], "--double-well", "--ic", "0.1,0.1",
+                            *argv[1:])
+    assert rc == 2 and fields["status"] == "validation-error"
+    assert names in fields["message"]
+    assert not (tmp_path / "out").exists()
+
+
 FRC_LIFT = ["analyze", "frc", "--model", "model.txt", "--eps", "0.01",
             "--forcing-vector", "0,1,0,0", "--rho-max", "0.3", "--points",
             "5", "--amplitude", "lift", "--amp-component"]

@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from gssm.errors import NumericalError, ValidationError
@@ -14,6 +15,7 @@ from gssm.reduced import (Forcing, ModalForcing, ReducedField, backbone,
                           forced_response, forcing_projection,
                           integrate_reduced, lift, lyapunov_estimate,
                           poincare_sample, psd_estimate)
+from gssm.reduced import DEFAULT_ATOL, DEFAULT_RTOL, _Jets, _run
 from gssm.series import MultiSeries
 from gssm.ssm import (PolarNormalForm, PolySystem, compute_ssm, extract_polar,
                       foliation_projection, realify_parametrization,
@@ -35,6 +37,93 @@ def test_forward_backward_reversibility():
     fwd = integrate_reduced(f, ic, (0.0, 1.0))
     back = integrate_reduced(f, fwd.values[-1], (1.0, 0.0))
     assert np.allclose(back.values[-1], ic, atol=1e-6)
+
+
+# Oracles of the Taylor integrator.  Each bound is at or below the error
+# of the RK45 integration it replaced (rtol 1e-9, atol 1e-12), given in
+# each test.
+
+
+def test_forced_double_well_matches_dop853():
+    # RK45: 5.3e-10
+    def rhs(t, u):
+        return [u[1], u[0] - u[0] ** 3 - 0.3 * u[1] + 0.5 * math.cos(1.2 * t)]
+
+    ref = solve_ivp(rhs, (0.0, 20.0), [0.1, 0.1], method="DOP853",
+                    rtol=1e-13, atol=1e-15).y[:, -1]
+    tr = integrate_reduced(double_well_field(), [0.1, 0.1], (0.0, 20.0))
+    assert tr.times[-1] == 20.0
+    assert np.linalg.norm(tr.values[-1] - ref) <= 5e-10
+
+
+def _forced_linear_oscillator():
+    """x'' + 0.1 x' + x = 0.5 cos(1.3 t) and its closed-form flow."""
+    k, c, amp, omega = 1.0, 0.1, 0.5, 1.3
+    f = ReducedField.from_series(
+        MultiSeries(2, 2, 1, {(1, 0): [0.0, -k], (0, 1): [1.0, -c]}),
+        Forcing(amp, omega, [0.0, 1.0]))
+    a = np.array([[0.0, 1.0], [-k, -c]])
+    gain = amp / complex(k - omega ** 2, c * omega)
+
+    def steady(t):
+        z = gain * np.exp(1j * omega * t)
+        return np.array([z.real, (1j * omega * z).real])
+
+    def flow(t, t0, y0):
+        return expm(a * (t - t0)) @ (y0 - steady(t0)) + steady(t)
+
+    return f, flow
+
+
+def test_forced_linear_oscillator_matches_closed_form():
+    # the forcing's jet enters every order; RK45: 1.1e-9 forward and
+    # 5.7e-9 backward, where the damping makes the flow grow
+    f, flow = _forced_linear_oscillator()
+    y0 = np.array([0.2, -0.1])
+    for span, bound in (((0.0, 20.0), 1e-10), ((20.0, 0.0), 2e-10)):
+        tr = integrate_reduced(f, y0, span, n_out=401)
+        assert tr.flags == [] and tr.times[-1] == span[1]
+        exact = np.array([flow(t, span[0], y0) for t in tr.times])
+        assert np.max(np.abs(tr.values - exact)) <= bound
+
+
+def _rational_oscillator():
+    """Two maps with their own denominators, forced: u' = v / (1 + u^2/2),
+    v' = (-u - v/10 + u^2 v/5) / (1 + v^2/5 + u v/10) + 0.3 cos(0.9 t)."""
+    first = RationalMap(MultiSeries(2, 1, 1, {(0, 1): [1.0]}),
+                        MultiSeries(2, 1, 2, {(0, 0): [1.0], (2, 0): [0.5]}),
+                        (1, 2))
+    second = RationalMap(
+        MultiSeries(2, 1, 3, {(1, 0): [-1.0], (0, 1): [-0.1], (2, 1): [0.2]}),
+        MultiSeries(2, 1, 2, {(0, 0): [1.0], (0, 2): [0.2], (1, 1): [0.1]}),
+        (3, 2))
+    return ReducedField.from_rationals([first, second],
+                                       Forcing(0.3, 0.9, [0.0, 1.0]))
+
+
+def test_rational_field_matches_dop853_on_its_rhs():
+    # the series-division recurrence against the evaluated field; RK45: 9.9e-10
+    f = _rational_oscillator()
+    times = np.linspace(0.0, 10.0, 101)
+    ref = solve_ivp(f.rhs, (0.0, 10.0), [0.8, -0.3], method="DOP853",
+                    rtol=1e-13, atol=1e-15, t_eval=times).y.T
+    tr = integrate_reduced(f, [0.8, -0.3], (0.0, 10.0), n_out=101)
+    assert np.array_equal(tr.times, times)
+    assert np.max(np.abs(tr.values - ref)) <= 2e-10
+
+
+def test_a_batched_pair_equals_two_separate_runs():
+    for f, u, v in ((double_well_field(), [0.1, 0.1], [0.3, -0.2]),
+                    (_rational_oscillator(), [0.8, -0.3], [-0.5, 0.4])):
+        jets = _Jets(f)
+        for span in ((0.0, 1.0), (5.0, 4.0)):
+            _, pair, stop = _run(jets, u + v, span, DEFAULT_RTOL,
+                                 DEFAULT_ATOL, pair=True)
+            alone = np.concatenate([_run(jets, w, span, DEFAULT_RTOL,
+                                         DEFAULT_ATOL)[1][-1] for w in (u, v)])
+            assert stop is None and pair.shape[1] == 4
+            tol = DEFAULT_ATOL + DEFAULT_RTOL * np.max(np.abs(alone))
+            assert np.max(np.abs(pair[-1] - alone)) <= tol
 
 
 def test_blowup_is_flagged_not_fatal():
