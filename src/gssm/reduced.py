@@ -144,16 +144,21 @@ class _Jets:
 
     The field's monomials form a chain of slots: each is a variable, or a
     lower monomial x^par(a) times one variable x_var(a).  Along solutions
-    y(t0 + s) = sum_k Y_k s^k, slot a's k-th coefficient is the Cauchy
-    product sum_i [x^par(a)]_i Y_{k-i, var(a)}, whose one unknown term at
-    order k is [x^par(a)]_k Y_{0, var(a)}: the chain solve x_k = T h_k
-    with T = (I - L)^-1, one matrix per step, adds it to the known part h_k.
-    The numerators and denominators are linear in the slots, and each
-    quotient follows from the series-division recurrence; a series field is
-    the case of one unit denominator.  The forcing eps v cos(omega t) adds
-    its closed-form jet eps v omega^k cos(omega t0 + k pi/2) / k!.  Every
-    quantity is kept per slot, slot a standing for component var(a), so no
-    order needs a gather.
+    y(t0 + s) = sum_k Y_k s^k, slot a's k-th coefficient x_k(a) is the
+    Cauchy product sum_i x_i(par(a)) Y_{k-i, var(a)}, whose one unknown term
+    at order k is x_k(par(a)) Y_{0, var(a)}.  Unrolled down the chain, x_k(a)
+    is the sum over b = a and a's ancestors of y0^(e_a - e_b) h_k(b), h_k(b)
+    being b's known part.  So one gather and one product over the at most
+    depth - 1 ancestors of each slot's parent give the parents' coefficients,
+    and one product with the step's gain sum_a C_a y0^(e_a - e_b), C_a being
+    slot a's coefficients in every numerator component and denominator,
+    gives the numerators and denominators.  Each quotient follows from the
+    series-division recurrence; a series field is the case of one unit
+    denominator.  The forcing eps v cos(omega t) adds its closed-form jet
+    eps v omega^k cos(omega t0 + k pi/2) / k!.  The slots are grouped by var
+    into blocks of one width, so the Cauchy products broadcast each
+    component over its block.  Per order and state the work is linear in the
+    number of slots.
     """
 
     def __init__(self, field: ReducedField):
@@ -173,83 +178,140 @@ class _Jets:
         units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
         for e in units + [e for pair in maps for s in pair for e in s.coeffs]:
             link(e)
-        chain = sorted(links, key=grlex_key)
-        slot = {e: a for a, e in enumerate(chain)}
-        size = len(chain)
-        self.field, self.size = field, size
-        self.depth = sum(chain[-1])
-        self.var = np.array([links[e][1] for e in chain])
-        self.outputs = np.array([slot[e] for e in units])
-        self.linked = np.array([a for a, e in enumerate(chain) if sum(e) > 1],
-                               dtype=int)
-        self.parent = np.array([slot[links[chain[a]][0]] for a in self.linked],
-                               dtype=int)
-        # each component's map, and the coefficients of every numerator
-        # component and denominator on the constant and the slots
+        # block j holds the slots linked through x_j in grlex order, so its
+        # first slot is x_j itself; pads fill every block to one width
+        blocks = [sorted((e for e in links if links[e][1] == j), key=grlex_key)
+                  for j in range(d)]
+        width = max(map(len, blocks))
+        slot = {e: j * width + i for j, block in enumerate(blocks)
+                for i, e in enumerate(block)}
+        size = d * width
+        self.field, self.dim, self.width = field, d, width
+        # pairs (b, a, e_a - e_b) for b = a and every b below a on the
+        # chain, grouped by b; a pad pairs with itself
+        pairs = []
+        for e, a in slot.items():
+            b, diff = e, np.zeros(d, dtype=int)
+            while sum(b):
+                pairs.append((slot[b], a, diff.copy()))
+                diff[links[b][1]] += 1
+                b = links[b][0]
+        pairs += [(a, a, np.zeros(d, dtype=int))
+                  for a in set(range(size)) - set(slot.values())]
+        pairs.sort(key=lambda p: p[0])
+        below = np.array([b for b, _, _ in pairs])
+        owners = np.array([a for _, a, _ in pairs])
+        self.diffs = np.array([diff for _, _, diff in pairs]).reshape(-1, d)
+        self.starts = np.flatnonzero(np.r_[True, below[1:] != below[:-1]])
+        # each slot's parent, unrolled: the slots b of the parent's pairs,
+        # and those pairs (index len(pairs), weight 0, pads the short rows)
+        runs = [[] for _ in range(size)]
+        for i, (_, a, _) in enumerate(pairs):
+            runs[a].append(i)
+        depth = max(sum(e) for e in links)
+        self.ancestors = np.zeros((size, depth - 1), dtype=int)
+        self.ancestor_pairs = np.full((size, depth - 1), len(pairs))
+        for e, a in slot.items():
+            if sum(e) > 1:
+                ups = runs[slot[links[e][0]]]
+                self.ancestors[a, :len(ups)] = [pairs[i][0] for i in ups]
+                self.ancestor_pairs[a, :len(ups)] = ups
+        self.units = np.zeros(size)
+        self.units[::width] = 1.0
+        # C: every numerator component and its map's denominator on the
+        # slots, taken per pair; `constant` is the constant monomial's share
         owner = np.repeat(np.arange(len(maps)), [n.dim_out for n, _ in maps])
-        num = np.zeros((size + 1, d))
-        den = np.zeros((size + 1, len(maps)))
+        linear = np.zeros((size, 2 * d))
+        self.constant = np.zeros(2 * d)
         for i, (n, q) in enumerate(maps):
-            for series, out, cols in ((n, num, owner == i), (q, den, [i])):
+            for series, cols in ((n, np.flatnonzero(owner == i)),
+                                 (q, d + np.flatnonzero(owner == i))):
                 for e, c in series.coeffs.items():
-                    out[slot[e] if sum(e) else size, cols] = c.real
-        # rows T h_k stacks the parents, numerators and denominators of
-        # every slot at order k; `constant` is the constant monomial's share,
-        # which enters at order 0 only
-        select = np.zeros((size, size))
-        select[self.linked, self.parent] = 1.0
-        self.rows = np.vstack([select, num[:size, self.var].T,
-                               den[:size, owner[self.var]].T])
-        self.constant = np.concatenate([np.ones(size), num[size, self.var],
-                                        den[size, owner[self.var]]])
-        self.constant[self.linked] = 0.0
+                    row = linear[slot[e]] if sum(e) else self.constant
+                    row[cols] = c.real
+        self.pair_rows = linear[owners]
+        self.inverse = 1.0 / np.arange(1, TAYLOR_ORDER + 1)
+        self._spaces = {}
         self.forcing = None
         forcing = field.forcing
         if forcing is not None and forcing.amplitude != 0.0:
             k = np.arange(TAYLOR_ORDER)
             scale = forcing.amplitude * forcing.frequency ** k / \
                 np.cumprod(np.maximum(k, 1.0)) / (k + 1)
-            self.forcing = (forcing.frequency, scale[:, None]
-                            * forcing.vector[self.var])
+            self.forcing = (forcing.frequency,
+                            np.outer(scale, forcing.vector))
+
+    def _workspace(self, m: int):
+        """Buffers for m states and their views at every order, kept from
+        step to step."""
+        if m not in self._spaces:
+            n, d, width = TAYLOR_ORDER, self.dim, self.width
+            size = d * width
+            ys = np.empty((n + 1, m, d))
+            ps = np.zeros((m, size, n))       # x_k at each slot's parent
+            nd = np.empty((m, 2 * d, n))      # numerators, then denominators
+            # the quotients, each beside a 1 that takes up the forcing's
+            # term: Y_{k+1} = Q_k / (k + 1) + drive_k is then one product
+            qs = np.ones((m, d, n, 2))
+            steps = np.zeros((n, d, 2, 1))
+            steps[:, :, 0, 0] = self.inverse[:, None]
+            known = np.zeros((m, d, width, 1, 1))
+            flat = known.reshape(m, size)
+            ups = np.empty((m, size) + self.ancestors.shape[1:] + (1,))
+            conv = np.empty((m, d, 1, 1))
+            lagged = ys.transpose(1, 2, 0)[:, :, None, :, None]
+            blocks = ps.reshape(m, d, width, 1, n)
+            orders = [(blocks[..., :k], lagged[..., k:0:-1, :],
+                       ps[:, :, k, None, None], nd[:, None, :, k],
+                       nd[:, d:, None, 1:k + 1], qs[:, :, k - 1::-1, :1],
+                       nd[:, :d, k], qs[:, :, k, 0], qs[:, :, k, None],
+                       steps[k], ys[k + 1, :, :, None, None])
+                      for k in range(n)]
+            self._spaces[m] = (ys, ps, nd, qs, steps, known, flat[:, None],
+                               ups, conv, conv[..., 0, 0], orders)
+        return self._spaces[m]
 
     def expand(self, t0: float, y0: np.ndarray) -> np.ndarray:
         """Coefficients Y_0..Y_N (N = TAYLOR_ORDER) of the solutions through
         the states y0 (m, d) at t0, shape (N + 1, m, d)."""
-        n, size = TAYLOR_ORDER, self.size
-        m = len(y0)
-        vs = np.empty((n + 1, m, size))
-        vs[0] = y0[:, self.var]
-        # T = (I - L)^-1 = I + L + ... + L^(depth - 1), L being nilpotent
-        lower = np.zeros((m, size, size))
-        lower[:, self.linked, self.parent] = vs[0][:, self.linked]
-        chain, power = np.eye(size), lower
-        for _ in range(self.depth - 1):
-            chain = chain + power
-            power = power @ lower
-        gain = self.rows @ chain
-        rs = np.empty((n, m, 3 * size))
-        ps, nums, dens = np.split(rs, 3, axis=2)
-        qs = np.empty((n, m, size))
-        drive = np.zeros((n, size))
+        d = self.dim
+        ys, ps, nd, qs, steps, known, row, ups, conv, conv_out, orders = \
+            self._workspace(len(y0))
+        # the step's weights y0^(e_a - e_b), and a zero one for the pads
+        powers = np.zeros((len(y0), len(self.diffs) + 1))
+        np.prod(y0[:, None, :] ** self.diffs, axis=2, out=powers[:, :-1])
+        weights = np.take(powers, self.ancestor_pairs, axis=1)[:, :, None]
+        gain = np.add.reduceat(powers[:, :-1, None] * self.pair_rows,
+                               self.starts, axis=1)
         if self.forcing is not None:
             omega, scale = self.forcing
-            drive = np.cos(omega * t0 + np.arange(n) * (math.pi / 2))[:, None] \
-                * scale
-        # order 0: the variables are their own term, and the constant adds
-        # its share
-        known = vs[0] * self.constant[:size]
-        np.matmul(gain, known[..., None], out=rs[0, ..., None])
-        rs[0] += self.constant
-        inverse = 1.0 / np.arange(1, n + 1)
-        for k in range(n):
+            steps[:, :, 1, 0] = scale * np.cos(
+                omega * t0 + np.arange(TAYLOR_ORDER) * (math.pi / 2))[:, None]
+        ys[0] = y0
+        values, lookup = row[:, 0], self.ancestors[..., None]
+        # order 0: the variables are their own known part
+        known.fill(0.0)
+        known[:, :, 0, 0, 0] = y0
+        for k, (lower, lags, parents, sums, dens, quots, num, quot, pair,
+                step, nxt) in enumerate(orders):
             if k:
-                known = np.vecdot(ps[:k], vs[k:0:-1], axis=0)
-                np.matmul(gain, known[..., None], out=rs[k, ..., None])
-                nums[k] -= np.vecdot(dens[1:k + 1], qs[k - 1::-1], axis=0)
-            np.divide(nums[k], dens[0], out=qs[k])
-            np.multiply(qs[k], inverse[k], out=vs[k + 1])
-            vs[k + 1] += drive[k]
-        return vs[:, :, self.outputs]
+                np.matmul(lower, lags, out=known)
+            np.take(values, lookup, axis=1, out=ups)
+            np.matmul(weights, ups, out=parents)
+            np.matmul(row, gain, out=sums)
+            if k:
+                np.matmul(dens, quots, out=conv)
+                np.subtract(num, conv_out, out=quot)
+            else:
+                # the constants enter at order 0; the later orders come
+                # divided by the denominators' values
+                ps[..., 0] += self.units
+                nd[..., 0] += self.constant
+                at_y0 = np.tile(nd[:, d:, 0], 2)
+                np.divide(num, at_y0[:, :d], out=quot)
+                gain /= at_y0[:, None]
+            np.matmul(pair, step, out=nxt)
+        return ys.copy()
 
 
 def _step_size(coeffs: np.ndarray, rtol: float, atol: float) -> float:

@@ -19,7 +19,7 @@ from gssm.reduced import DEFAULT_ATOL, DEFAULT_RTOL, _Jets, _run
 from gssm.series import MultiSeries
 from gssm.ssm import (PolarNormalForm, PolySystem, compute_ssm, extract_polar,
                       foliation_projection, realify_parametrization,
-                      spectral_analysis)
+                      realify_reduced, spectral_analysis)
 from gssm.systems import imaginary_sing_model, make_system
 from gssm.trajectory import TrajectoryData, trajectory_from_csv, trajectory_to_csv
 
@@ -110,6 +110,22 @@ def test_rational_field_matches_dop853_on_its_rhs():
     tr = integrate_reduced(f, [0.8, -0.3], (0.0, 10.0), n_out=101)
     assert np.array_equal(tr.times, times)
     assert np.max(np.abs(tr.values - ref)) <= 2e-10
+
+
+def test_deep_ssm_field_matches_dop853_on_its_rhs():
+    # the realified order-21 Shaw-Pierre reduced dynamics: 130 terms whose
+    # chain runs 21 monomials deep, forced; RK45: 1.3e-9
+    sp = make_system("shaw_pierre")
+    model = compute_ssm(sp.realization, spectral_analysis(sp.realization, 2),
+                        21, style="graph")
+    f = ReducedField.from_series(realify_reduced(model),
+                                 Forcing(0.01, 1.1, [0.0, 1.0]))
+    times = np.linspace(0.0, 30.0, 61)
+    ref = solve_ivp(f.rhs, (0.0, 30.0), [0.2, 0.0], method="DOP853",
+                    rtol=1e-13, atol=1e-15, t_eval=times).y.T
+    tr = integrate_reduced(f, [0.2, 0.0], (0.0, 30.0), n_out=61)
+    assert tr.flags == []
+    assert np.max(np.abs(tr.values - ref)) <= 1e-9
 
 
 def test_a_batched_pair_equals_two_separate_runs():
