@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog, minimize, nnls
 from scipy.signal import savgol_filter
 
 from .errors import NumericalError, ValidationError
@@ -209,6 +209,17 @@ class RegressionProblem:
 
 @dataclass
 class RationalFit:
+    """A fitted rational field and how the fit went.
+
+    error is the quotient error sum |zeta - num/den|^2 of the returned
+    coefficients.  stage1_error is the same error at the stage-1
+    coefficients, where an active margin puts the denominator at the margin
+    on some samples; dividing by it there makes the value sensitive to the
+    stage-1 denominator (on chaos_fit's problems it moved by up to 6e-6
+    relative when b moved by under 1e-6).  Compare it only as an upper bound:
+    error <= stage1_error.
+    """
+
     rational: RationalMap
     error: float
     stage1_error: float
@@ -237,23 +248,32 @@ def _denominator(psi_tail, b):
     return 1.0 + psi_tail @ b
 
 
-def _quotient_error(theta, phi, psi_tail, targets, n_out):
-    p = phi.shape[1]
-    a = theta[:n_out * p].reshape(n_out, p)
-    den = _denominator(psi_tail, theta[n_out * p:])
-    with np.errstate(all="ignore"):
-        resid = targets - (phi @ a.T) / den[:, None]
-        val = float(np.sum(resid * resid))
-    return val if np.isfinite(val) else HUGE_OBJECTIVE
-
-
-def _quotient_grad(theta, phi, psi_tail, targets, n_out):
+def _quotient_terms(theta, phi, psi_tail, targets, n_out):
+    """Numerators, denominator and residual targets - num / den at theta."""
     p = phi.shape[1]
     a = theta[:n_out * p].reshape(n_out, p)
     den = _denominator(psi_tail, theta[n_out * p:])
     with np.errstate(all="ignore"):
         num = phi @ a.T
         resid = targets - num / den[:, None]
+    return num, den, resid
+
+
+def _squared_norm(resid):
+    with np.errstate(all="ignore"):
+        val = float(np.sum(resid * resid))
+    return val if np.isfinite(val) else HUGE_OBJECTIVE
+
+
+def _quotient_error(theta, phi, psi_tail, targets, n_out):
+    return _squared_norm(_quotient_terms(theta, phi, psi_tail, targets,
+                                         n_out)[2])
+
+
+def _quotient_gradient(terms, phi, psi_tail):
+    """Gradient of the quotient error from its _quotient_terms."""
+    num, den, resid = terms
+    with np.errstate(all="ignore"):
         ga = -2.0 * (resid / den[:, None]).T @ phi
         gb = 2.0 * psi_tail.T @ (np.sum(resid * num, axis=1) / den ** 2)
     g = np.concatenate([ga.ravel(), gb])
@@ -285,15 +305,65 @@ def _feasibility_certificate(psi_tail, margin):
     return float(res.x[-1])
 
 
+def _rank(s, shape):
+    """Numerical rank from singular values s, at np.linalg.lstsq's default
+    cutoff max(shape) * eps * s_max."""
+    return int(np.sum(s > max(shape) * np.finfo(float).eps * s[:1].sum()))
+
+
+def _constrained_lstsq(e, f, g, h):
+    """min |e x - f| subject to g x >= h, with x in the row space of e.
+
+    Lawson & Hanson (Solving Least Squares Problems, 1974, ch. 23): the SVD
+    e = U S V^T and x = V S^-1 (z + U^T f) turn the problem into the
+    least-distance problem min |z| subject to G z >= h - G U^T f,
+    G = g V S^-1, and one NNLS solves that.  None if it is infeasible.
+    """
+    u, s, vt = np.linalg.svd(e, full_matrices=False)
+    r = _rank(s, e.shape)
+    u, s, v = u[:, :r], s[:r], vt[:r].T
+    proj = u.T @ f
+    gs = (g @ v) / s
+    hs = h - gs @ proj
+    w = nnls(np.vstack([gs.T, hs]), np.r_[np.zeros(r), 1.0])[0]
+    fac = 1.0 - hs @ w
+    if not 1.0 + fac > 1.0:
+        return None
+    return v @ ((gs.T @ w / fac + proj) / s)
+
+
+def _stage1_denominator(phi, psi_tail, targets, delta):
+    """The denominator's b of the linearized fit under the margin: minimize
+    sum_j |den * zeta_j - phi a_j|^2 subject to den >= delta on every sample.
+
+    The numerators are free, so an orthonormal basis of range(phi) projects
+    them out and _constrained_lstsq solves for b alone; b = 0 (the unit
+    denominator) when that reports the constraints infeasible.
+    """
+    u, s, _ = np.linalg.svd(phi, full_matrices=False)
+    basis = u[:, :_rank(s, phi.shape)]
+    # per output j: den * zeta_j = psi_tail b * zeta_j + zeta_j
+    cols = np.concatenate([psi_tail * targets.T[:, :, None],
+                           targets.T[:, :, None]], axis=2)
+    cols -= basis @ (basis.T @ cols)
+    m = psi_tail.shape[1]
+    b = _constrained_lstsq(cols[..., :m].reshape(-1, m),
+                           -cols[..., m].ravel(), psi_tail,
+                           np.full(len(psi_tail), delta - 1.0))
+    return np.zeros(m) if b is None else b
+
+
 def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
                        seed: int = 0, constrained: bool = True) -> RationalFit:
     """Shared-denominator rational fit of a sampled vector field.
 
-    Stage 1 minimizes the linearized residual |den*zeta - num|^2, stage 2
-    descends the true quotient error from there. Both stages keep
-    den(eta_i) >= margin on every training point unless constrained=False,
-    which reproduces the spurious-pole failure mode and exists for
-    comparison experiments only.  With denominator order 0 the fit is the
+    Stage 1 minimizes the linearized residual |den*zeta - num|^2 by least
+    squares; if that denominator breaks the margin, the constrained problem
+    is solved exactly for the denominator (_stage1_denominator) and the
+    numerator again at it.  Stage 2 descends the true quotient error from
+    there by SLSQP.  Both stages keep den(eta_i) >= margin on every
+    training point unless constrained=False, which reproduces the
+    spurious-pole failure mode and exists for comparison experiments only.  With denominator order 0 the fit is the
     polynomial least-squares fit: stage 1 solves it and stage 2 is skipped.
     A rank-deficient stage-1 system is flagged.
     """
@@ -328,10 +398,10 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
 
     cons = []
     if constrained and q > 1:
+        cons_jac = np.hstack([np.zeros((k, n_out * p)), psi_tail])
         cons = [{"type": "ineq",
                  "fun": lambda th: _denominator(psi_tail, th[n_out * p:]) - delta,
-                 "jac": lambda th: np.hstack(
-                     [np.zeros((k, n_out * p)), psi_tail])}]
+                 "jac": lambda th: cons_jac}]
 
     # stage 1: linearized problem
     big = np.zeros((k * n_out, n_out * p + q - 1))
@@ -350,20 +420,11 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
         flags.append(f"rank-deficient linearized system ({rank} < "
                      f"{big.shape[1]}); minimum-norm coefficients")
     if constrained and margin_of(theta1[n_out * p:]) < delta:
-        def lin_obj(th):
-            r = big @ th - rhs
-            return float(r @ r)
-
-        def lin_grad(th):
-            return 2.0 * big.T @ (big @ th - rhs)
-
-        a0 = np.linalg.lstsq(phi, prob.targets, rcond=None)[0].T
-        start = np.concatenate([a0.ravel(), np.zeros(q - 1)])
-        res = minimize(lin_obj, start, jac=lin_grad, method="SLSQP",
-                       constraints=cons,
-                       options={"maxiter": 500, "ftol": 1e-14})
-        theta1 = res.x if res.success else start
-        b1 = shrink_to_feasible(theta1[n_out * p:])
+        b1 = _stage1_denominator(phi, psi_tail, prob.targets, delta)
+        # the solve meets the margin up to rounding, which stage 2 and the
+        # final check forgive too
+        if margin_of(b1) < delta - CONSTRAINT_SLACK:
+            b1 = shrink_to_feasible(b1)
         theta1 = np.concatenate(
             [_solve_a_given_b(phi, psi_tail, prob.targets, b1).ravel(), b1])
     stage1_error = _quotient_error(theta1, phi, psi_tail, prob.targets, n_out)
@@ -384,10 +445,21 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
     best_theta, best_err = theta1, stage1_error
     refined = False
     den_ranges = []
+    # SLSQP asks for the error and then the gradient at each accepted
+    # point: both come from one residual pass
+    last = [None, None]
+
+    def terms_at(theta):
+        if not np.array_equal(theta, last[0]):
+            last[:] = theta.copy(), _quotient_terms(
+                theta, phi, psi_tail, prob.targets, n_out)
+        return last[1]
+
     for start in starts:
-        res = minimize(_quotient_error, start,
-                       args=(phi, psi_tail, prob.targets, n_out),
-                       jac=_quotient_grad, method="SLSQP", constraints=cons,
+        res = minimize(lambda th: _squared_norm(terms_at(th)[2]), start,
+                       jac=lambda th: _quotient_gradient(terms_at(th), phi,
+                                                         psi_tail),
+                       method="SLSQP", constraints=cons,
                        options={"maxiter": 500, "ftol": 1e-14})
         if not np.all(np.isfinite(res.x)):
             continue

@@ -153,12 +153,13 @@ class _Jets:
     and one product with the step's gain sum_a C_a y0^(e_a - e_b), C_a being
     slot a's coefficients in every numerator component and denominator,
     gives the numerators and denominators.  Each quotient follows from the
-    series-division recurrence; a series field is the case of one unit
-    denominator.  The forcing eps v cos(omega t) adds its closed-form jet
-    eps v omega^k cos(omega t0 + k pi/2) / k!.  The slots are grouped by var
-    into blocks of one width, so the Cauchy products broadcast each
-    component over its block.  Per order and state the work is linear in the
-    number of slots.
+    series-division recurrence and overwrites its numerator; a series field
+    is the case of one unit denominator, and where every denominator is the
+    constant 1 the recurrence past order 0 is skipped.  The forcing
+    eps v cos(omega t) adds its closed-form jet eps v omega^k
+    cos(omega t0 + k pi/2) / k!.  The slots are grouped by var into blocks
+    of one width, so the Cauchy products broadcast each component over its
+    block.  Per order and state the work is linear in the number of slots.
     """
 
     def __init__(self, field: ReducedField):
@@ -230,6 +231,8 @@ class _Jets:
                     row = linear[slot[e]] if sum(e) else self.constant
                     row[cols] = c.real
         self.pair_rows = linear[owners]
+        self.unit_denominators = not linear[:, d:].any() and \
+            bool(np.all(self.constant[d:] == 1.0))
         self.inverse = 1.0 / np.arange(1, TAYLOR_ORDER + 1)
         self._spaces = {}
         self.forcing = None
@@ -249,10 +252,11 @@ class _Jets:
             size = d * width
             ys = np.empty((n + 1, m, d))
             ps = np.zeros((m, size, n))       # x_k at each slot's parent
-            nd = np.empty((m, 2 * d, n))      # numerators, then denominators
-            # the quotients, each beside a 1 that takes up the forcing's
-            # term: Y_{k+1} = Q_k / (k + 1) + drive_k is then one product
-            qs = np.ones((m, d, n, 2))
+            # numerators (overwritten by the quotients), denominators, and
+            # a 1 beside each quotient that takes up the forcing's term:
+            # Y_{k+1} = Q_k / (k + 1) + drive_k is then one product
+            nd = np.ones((m, 3 * d, n))
+            pairs = nd.reshape(m, 3, d, n)[:, ::2].transpose(0, 2, 3, 1)
             steps = np.zeros((n, d, 2, 1))
             steps[:, :, 0, 0] = self.inverse[:, None]
             known = np.zeros((m, d, width, 1, 1))
@@ -262,12 +266,13 @@ class _Jets:
             lagged = ys.transpose(1, 2, 0)[:, :, None, :, None]
             blocks = ps.reshape(m, d, width, 1, n)
             orders = [(blocks[..., :k], lagged[..., k:0:-1, :],
-                       ps[:, :, k, None, None], nd[:, None, :, k],
-                       nd[:, d:, None, 1:k + 1], qs[:, :, k - 1::-1, :1],
-                       nd[:, :d, k], qs[:, :, k, 0], qs[:, :, k, None],
-                       steps[k], ys[k + 1, :, :, None, None])
+                       ps[:, :, k, None, None], nd[:, None, :2 * d, k],
+                       nd[:, d:2 * d, None, 1:k + 1],
+                       nd[:, :d, k - 1::-1, None], nd[:, :d, k],
+                       pairs[:, :, k, None], steps[k],
+                       ys[k + 1, :, :, None, None])
                       for k in range(n)]
-            self._spaces[m] = (ys, ps, nd, qs, steps, known, flat[:, None],
+            self._spaces[m] = (ys, ps, nd, steps, known, flat[:, None],
                                ups, conv, conv[..., 0, 0], orders)
         return self._spaces[m]
 
@@ -275,12 +280,13 @@ class _Jets:
         """Coefficients Y_0..Y_N (N = TAYLOR_ORDER) of the solutions through
         the states y0 (m, d) at t0, shape (N + 1, m, d)."""
         d = self.dim
-        ys, ps, nd, qs, steps, known, row, ups, conv, conv_out, orders = \
+        ys, ps, nd, steps, known, row, ups, conv, conv_out, orders = \
             self._workspace(len(y0))
         # the step's weights y0^(e_a - e_b), and a zero one for the pads
         powers = np.zeros((len(y0), len(self.diffs) + 1))
-        np.prod(y0[:, None, :] ** self.diffs, axis=2, out=powers[:, :-1])
-        weights = np.take(powers, self.ancestor_pairs, axis=1)[:, :, None]
+        np.multiply.reduce(y0[:, None, :] ** self.diffs, axis=2,
+                           out=powers[:, :-1])
+        weights = powers.take(self.ancestor_pairs, axis=1)[:, :, None]
         gain = np.add.reduceat(powers[:, :-1, None] * self.pair_rows,
                                self.starts, axis=1)
         if self.forcing is not None:
@@ -289,27 +295,28 @@ class _Jets:
                 omega * t0 + np.arange(TAYLOR_ORDER) * (math.pi / 2))[:, None]
         ys[0] = y0
         values, lookup = row[:, 0], self.ancestors[..., None]
+        divide = not self.unit_denominators
         # order 0: the variables are their own known part
         known.fill(0.0)
         known[:, :, 0, 0, 0] = y0
-        for k, (lower, lags, parents, sums, dens, quots, num, quot, pair,
-                step, nxt) in enumerate(orders):
+        for k, (lower, lags, parents, sums, dens, quots, num, pair, step,
+                nxt) in enumerate(orders):
             if k:
                 np.matmul(lower, lags, out=known)
-            np.take(values, lookup, axis=1, out=ups)
+            values.take(lookup, axis=1, out=ups)
             np.matmul(weights, ups, out=parents)
             np.matmul(row, gain, out=sums)
-            if k:
-                np.matmul(dens, quots, out=conv)
-                np.subtract(num, conv_out, out=quot)
-            else:
+            if not k:
                 # the constants enter at order 0; the later orders come
                 # divided by the denominators' values
                 ps[..., 0] += self.units
-                nd[..., 0] += self.constant
-                at_y0 = np.tile(nd[:, d:, 0], 2)
-                np.divide(num, at_y0[:, :d], out=quot)
+                nd[:, :2 * d, 0] += self.constant
+                at_y0 = np.concatenate([nd[:, d:2 * d, 0]] * 2, axis=1)
+                np.divide(num, at_y0[:, :d], out=num)
                 gain /= at_y0[:, None]
+            elif divide:
+                np.matmul(dens, quots, out=conv)
+                np.subtract(num, conv_out, out=num)
             np.matmul(pair, step, out=nxt)
         return ys.copy()
 
@@ -770,6 +777,13 @@ def lyapunov_estimate(f: ReducedField, ic, perturbation_size: float = 1e-7,
     Taylor integrator.  ValidationError unless the horizon is finite and
     holds at least one interval, 0 < renorm_interval <= horizon, and the
     transient is finite and nonnegative.
+
+    On a chaotic field the value is not converged at the default tolerance
+    (DEFAULT_RTOL): criterion 13's forced double well reads 0.159 for
+    perturbation sizes 1e-6 to 1e-8, against 0.124 at rtol 1e-11 and 0.126
+    at 1e-13.  The computed orbit's error grows like e^(0.12 t) and reaches
+    order one within the 200-unit horizon, so only the sign and the spread
+    across perturbation sizes are meaningful there.
     """
     if perturbation_size <= 0:
         raise ValidationError("perturbation_size must be positive")

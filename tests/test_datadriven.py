@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import solve_ivp
+from scipy.optimize import minimize
 
 from gssm.datadriven import (ChartProjection, EmbeddingConfig,
                              RegressionProblem, chart_from_text,
                              chart_to_text, delay_embed,
                              estimate_derivatives, fit_rational_field,
                              predict, tangent_space_pca)
+from gssm.datadriven import _constrained_lstsq, _stage1_denominator
 from gssm.errors import NumericalError, ValidationError
 from gssm.series import MultiSeries, indices_up_to_order, monomial_matrix
 from gssm.trajectory import TrajectoryData
@@ -184,6 +186,92 @@ def test_infeasible_margin_is_rejected_with_certificate():
     zeta = pts[:, 0] ** 2
     with pytest.raises(ValidationError, match="infeasible"):
         fit_rational_field(RegressionProblem(pts, zeta, 2, 2, margin=2.0))
+
+
+def test_constrained_lstsq_closed_forms():
+    rng = np.random.default_rng(8)
+    # min |x - c| subject to x >= 0 is max(c, 0)
+    c = rng.normal(size=6)
+    x = _constrained_lstsq(np.eye(6), c, np.eye(6), np.zeros(6))
+    assert np.allclose(x, np.maximum(c, 0.0), rtol=0.0, atol=1e-14)
+    # with every constraint inactive it is the least-squares solution
+    e, f = rng.normal(size=(30, 4)), rng.normal(size=30)
+    ref = np.linalg.lstsq(e, f, rcond=None)[0]
+    x = _constrained_lstsq(e, f, np.vstack([np.eye(4), -np.eye(4)]),
+                           np.full(8, -1e3))
+    assert np.allclose(x, ref, rtol=1e-12, atol=0.0)
+    # x >= 1 and -x >= 1 exclude each other
+    assert _constrained_lstsq(np.eye(1), np.ones(1), np.array([[1.0], [-1.0]]),
+                              np.ones(2)) is None
+
+
+def test_infeasible_stage1_falls_back_to_the_unit_denominator():
+    # den = 1 + b x >= 2 at x = -1 and x = 1 needs b >= 1 and b <= -1
+    x = np.array([[-1.0], [1.0], [0.5]])
+    phi = monomial_matrix(x, indices_up_to_order(1, 0))
+    b = _stage1_denominator(phi, x, np.ones((3, 1)), 2.0)
+    assert np.array_equal(b, np.zeros(1))
+
+
+def _linearized(pts, zeta, n, m):
+    """phi, psi_tail and the linearized system |big (a, b) - rhs|^2."""
+    phi = monomial_matrix(pts, indices_up_to_order(pts.shape[1], n))
+    psi_tail = monomial_matrix(pts, indices_up_to_order(pts.shape[1], m))[:, 1:]
+    return phi, psi_tail, np.hstack([-phi, psi_tail * zeta[:, None]]), -zeta
+
+
+@pytest.mark.parametrize("zeta_of", [
+    lambda x: (x - x ** 3) / (1.0 - 1.5 * x ** 2) + 0.01 *
+    np.random.default_rng(3).standard_normal(x.shape),
+    lambda x: np.tan(2.0 * x)])
+def test_stage1_is_no_worse_than_a_tight_slsqp_reference(zeta_of):
+    # data whose unconstrained linearized denominator changes sign
+    x = np.linspace(-1.0, 1.0, 41)
+    zeta, margin = zeta_of(x), 1e-3
+    phi, psi_tail, big, rhs = _linearized(x[:, None], zeta, 3, 2)
+    p = phi.shape[1]
+    free = np.linalg.lstsq(big, rhs, rcond=None)[0]
+    assert np.min(1.0 + psi_tail @ free[p:]) < margin
+
+    def best_over_a(b):
+        """The linearized objective at b, minimized over the numerator."""
+        den = 1.0 + psi_tail @ b
+        r = den * zeta - phi @ np.linalg.lstsq(phi, den * zeta, rcond=None)[0]
+        return float(r @ r)
+
+    jac = np.hstack([np.zeros_like(phi), psi_tail])
+    start = np.concatenate([np.linalg.lstsq(phi, zeta, rcond=None)[0],
+                            np.zeros(psi_tail.shape[1])])
+    ref = minimize(lambda th: float((big @ th - rhs) @ (big @ th - rhs)),
+                   start, jac=lambda th: 2.0 * big.T @ (big @ th - rhs),
+                   method="SLSQP", options={"maxiter": 1000, "ftol": 1e-15},
+                   constraints=[{"type": "ineq", "jac": lambda th: jac,
+                                 "fun": lambda th: 1.0 + psi_tail @ th[p:]
+                                 - margin}])
+    # SLSQP ends up to ~1e-12 below the margin, which lowers its objective:
+    # pull its b toward the unit denominator until it meets the margin
+    floor = np.min(1.0 + psi_tail @ ref.x[p:])
+    assert floor >= margin - 1e-9
+    ref_b = ref.x[p:] * min(1.0, (1.0 - margin) / (1.0 - floor))
+    b = _stage1_denominator(phi, psi_tail, zeta[:, None], margin)
+    assert np.min(1.0 + psi_tail @ b) >= margin - 1e-12
+    assert best_over_a(b) <= best_over_a(ref_b) * (1.0 + 1e-12)
+
+
+def test_rank_deficient_constrained_stage1():
+    # samples on a line in the plane make the [1/2] system rank deficient,
+    # and the unconstrained denominator of 1 / (1 - 1.5 x^2) dips to -0.5
+    x = np.linspace(-1.0, 1.0, 41)
+    pts = np.column_stack([x, 0.5 * x])
+    zeta = 1.0 / (1.0 - 1.5 * x ** 2)
+    _, psi_tail, big, rhs = _linearized(pts, zeta, 1, 2)
+    free = np.linalg.lstsq(big, rhs, rcond=None)[0]
+    assert np.min(1.0 + psi_tail @ free[3:]) < 0.0
+    prob = RegressionProblem(pts, zeta, 1, 2)
+    fit = fit_rational_field(prob)
+    assert any("rank-deficient" in fl for fl in fit.flags)
+    assert fit.min_denominator >= prob.margin - 1e-9
+    assert np.isfinite(fit.error) and fit.error <= fit.stage1_error
 
 
 def test_regression_problem_counts_unknowns():

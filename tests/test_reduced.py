@@ -15,7 +15,8 @@ from gssm.reduced import (Forcing, ModalForcing, ReducedField, backbone,
                           forced_response, forcing_projection,
                           integrate_reduced, lift, lyapunov_estimate,
                           poincare_sample, psd_estimate)
-from gssm.reduced import DEFAULT_ATOL, DEFAULT_RTOL, _Jets, _run
+from gssm.reduced import (DEFAULT_ATOL, DEFAULT_RTOL, TAYLOR_ORDER, _Jets,
+                          _run)
 from gssm.series import MultiSeries
 from gssm.ssm import (PolarNormalForm, PolySystem, compute_ssm, extract_polar,
                       foliation_projection, realify_parametrization,
@@ -140,6 +141,28 @@ def test_a_batched_pair_equals_two_separate_runs():
             assert stop is None and pair.shape[1] == 4
             tol = DEFAULT_ATOL + DEFAULT_RTOL * np.max(np.abs(alone))
             assert np.max(np.abs(pair[-1] - alone)) <= tol
+
+
+def test_unit_denominators_skip_the_division_recurrence_exactly():
+    # one polynomial field as a series and over the constant denominator 1;
+    # the series kind and the unit rational skip the recurrence past order
+    # 0, and the general path (the flag cleared) must give the same bits
+    poly = MultiSeries(2, 2, 3, {(0, 1): [1.0, 0.3], (1, 0): [0.0, 1.0],
+                                 (3, 0): [0.0, -1.0], (1, 2): [0.2, 0.0]})
+    unit = RationalMap(poly, MultiSeries.constant([1.0], 2, 0), (3, 0))
+    forcing = Forcing(0.5, 1.2, [0.0, 1.0])
+    series_jets = _Jets(ReducedField.from_series(poly, forcing))
+    rational_jets = _Jets(ReducedField.from_rationals(unit, forcing))
+    general_jets = _Jets(ReducedField.from_rationals(unit, forcing))
+    general_jets.unit_denominators = False
+    assert series_jets.unit_denominators and rational_jets.unit_denominators
+    assert not _Jets(_rational_oscillator()).unit_denominators
+    y0 = np.array([[0.3, -0.2], [1.1, 0.4]])
+    for m in (1, 2):
+        ref = series_jets.expand(0.7, y0[:m])
+        assert np.all(np.isfinite(ref)) and np.any(ref[TAYLOR_ORDER] != 0.0)
+        for jets in (rational_jets, general_jets):
+            assert np.array_equal(jets.expand(0.7, y0[:m]), ref)
 
 
 def test_blowup_is_flagged_not_fatal():
