@@ -19,6 +19,7 @@ then lexicographic on the index tuple.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -329,8 +330,15 @@ class MultiSeries:
         return arr[:n] if len(arr) >= n else np.pad(arr, ((0, n - len(arr)), (0, 0)))
 
     def component(self, j: int) -> "MultiSeries":
-        d = {idx: np.array([v[j]]) for idx, v in self.coeffs.items() if v[j] != 0}
-        return MultiSeries(self.dim_in, 1, self.order, d)
+        """Scalar series of output j, its terms in this series' order."""
+        if not 0 <= j < self.dim_out:
+            raise ValueError("component index out of range")
+        col = np.array(list(self.coeffs.values()), dtype=complex).reshape(
+            -1, self.dim_out)[:, j:j + 1]
+        keep = col[:, 0] != 0
+        return MultiSeries(self.dim_in, 1, self.order,
+                           dict(zip(itertools.compress(self.coeffs, keep.tolist()),
+                                    col[keep])))
 
     def univariate_coeffs(self) -> np.ndarray:
         """Flat (order+1,) coefficient array; scalar univariate series only."""
@@ -497,17 +505,23 @@ def power_truncated(s: MultiSeries, e: int, order: int) -> MultiSeries:
 class Composition:
     """outer(inner) over a grlex table, built one range of rows at a time.
 
-    inner is a (rows, outer.dim_in) grlex array without constant term.
-    Every monomial inner^e is its grlex predecessor times one inner
-    component (one product each), and outer's coefficients are applied to
-    the monomials by one matmul.  Rows of degree q of a monomial of degree
-    >= 2 use inner rows of degree < q only, so a solver that fills inner in
-    degree by degree can extend the composition as it goes (`rows` on each
-    new degree block, in increasing order).
+    inner is a (rows, outer.dim_in) grlex array without constant term whose
+    rows reach degree `top` at most.  Every monomial inner^e is its grlex
+    predecessor times one inner component (one product each), and outer's
+    coefficients are applied to the monomials by one matmul.  A monomial
+    of degree q can be nonzero only in degrees q .. q * top, so each
+    product forms just the rows of that span (the degree-q block alone
+    for a linear inner map) and the rows outside it stay exact zeros: the
+    result is the same, term for term, as the product over all rows.
+    Rows of degree k of a monomial of degree >= 2 use inner rows of degree
+    < k only, so a solver that fills inner in degree by degree can extend
+    the composition as it goes (`rows` on each new degree block, in
+    increasing order).  Such a solver passes top = order: the span must
+    not be read off inner while it is still being filled.
     """
 
     def __init__(self, outer: MultiSeries, inner: np.ndarray,
-                 table: GrlexTable, order: int):
+                 table: GrlexTable, order: int, top: int):
         terms = [(e, v) for e, v in outer.coeffs.items() if sum(e) <= order]
         zero = (0,) * outer.dim_in
         pred = {zero: None}
@@ -519,7 +533,11 @@ class Composition:
         # predecessors first: grlex order puts every one before its successors
         chain = sorted(pred, key=grlex_key)
         col = {e: c for c, e in enumerate(chain)}
-        self.steps = [(col[e], col[pred[e][0]], pred[e][1]) for e in chain[1:]]
+        # each step: column, predecessor's column, inner component and the
+        # rows [start, stop) of the monomial's degree span
+        self.steps = [(col[e], col[pred[e][0]], pred[e][1],
+                       table.size(sum(e) - 1), table.size(min(sum(e) * top, order)))
+                      for e in chain[1:]]
         self.inner, self.table = inner, table
         self.mono = np.zeros((len(inner), len(chain)), dtype=complex)
         self.mono[0, 0] = 1.0
@@ -530,13 +548,15 @@ class Composition:
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """Rows lo:hi (whole degree blocks) of outer(inner)."""
         mono, inner = self.mono, self.inner
-        for c, p, j in self.steps:
+        for c, p, j, start, stop in self.steps:
             if p == 0:
                 # all rows: inner may have been filled in since the last call
                 mono[:hi, c] = inner[:hi, j]
-            else:
-                mono[lo:hi, c] = product_rows(mono[:, p], inner[:, j],
-                                              self.table, lo, hi)
+                continue
+            first, last = max(lo, start), min(hi, stop)
+            if first < last:
+                mono[first:last, c] = product_rows(mono[:, p], inner[:, j],
+                                                   self.table, first, last)
         return mono[lo:hi, self.cols] @ self.coef
 
 
@@ -551,7 +571,8 @@ def compose_truncated(outer: MultiSeries, inner: MultiSeries, order: int) -> Mul
     if (0,) * inner.dim_in in inner.coeffs:
         raise ValueError("inner series must have zero constant term")
     table = grlex_table(inner.dim_in, order)
-    comp = Composition(outer, inner.grlex(order), table, order)
+    top = max(map(sum, inner.coeffs), default=0)
+    comp = Composition(outer, inner.grlex(order), table, order, top)
     return MultiSeries.from_grlex(comp.rows(0, table.size(order)),
                                   inner.dim_in, order)
 
@@ -595,7 +616,7 @@ def invert_map(f: MultiSeries, order: int) -> MultiSeries:
     g = np.zeros((table.size(order), d), dtype=complex)
     if order >= 1:
         g[[table.row[u] for u in units]] = lin_inv.T
-    tail = Composition(f.drop_below(2), g, table, order)
+    tail = Composition(f.drop_below(2), g, table, order, order)
     for k in range(2, order + 1):
         lo, hi = table.size(k - 1), table.size(k)
         g[lo:hi] = -tail.rows(lo, hi) @ lin_inv.T

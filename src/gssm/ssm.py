@@ -265,7 +265,7 @@ def compute_ssm(sys: PolySystem, spec: SpectralData, order: int,
     w_tilde[units, master] = 1.0
     r_tail = np.zeros((size(order), d), dtype=complex)      # degrees >= 2
     amb = w_tilde @ v.T
-    f_of_w = Composition(sys.nonlinearity, amb, table, order)
+    f_of_w = Composition(sys.nonlinearity, amb, table, order, order)
     is_master = np.isin(np.arange(n), master)
 
     for k in range(2, order + 1):
@@ -453,14 +453,15 @@ def _conjugate_substitution(order: int) -> MultiSeries:
 
 
 def _real_coefficients(s: MultiSeries, what: str) -> MultiSeries:
-    """s with real coefficients; NumericalError unless every imaginary part
-    is below 1e-9 of the largest coefficient magnitude."""
-    scale = max((np.max(np.abs(v)) for v in s.coeffs.values()), default=1.0)
-    if s.max_abs_imag() > 1e-9 * scale:
+    """s with real coefficients, from its grlex array (so its terms come in
+    grlex order); NumericalError unless every imaginary part is below 1e-9
+    of the largest coefficient magnitude."""
+    arr = s.grlex(s.order)
+    imag = np.abs(arr.imag).max(initial=0.0)
+    if imag > 1e-9 * np.abs(arr).max(initial=0.0):
         raise NumericalError(f"{what} does not realify: residual imaginary "
-                             f"part {s.max_abs_imag():.2e}")
-    return MultiSeries(s.dim_in, s.dim_out, s.order,
-                       {k: v.real for k, v in s.coeffs.items()})
+                             f"part {imag:.2e}")
+    return MultiSeries.from_grlex(arr.real.astype(complex), s.dim_in, s.order)
 
 
 def realify_parametrization(model: SSMModel) -> MultiSeries:

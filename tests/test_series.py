@@ -4,12 +4,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gssm.errors import ValidationError
-from gssm.series import (_BLOCK_ENTRIES, _BLOCK_ROWS, MultiSeries,
-                         compose_truncated, indices_of_order,
-                         indices_up_to_order, invert_map, multiply_truncated,
-                         power_truncated, read_sections,
-                         reciprocal_truncated, series_from_text,
-                         series_to_text)
+from gssm.series import (_BLOCK_ENTRIES, _BLOCK_ROWS, Composition,
+                         MultiSeries, compose_truncated, grlex_table,
+                         indices_of_order, indices_up_to_order, invert_map,
+                         multiply_truncated, power_truncated, product_rows,
+                         read_sections, reciprocal_truncated,
+                         series_from_text, series_to_text)
+from gssm.ssm import compute_ssm, realify_parametrization, spectral_analysis
+from gssm.systems import make_system
 
 
 def uni(*coeffs):
@@ -263,6 +265,115 @@ def test_compose_associativity_on_random_cubics(case):
     right = compose_truncated(f, compose_truncated(g, h, order), order)
     for idx in set(left.coeffs) | set(right.coeffs):
         assert np.allclose(left.get(idx), right.get(idx), atol=1e-10)
+
+
+@st.composite
+def linear_substitutions(draw):
+    """outer of degree <= order in d variables, a linear map L and a point."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    l = draw(st.sampled_from([1, 2]))
+    order = draw(st.integers(1, 8))
+    outer = draw(bounded_map(d, l, tuple(range(order + 1)), 1.0))
+    unit = st.floats(-1.0, 1.0)
+    lin = np.array(draw(st.lists(unit, min_size=d * d, max_size=d * d)))
+    point = np.array(draw(st.lists(unit, min_size=d, max_size=d)))
+    return outer, lin.reshape(d, d), point, order
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_substitutions())
+def test_compose_with_linear_inner_is_evaluation_at_the_image(case):
+    # a linear inner map keeps every monomial in its own degree block and
+    # truncates nothing, so only rounding separates the two sides
+    outer, lin, point, order = case
+    d = len(point)
+    inner = MultiSeries(d, d, 1, {tuple(np.eye(d, dtype=int)[i]): lin[:, i]
+                                  for i in range(d)})
+    composed = compose_truncated(outer, inner, order)
+    # both sides sum terms bounded by outer's terms at |L| |x|
+    scale = term_sum(outer, np.abs(lin) @ np.abs(point))[1]
+    assert np.allclose(composed.evaluate(point), outer.evaluate(lin @ point),
+                       rtol=0, atol=1e-13 * (1.0 + np.max(scale)))
+
+
+def test_compose_with_quadratic_inner_fills_only_doubled_degrees():
+    # inner of degree 2 only: outer's degree-q terms land in degree 2q
+    rng = np.random.default_rng(5)
+    outer = MultiSeries(2, 2, 4, {idx: rng.normal(size=2)
+                                  for idx in indices_up_to_order(2, 4)})
+    inner = MultiSeries(2, 2, 2, {idx: rng.normal(size=2)
+                                  for idx in indices_of_order(2, 2)})
+    order = 7
+    composed = compose_truncated(outer, inner, order)
+    assert {sum(k) % 2 for k in composed.coeffs} == {0}
+    # the same terms from products over every row: outer's terms of degree
+    # q <= 3 as products of inner's components
+    comps = [inner.component(i) for i in range(2)]
+    expected = MultiSeries.zero(2, 2, order)
+    for k, v in outer.coeffs.items():
+        if 2 * sum(k) > order:
+            continue
+        term = MultiSeries.constant(v, 2, order)
+        for i, e in enumerate(k):
+            term = multiply_truncated(power_truncated(comps[i], e, order), term,
+                                      order)
+        expected = expected + term
+    assert set(composed.coeffs) == set(expected.coeffs)
+    for k in expected.coeffs:
+        assert np.allclose(composed.get(k), expected.get(k), rtol=1e-13,
+                           atol=1e-12)
+
+
+@pytest.mark.parametrize("degrees", [(1,), (2,), (1, 2, 3)])
+def test_composition_rows_by_blocks_equal_one_pass_bitwise(degrees):
+    rng = np.random.default_rng(len(degrees))
+    order = 9
+    outer = MultiSeries(2, 3, order, {idx: rng.normal(size=3)
+                                      for idx in indices_up_to_order(2, order)})
+    inner = MultiSeries(2, 2, max(degrees), {
+        idx: rng.normal(size=2) for deg in degrees
+        for idx in indices_of_order(2, deg)})
+    table = grlex_table(2, order)
+    arr = inner.grlex(order)
+    one_pass = Composition(outer, arr, table, order, max(degrees)).rows(
+        0, table.size(order))
+    blocks = Composition(outer, arr, table, order, order)
+    by_blocks = np.concatenate([blocks.rows(table.size(k - 1), table.size(k))
+                                for k in range(order + 1)])
+    assert one_pass.tobytes() == by_blocks.tobytes()
+    assert one_pass.tobytes() == compose_truncated(outer, inner, order).grlex(
+        order).tobytes()
+
+
+def test_realify_forms_products_only_in_each_monomials_degree_block(
+        monkeypatch):
+    # products over every row of each monomial gathered 3,162,500 pairs here
+    sp = make_system("shaw_pierre").realization
+    model = compute_ssm(sp, spectral_analysis(sp, 2), 21)
+    pairs = []
+
+    def counted(a, b, table, lo, hi, *mul):
+        pairs.append(int(table.starts[hi] - table.starts[lo]))
+        return product_rows(a, b, table, lo, hi, *mul)
+
+    monkeypatch.setattr("gssm.series.product_rows", counted)
+    realify_parametrization(model)
+    assert 0 < sum(pairs) <= 250_000
+
+
+def test_component_keeps_term_order_and_checks_the_index():
+    s = MultiSeries(2, 2, 3, {(2, 1): [1.0, 0.0], (1, 0): [2.0, 3.0],
+                              (0, 1): [0.0, 5.0 - 1e-300j]})
+    first, second = s.component(0), s.component(1)
+    assert list(first.coeffs) == [(2, 1), (1, 0)]
+    assert list(second.coeffs) == [(1, 0), (0, 1)]
+    for comp, j in ((first, 0), (second, 1)):
+        assert (comp.dim_in, comp.dim_out, comp.order) == (2, 1, 3)
+        for k, v in comp.coeffs.items():
+            assert v.tobytes() == s.coeffs[k][j:j + 1].tobytes()
+    for j in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            s.component(j)
 
 
 def test_operations_never_store_indices_above_order():
