@@ -25,6 +25,14 @@ ORTHONORMAL_TOL = 1e-10
 DEFAULT_MARGIN = 1e-3
 CONSTRAINT_SLACK = 1e-9
 HUGE_OBJECTIVE = 1e50
+# stage 2's working set of margin rows starts as every WORKING_SET_STRIDE-th
+# sample plus the WORKING_SET_LOWEST * (q - 1) samples of lowest denominator
+# (q - 1 free denominator coefficients); a growth step adds the samples
+# below the margin and that many lowest ones again
+WORKING_SET_STRIDE = 20
+WORKING_SET_LOWEST = 25
+# SLSQP iterations per stage-2 start, shared by its working-set runs
+STAGE2_MAXITER = 500
 
 
 @dataclass
@@ -363,9 +371,27 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
     numerator again at it.  Stage 2 descends the true quotient error from
     there by SLSQP.  Both stages keep den(eta_i) >= margin on every
     training point unless constrained=False, which reproduces the
-    spurious-pole failure mode and exists for comparison experiments only.  With denominator order 0 the fit is the
-    polynomial least-squares fit: stage 1 solves it and stage 2 is skipped.
-    A rank-deficient stage-1 system is flagged.
+    spurious-pole failure mode and exists for comparison experiments only.
+    With denominator order 0 the fit is the polynomial least-squares fit:
+    stage 1 solves it and stage 2 is skipped.  A rank-deficient stage-1
+    system is flagged.
+
+    Stage 2 hands SLSQP the margin rows of a working set W of samples, not
+    of all k (constraint generation, as in cutting-plane and active-set
+    methods): every WORKING_SET_STRIDE-th sample plus the
+    WORKING_SET_LOWEST * (q - 1) samples of lowest denominator at the
+    start.  After each run the denominator is checked on every sample; if
+    any falls below the margin by more than CONSTRAINT_SLACK, W gains those
+    samples and the lowest ones at the end point, and SLSQP runs again from
+    there.  W grows at each step (to all samples if it would not), so the
+    loop ends, at worst with the full problem.  The runs from one start
+    share STAGE2_MAXITER iterations, the cap one run over all rows had, and
+    a start that ends below the margin is dropped.  The relaxed problem's
+    feasible set contains the full one, so an accepted end point that is a
+    local minimizer over W and feasible on every sample is a local
+    minimizer of the full problem too.  When W holds every sample from the
+    start (k <= WORKING_SET_LOWEST * (q - 1)) stage 2 is one SLSQP run over
+    all rows.
     """
     d, n_out = prob.dim, prob.n_outputs
     delta = prob.margin
@@ -395,13 +421,6 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
                 return b
             b = 0.5 * b
         return np.zeros_like(b)
-
-    cons = []
-    if constrained and q > 1:
-        cons_jac = np.hstack([np.zeros((k, n_out * p)), psi_tail])
-        cons = [{"type": "ineq",
-                 "fun": lambda th: _denominator(psi_tail, th[n_out * p:]) - delta,
-                 "jac": lambda th: cons_jac}]
 
     # stage 1: linearized problem
     big = np.zeros((k * n_out, n_out * p + q - 1))
@@ -455,22 +474,57 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
                 theta, phi, psi_tail, prob.targets, n_out)
         return last[1]
 
+    def margin_constraints(rows):
+        # den >= delta on the samples in rows; all rows is psi_tail itself
+        sub = psi_tail if len(rows) == k else psi_tail[rows]
+        jac = np.hstack([np.zeros((len(sub), n_out * p)), sub])
+        return [{"type": "ineq",
+                 "fun": lambda th: _denominator(sub, th[n_out * p:]) - delta,
+                 "jac": lambda th: jac}]
+
+    n_low = WORKING_SET_LOWEST * (q - 1)
+
+    def lowest(dvals):
+        if n_low >= k:
+            return np.arange(k)
+        return np.argpartition(dvals, n_low)[:n_low]
+
+    def descend(start):
+        """The end point of stage 2 from start and its denominator on every
+        sample, or None if SLSQP leaves the finite numbers."""
+        rows = np.union1d(np.arange(0, k, WORKING_SET_STRIDE),
+                          lowest(_denominator(psi_tail, start[n_out * p:])))
+        theta, budget = start, STAGE2_MAXITER
+        while True:
+            res = minimize(lambda th: _squared_norm(terms_at(th)[2]), theta,
+                           jac=lambda th: _quotient_gradient(terms_at(th),
+                                                             phi, psi_tail),
+                           method="SLSQP",
+                           constraints=margin_constraints(rows)
+                           if constrained else [],
+                           options={"maxiter": budget, "ftol": 1e-14})
+            theta, budget = res.x, budget - res.nit
+            if not np.all(np.isfinite(theta)):
+                return None
+            dvals = _denominator(psi_tail, theta[n_out * p:])
+            bad = np.flatnonzero(dvals < delta - CONSTRAINT_SLACK)
+            if (not constrained or bad.size == 0 or len(rows) == k
+                    or budget <= 0):
+                return theta, dvals
+            grown = np.union1d(rows, np.union1d(bad, lowest(dvals)))
+            rows = grown if len(grown) > len(rows) else np.arange(k)
+
     for start in starts:
-        res = minimize(lambda th: _squared_norm(terms_at(th)[2]), start,
-                       jac=lambda th: _quotient_gradient(terms_at(th), phi,
-                                                         psi_tail),
-                       method="SLSQP", constraints=cons,
-                       options={"maxiter": 500, "ftol": 1e-14})
-        if not np.all(np.isfinite(res.x)):
+        end = descend(start)
+        if end is None:
             continue
-        bs = res.x[n_out * p:]
-        dvals = _denominator(psi_tail, bs)
+        theta, dvals = end
         den_ranges.append((float(np.min(dvals)), float(np.max(dvals))))
-        if constrained and margin_of(bs) < delta - CONSTRAINT_SLACK:
+        if constrained and np.min(dvals) < delta - CONSTRAINT_SLACK:
             continue
-        err = _quotient_error(res.x, phi, psi_tail, prob.targets, n_out)
+        err = _quotient_error(theta, phi, psi_tail, prob.targets, n_out)
         if err < best_err:
-            best_theta, best_err, refined = res.x, err, True
+            best_theta, best_err, refined = theta, err, True
     if starts and not refined:
         flags.append("refinement did not improve the linearized fit; "
                      "keeping the stage-1 coefficients")

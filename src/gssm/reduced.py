@@ -25,7 +25,7 @@ from .pade import (DEFAULT_POLE_FLOOR, RationalMap, pade_univariate,
                    rational_parts)
 from .series import MultiSeries, grlex_key
 from .ssm import (PolarNormalForm, PolySystem, SpectralData, SSMModel,
-                  _conjugate_row, foliation_projection,
+                  _conjugate_row, _imaginary_residual, foliation_projection,
                   realify_parametrization)
 from .trajectory import TrajectoryData
 
@@ -451,17 +451,21 @@ def lift(chart, traj: TrajectoryData) -> TrajectoryData:
     """Map a reduced trajectory to ambient space through the parametrization.
 
     chart may be an SSMModel (lifted through realify_parametrization, so a
-    model whose W does not realify raises NumericalError), a real
-    MultiSeries, or a RationalMap.  Pole-adjacent samples of a rational
-    chart turn into NaN rows with a flag, so one bad sample does not discard
-    the rest of the trajectory.
+    model whose W does not realify raises NumericalError), or a MultiSeries
+    or RationalMap with real coefficients (ValidationError otherwise: the
+    complex normal-form W of a model is not a real chart).  Pole-adjacent
+    samples of a rational chart turn into NaN rows with a flag, so one bad
+    sample does not discard the rest of the trajectory.
     """
     if isinstance(chart, SSMModel):
         return lift(realify_parametrization(chart), traj)
     flags = list(traj.flags)
     if isinstance(chart, MultiSeries):
+        _require_real(chart)
         rows = chart.evaluate_many(traj.values).real
     elif isinstance(chart, RationalMap):
+        _require_real(chart.numerator)
+        _require_real(chart.denominator)
         num, den = rational_parts(chart, traj.values)
         bad = np.abs(den.real) < DEFAULT_POLE_FLOOR
         rows = num.real / np.where(bad, np.nan, den.real)[:, None]
@@ -472,6 +476,14 @@ def lift(chart, traj: TrajectoryData) -> TrajectoryData:
         raise ValidationError("chart must be SSMModel, MultiSeries, "
                               "or RationalMap")
     return TrajectoryData(traj.times, rows, flags)
+
+
+def _require_real(chart: MultiSeries) -> None:
+    imag = _imaginary_residual(chart)
+    if imag is not None:
+        raise ValidationError(
+            f"chart has complex coefficients (imaginary part up to "
+            f"{imag:.2e}); lift the model or its realified parametrization")
 
 
 # ---- backbone and forced response --------------------------------------------

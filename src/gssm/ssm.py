@@ -452,15 +452,24 @@ def _conjugate_substitution(order: int) -> MultiSeries:
     })
 
 
-def _real_coefficients(s: MultiSeries, what: str) -> MultiSeries:
-    """s with real coefficients, from its grlex array (so its terms come in
-    grlex order); NumericalError unless every imaginary part is below 1e-9
-    of the largest coefficient magnitude."""
+def _imaginary_residual(s: MultiSeries) -> Optional[float]:
+    """The largest imaginary part of s's coefficients if it exceeds 1e-9
+    of the largest coefficient magnitude, else None: the bound under which
+    a series counts as real."""
     arr = s.grlex(s.order)
     imag = np.abs(arr.imag).max(initial=0.0)
-    if imag > 1e-9 * np.abs(arr).max(initial=0.0):
+    return imag if imag > 1e-9 * np.abs(arr).max(initial=0.0) else None
+
+
+def _real_coefficients(s: MultiSeries, what: str) -> MultiSeries:
+    """s with real coefficients, from its grlex array (so its terms come in
+    grlex order); NumericalError where _imaginary_residual finds an
+    imaginary part."""
+    imag = _imaginary_residual(s)
+    if imag is not None:
         raise NumericalError(f"{what} does not realify: residual imaginary "
                              f"part {imag:.2e}")
+    arr = s.grlex(s.order)
     return MultiSeries.from_grlex(arr.real.astype(complex), s.dim_in, s.order)
 
 

@@ -9,6 +9,7 @@ from gssm.datadriven import (ChartProjection, EmbeddingConfig,
                              chart_to_text, delay_embed,
                              estimate_derivatives, fit_rational_field,
                              predict, tangent_space_pca)
+from gssm import datadriven
 from gssm.datadriven import _constrained_lstsq, _stage1_denominator
 from gssm.errors import NumericalError, ValidationError
 from gssm.series import MultiSeries, indices_up_to_order, monomial_matrix
@@ -376,3 +377,181 @@ def test_limit_cycle_self_consistency():
                     rtol=1e-10, atol=1e-12)
     err = np.linalg.norm(pred.values[:, 0] - ref.y[0])
     assert err / np.linalg.norm(ref.y[0]) < 0.1
+
+
+def _record_minimize(monkeypatch, psi_tail):
+    """Wrap datadriven.minimize; per call, the samples of its margin rows,
+    its start and its end point."""
+    index = {row.tobytes(): i for i, row in enumerate(psi_tail)}
+    m = psi_tail.shape[1]
+    calls = []
+    real = datadriven.minimize
+
+    def wrapped(fun, x0, **kwargs):
+        res = real(fun, x0, **kwargs)
+        jac = kwargs["constraints"][0]["jac"](x0)
+        calls.append(({index[row[-m:].tobytes()] for row in jac},
+                      np.array(x0), res.x.copy()))
+        return res
+
+    monkeypatch.setattr(datadriven, "minimize", wrapped)
+    return calls
+
+
+def _full_constraint_error(pts, zeta, n, m, margin, theta0):
+    """Stage 2 as one SLSQP over the margin rows of every sample, from
+    theta0: the quotient error at its end point."""
+    phi = monomial_matrix(pts, indices_up_to_order(2, n))
+    psi_tail = monomial_matrix(pts, indices_up_to_order(2, m))[:, 1:]
+    p = phi.shape[1]
+
+    def parts(th):
+        den = 1.0 + psi_tail @ th[p:]
+        num = phi @ th[:p]
+        return num, den, zeta - num / den
+
+    def error(th):
+        return float(parts(th)[2] @ parts(th)[2])
+
+    def gradient(th):
+        num, den, r = parts(th)
+        return np.concatenate([-2.0 * (r / den) @ phi,
+                               2.0 * (r * num / den ** 2) @ psi_tail])
+
+    jac = np.hstack([np.zeros((len(pts), p)), psi_tail])
+    ref = minimize(error, theta0, jac=gradient, method="SLSQP",
+                   options={"maxiter": 500, "ftol": 1e-14},
+                   constraints=[{"type": "ineq", "jac": lambda th: jac,
+                                 "fun": lambda th: 1.0 + psi_tail @ th[p:]
+                                 - margin}])
+    assert np.min(1.0 + psi_tail @ ref.x[p:]) >= margin - 1e-9
+    return error(ref.x)
+
+
+def _strip_problem(n_samples=1200, n_a=100, n_b=200, seed=3):
+    """Samples of 0.01 / (1 - 0.6 x) on [-1, 1] x [-1, 1], except a strip A at
+    y < -0.9 of alternating +-0.03 targets.  The linearized residual den * zeta
+    - num is smallest where den is small on A, so stage 1's denominator is
+    lowest there; the quotient fit puts it on the margin 0.5 on a strip B
+    at x > 0.98, whose samples sit between the every-20th net rows.  The
+    targets are small because SLSQP's ftol is absolute: at a quotient error
+    of about 1e3 it cannot be met and SLSQP stops short of feasibility."""
+    rng = np.random.default_rng(seed)
+    n_bg = n_samples - n_a - n_b
+    pts = np.vstack([
+        np.column_stack([rng.uniform(-1, 0.95, n_bg),
+                         rng.uniform(-0.85, 1, n_bg)]),
+        np.column_stack([rng.uniform(-1, 0.95, n_a),
+                         rng.uniform(-1, -0.9, n_a)]),
+        np.column_stack([rng.uniform(0.98, 1.0, n_b),
+                         rng.uniform(-0.85, 1, n_b)])])
+    zeta = 0.01 / (1.0 - 0.6 * pts[:, 0]) + 1e-4 * rng.standard_normal(
+        n_samples)
+    zeta[n_bg:n_bg + n_a] = 0.03 * (-1.0) ** np.arange(n_a)
+    off_net = np.flatnonzero(np.arange(n_samples) % datadriven.
+                             WORKING_SET_STRIDE)[-n_b:]
+    order = np.empty(n_samples, dtype=int)
+    order[off_net] = np.arange(n_bg + n_a, n_samples)
+    rest = np.setdiff1d(np.arange(n_samples), off_net)
+    order[rest] = rng.permutation(n_bg + n_a)
+    return pts[order], zeta[order]
+
+
+def test_working_set_grows_to_a_margin_bound_outside_it(monkeypatch):
+    pts, zeta = _strip_problem()
+    prob = RegressionProblem(pts, zeta, 1, 1, margin=0.5)
+    psi_tail = monomial_matrix(pts, indices_up_to_order(2, 1))[:, 1:]
+    calls = _record_minimize(monkeypatch, psi_tail)
+    fit = fit_rational_field(prob)
+
+    def den(theta):
+        return 1.0 + psi_tail @ theta[-2:]
+
+    assert len(calls) == 2
+    first_rows = calls[0][0]
+    assert len(first_rows) < 0.1 * len(pts)
+    # more violators than a growth step's lowest rows (q - 1 = 2), so only
+    # adding the violators themselves covers them
+    violators = set(np.flatnonzero(den(calls[0][2]) < 0.5 - 1e-9))
+    assert len(violators) > datadriven.WORKING_SET_LOWEST * 2
+    # the re-solve starts at the end point with the violators added
+    rows, start, end = calls[1]
+    assert np.array_equal(start, calls[0][2])
+    assert rows > first_rows
+    assert rows >= violators
+    assert len(rows) < len(pts)
+    dvals = den(end)
+    binding = set(np.flatnonzero(dvals - 0.5 < 1e-8))
+    assert binding and not binding & first_rows
+    assert fit.min_denominator >= prob.margin - 1e-9
+    assert fit.restart_den_ranges == [(np.min(dvals), np.max(dvals))]
+    ref = _full_constraint_error(pts, zeta, 1, 1, 0.5, calls[0][1])
+    assert abs(fit.error - ref) <= 1e-8 * ref
+
+
+def test_interior_optimum_needs_no_re_solve(monkeypatch):
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(-1, 1, size=(1200, 2))
+    zeta = (pts[:, 0] - pts[:, 1] ** 2) / (1.0 - 0.3 * pts[:, 0]) \
+        + 0.01 * rng.standard_normal(1200)
+    prob = RegressionProblem(pts, zeta, 2, 1)
+    psi_tail = monomial_matrix(pts, indices_up_to_order(2, 1))[:, 1:]
+    calls = _record_minimize(monkeypatch, psi_tail)
+    fit = fit_rational_field(prob, restarts=2, seed=3)
+    assert len(calls) == 2
+    assert all(len(rows) < 0.15 * len(pts) for rows, _, _ in calls)
+    assert fit.active_constraints == 0
+    assert fit.min_denominator > 0.5
+    for (_, start, end), (lo, hi) in zip(calls, fit.restart_den_ranges):
+        dvals = 1.0 + psi_tail @ end[-2:]
+        assert (lo, hi) == (np.min(dvals), np.max(dvals))
+    ref = min(_full_constraint_error(pts, zeta, 2, 1, prob.margin, start)
+              for _, start, _ in calls)
+    assert abs(fit.error - ref) <= 1e-8 * ref
+
+
+def test_stage2_hands_slsqp_a_small_share_of_the_margin_rows(monkeypatch):
+    # chaos_fit's fit: 2,961 samples of the Hopf cycle, [3/2], 3 restarts;
+    # SLSQP's subproblem cost grows with the rows it is given
+    t = np.arange(0.0, 60.0 + 0.01, 0.02)
+    sol = solve_ivp(_hopf_rhs, (0.0, 60.0), [0.4, 0.0], t_eval=t,
+                    rtol=1e-10, atol=1e-12)
+    cfg = EmbeddingConfig(5, 10)
+    emb = delay_embed(TrajectoryData(t, sol.y[0]), cfg)
+    eta = tangent_space_pca(emb, 2, center=np.zeros(5)).project(emb.values)
+    zeta = estimate_derivatives(TrajectoryData(emb.times, eta)).values
+    psi_tail = monomial_matrix(eta, indices_up_to_order(2, 2))[:, 1:]
+    calls = _record_minimize(monkeypatch, psi_tail)
+    fit = fit_rational_field(RegressionProblem(eta, zeta, 3, 2), restarts=3)
+    assert len(eta) == 2961
+    assert 3 <= len(calls) <= 3 + 2
+    assert max(len(rows) for rows, _, _ in calls) <= 0.15 * len(eta)
+    assert fit.min_denominator >= 1e-3 - 1e-9
+
+
+def test_working_set_runs_share_one_iteration_budget(monkeypatch):
+    # the re-solve gets what the first run left of STAGE2_MAXITER; with no
+    # iterations left, the start ends below the margin and is dropped
+    pts, zeta = _strip_problem()
+    prob = RegressionProblem(pts, zeta, 1, 1, margin=0.5)
+    real = datadriven.minimize
+    calls = []
+
+    def wrapped(fun, x0, **kwargs):
+        res = real(fun, x0, **kwargs)
+        calls.append((kwargs["options"]["maxiter"], res.nit))
+        return res
+
+    monkeypatch.setattr(datadriven, "minimize", wrapped)
+    fit_rational_field(prob)
+    assert len(calls) == 2
+    (cap0, nit0), (cap1, nit1) = calls
+    assert cap0 == datadriven.STAGE2_MAXITER and cap1 == cap0 - nit0
+    assert nit0 < cap0
+    calls.clear()
+    monkeypatch.setattr(datadriven, "STAGE2_MAXITER", nit0)
+    fit = fit_rational_field(prob)
+    assert calls == [(nit0, nit0)]
+    assert fit.restart_den_ranges[0][0] < prob.margin - 1e-9
+    assert fit.min_denominator >= prob.margin - 1e-9
+    assert any("keeping the stage-1 coefficients" in f for f in fit.flags)

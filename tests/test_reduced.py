@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from gssm.errors import NumericalError, ValidationError
-from gssm.pade import RationalMap, pade_multivariate
+from gssm.pade import RationalMap, pade_multivariate, rational_parts
 from gssm.reduced import (Forcing, ModalForcing, ReducedField, backbone,
                           _globalize_in_u, double_well_field,
                           foliation_forcing,
@@ -581,6 +581,33 @@ def test_lift_refuses_a_model_that_does_not_realify():
     with pytest.raises(NumericalError, match="does not realify"):
         lift(model, traj)
 
+
+
+def test_lift_refuses_a_complex_chart_and_keeps_real_ones_bitwise():
+    # the normal-form W of an oscillatory pair has complex coefficients:
+    # its .real is not the realified chart, so lifting through it is refused
+    _, _, model = _shaw_pierre_nf(5)
+    traj = TrajectoryData([0.0, 1.0], [[0.3, -0.2], [0.1, 0.4]])
+    real_w = realify_parametrization(model)
+    with pytest.raises(ValidationError, match="complex coefficients"):
+        lift(model.W, traj)
+    with pytest.raises(ValidationError, match="complex coefficients"):
+        lift(RationalMap.polynomial(model.W), traj)
+    # realified and Pade charts lift to their evaluations, bit for bit
+    assert np.array_equal(lift(model, traj).values,
+                          real_w.evaluate_many(traj.values).real)
+    assert np.array_equal(lift(real_w, traj).values,
+                          real_w.evaluate_many(traj.values).real)
+    chart = pade_multivariate(real_w, 2, 2)[0]
+    num, den = rational_parts(chart, traj.values)
+    assert np.array_equal(lift(chart, traj).values,
+                          num.real / den.real[:, None])
+    # imaginary parts within realify's bound still lift
+    w = dict(real_w.coeffs)
+    w[(1, 0)] = real_w.get((1, 0)) + 1e-12j
+    assert np.array_equal(
+        lift(MultiSeries(2, real_w.dim_out, real_w.order, w), traj).values,
+        real_w.evaluate_many(traj.values).real)
 
 def test_lyapunov_linear_fields():
     stable = ReducedField.from_series(MultiSeries(1, 1, 1, {(1,): [-1.0]}))
