@@ -271,8 +271,6 @@ def _ladder(series: MultiSeries, n0: int, m0: int, radius: float,
             report.append((n_, m_, -1))
             continue
         maps = pade_multivariate(series, n_, m_)
-        if isinstance(maps, RationalMap):
-            maps = [maps]
         axes = _scan_axes(series.dim_in, radius, points, nonnegative)
         n_flags = sum(len(denominator_zero_scan(r, axes)) for r in maps)
         report.append((n_, m_, n_flags))
@@ -554,7 +552,7 @@ def cmd_predict(args, run):
     if args.fit:
         fitted = rational_from_text(_read(args.fit))
     else:
-        fitted = series_from_text(_read(args.poly))
+        fitted = RationalMap.polynomial(series_from_text(_read(args.poly)))
     window = _load_traj(args.data)
     traj = predict(chart, fitted, window, cfg, args.horizon,
                    n_out=args.n_out)

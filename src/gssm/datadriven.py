@@ -8,7 +8,7 @@ training region; denominator order 0 gives the polynomial baseline.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 from scipy.optimize import linprog, minimize, nnls
@@ -577,8 +577,7 @@ def chart_from_text(lines: List[str]):
     return chart, EmbeddingConfig(delays, lag, observable)
 
 
-def predict(chart: ChartProjection,
-            fitted: Union[RationalMap, MultiSeries],
+def predict(chart: ChartProjection, fitted: RationalMap,
             window: TrajectoryData, cfg: EmbeddingConfig, horizon: float,
             n_out: int = 1001) -> TrajectoryData:
     """Embed the tail of a measured window, integrate, and reconstruct.
@@ -592,8 +591,7 @@ def predict(chart: ChartProjection,
     y0 = embedded.values[-1]
     t0 = float(embedded.times[-1])
     eta0 = chart.project(y0)
-    rf = ReducedField.from_rationals(fitted) \
-        if isinstance(fitted, RationalMap) else ReducedField.from_series(fitted)
-    traj = integrate_reduced(rf, eta0, (t0, t0 + horizon), n_out=n_out)
+    traj = integrate_reduced(ReducedField.from_rationals(fitted), eta0,
+                             (t0, t0 + horizon), n_out=n_out)
     recon = chart.reconstruct(traj.values)
     return TrajectoryData(traj.times, recon[:, 0], list(traj.flags))

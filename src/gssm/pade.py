@@ -87,10 +87,6 @@ def rational_parts(r: RationalMap, points) -> Tuple[np.ndarray, np.ndarray]:
     return vals[:, :-1], vals[:, -1]
 
 
-def evaluate_rational(r: RationalMap, point) -> np.ndarray:
-    return evaluate_rational_many(r, np.asarray(point, dtype=complex)[None])[0]
-
-
 def evaluate_rational_many(r: RationalMap, points) -> np.ndarray:
     pts = np.asarray(points, dtype=complex)
     num, den = rational_parts(r, pts)
@@ -226,8 +222,8 @@ def pade_multivariate(coeffs: MultiSeries, N: int, M: int):
     Denominator coefficients minimize the homogeneous matching conditions
     over total orders N+1..N+M in least squares with b0 = 1; numerator
     coefficients then come from the convolution conditions on total orders
-    0..N.  Each component gets its own denominator: a scalar series gives
-    one RationalMap, a vector series a list of scalar RationalMaps.
+    0..N.  Each component gets its own denominator: the result is a list
+    of scalar RationalMaps, one per component.
     """
     if coeffs.order < N + M:
         raise ValidationError(f"series order {coeffs.order} < N+M = {N + M}")
@@ -236,7 +232,7 @@ def pade_multivariate(coeffs: MultiSeries, N: int, M: int):
         maps = [pade_univariate(c, N, M) if d < 2 else
                 RationalMap.polynomial(c.truncated(N))
                 for c in map(coeffs.component, range(l))]
-        return maps[0] if l == 1 else maps
+        return maps
 
     # z[j, k, kb] is component j's coefficient at monomial k / kb, zero
     # where kb does not divide k: the table's product pairs k = left * kb.
@@ -270,7 +266,7 @@ def pade_multivariate(coeffs: MultiSeries, N: int, M: int):
         maps.append(RationalMap(MultiSeries.from_grlex(num, d, N),
                                 MultiSeries.from_grlex(b[:, None], d, M),
                                 (N, M), flags))
-    return maps[0] if l == 1 else maps
+    return maps
 
 
 # ---- serialization --------------------------------------------------------

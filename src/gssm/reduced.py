@@ -1,11 +1,12 @@
 """Running and analyzing the reduced dynamics.
 
-A ReducedField is the right-hand side of the reduced model in one of two
-forms: a real polynomial series or rational maps (the globalized model).
-The analysis routines (backbone, forced response, Poincare sections,
-Lyapunov exponent, PSD) operate on these fields; everything returns plain
-arrays or TrajectoryData so the outputs can be dumped to CSV.  Every run
-of a field goes through one Taylor-series integrator (_run).
+A ReducedField is the right-hand side of the reduced model as rational
+maps (the globalized model); a polynomial field is the [N/0] case, whose
+denominators are all the constant 1.  The analysis routines (backbone,
+forced response, Poincare sections, Lyapunov exponent, PSD) operate on
+these fields; everything returns plain arrays or TrajectoryData so the
+outputs can be dumped to CSV.  Every run of a field goes through one
+Taylor-series integrator (_run).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .ssm import (PolarNormalForm, PolySystem, SpectralData, SSMModel,
                   realify_parametrization)
 from .trajectory import TrajectoryData
 
-FIELD_KINDS = ("series", "rational")
 DEFAULT_BLOWUP_FACTOR = 1e6
 DEFAULT_POLE_EVENT_FLOOR = 1e-6
 DEFAULT_RTOL, DEFAULT_ATOL = 1e-9, 1e-12
@@ -41,55 +41,51 @@ class Forcing:
 
     amplitude: float
     frequency: float
-    vector: Optional[np.ndarray] = None
+    vector: np.ndarray
 
     def __post_init__(self):
         if self.frequency <= 0 and self.amplitude != 0:
             raise ValidationError("forcing frequency must be positive")
-        if self.vector is not None:
-            self.vector = np.asarray(self.vector, dtype=float).reshape(-1)
+        self.vector = np.asarray(self.vector, dtype=float).reshape(-1)
 
 
 @dataclass
 class ReducedField:
-    kind: str
-    dim: int
-    series: Optional[MultiSeries] = None
-    rationals: Optional[List[RationalMap]] = None
+    """Rational maps stacked into one field of dim = sum of their dim_out
+    components, each a function of all dim variables.  `polynomial` (every
+    denominator is the constant 1) decides the run's stop rules."""
+
+    rationals: List[RationalMap]
     forcing: Optional[Forcing] = None
+    dim: int = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in FIELD_KINDS:
-            raise ValidationError(f"kind must be one of {FIELD_KINDS}")
-        if self.kind == "series":
-            if self.series is None or self.series.dim_in != self.dim \
-                    or self.series.dim_out != self.dim:
-                raise ValidationError("series field must map dim -> dim")
-        else:
-            if not self.rationals:
-                raise ValidationError("rational field needs rational maps")
-            total = sum(r.dim_out for r in self.rationals)
-            if total != self.dim or any(r.dim_in != self.dim
-                                        for r in self.rationals):
-                raise ValidationError("rational maps must cover dim components")
-        if self.forcing is not None:
-            if self.forcing.vector is None or \
-                    self.forcing.vector.shape != (self.dim,):
-                raise ValidationError("forcing vector must have the field dim")
+        if not self.rationals:
+            raise ValidationError("a field needs rational maps")
+        self.dim = sum(r.dim_out for r in self.rationals)
+        if any(r.dim_in != self.dim for r in self.rationals):
+            raise ValidationError("rational maps must cover dim components")
+        if self.forcing is not None and \
+                self.forcing.vector.shape != (self.dim,):
+            raise ValidationError("forcing vector must have the field dim")
 
     @classmethod
     def from_series(cls, series: MultiSeries,
                     forcing: Optional[Forcing] = None) -> "ReducedField":
-        return cls("series", series.dim_in, series=series, forcing=forcing)
+        return cls.from_rationals(RationalMap.polynomial(series), forcing)
 
     @classmethod
     def from_rationals(cls, rationals: Union[RationalMap, Sequence[RationalMap]],
                        forcing: Optional[Forcing] = None) -> "ReducedField":
         if isinstance(rationals, RationalMap):
             rationals = [rationals]
-        rationals = list(rationals)
-        dim = sum(r.dim_out for r in rationals)
-        return cls("rational", dim, rationals=rationals, forcing=forcing)
+        return cls(rationals=list(rationals), forcing=forcing)
+
+    @property
+    def polynomial(self) -> bool:
+        """Every denominator is the constant 1 (b0 = 1 its one term); read
+        at each use, as a series' terms may be written after construction."""
+        return all(len(r.denominator.coeffs) == 1 for r in self.rationals)
 
     def rhs(self, t: float, u: np.ndarray) -> np.ndarray:
         """Forced field at time t; u is one state (dim,) or stacked states
@@ -97,11 +93,8 @@ class ReducedField:
         the field's evaluation, which tests check the integrator against."""
         u = np.asarray(u)
         pts = u.reshape(-1, self.dim)
-        if self.kind == "series":
-            out = self.series.evaluate_many(pts).real
-        else:
-            out = np.hstack([num.real / den.real[:, None] for num, den in
-                             (rational_parts(r, pts) for r in self.rationals)])
+        out = np.hstack([num.real / den.real[:, None] for num, den in
+                         (rational_parts(r, pts) for r in self.rationals)])
         out = out.reshape(u.shape)
         if self.forcing is None or self.forcing.amplitude == 0.0:
             return out
@@ -110,8 +103,6 @@ class ReducedField:
 
     def min_denominator(self, u: np.ndarray) -> float:
         """Smallest |denominator| at a state or at stacked states."""
-        if self.kind != "rational":
-            return 1.0
         pts = np.reshape(u, (-1, self.dim))
         return min(np.min(np.abs(rational_parts(r, pts)[1].real))
                    for r in self.rationals)
@@ -125,7 +116,7 @@ def _initial_state(field: ReducedField, ic) -> np.ndarray:
         raise ValidationError(f"initial condition must have dim {field.dim}")
     if not np.all(np.isfinite(y0)):
         raise ValidationError("initial condition must be finite")
-    if field.kind == "rational" and \
+    if not field.polynomial and \
             field.min_denominator(y0) < DEFAULT_POLE_EVENT_FLOOR:
         raise ValidationError("initial condition is within the pole floor")
     return y0
@@ -153,21 +144,18 @@ class _Jets:
     and one product with the step's gain sum_a C_a y0^(e_a - e_b), C_a being
     slot a's coefficients in every numerator component and denominator,
     gives the numerators and denominators.  Each quotient follows from the
-    series-division recurrence and overwrites its numerator; a series field
-    is the case of one unit denominator, and where every denominator is the
-    constant 1 the recurrence past order 0 is skipped.  The forcing
-    eps v cos(omega t) adds its closed-form jet eps v omega^k
-    cos(omega t0 + k pi/2) / k!.  The slots are grouped by var into blocks
-    of one width, so the Cauchy products broadcast each component over its
-    block.  Per order and state the work is linear in the number of slots.
+    series-division recurrence and overwrites its numerator; for a
+    polynomial field, whose denominators are all the constant 1, the
+    recurrence past order 0 is skipped.  The forcing eps v cos(omega t)
+    adds its closed-form jet eps v omega^k cos(omega t0 + k pi/2) / k!.
+    The slots are grouped by var into blocks of one width, so the Cauchy
+    products broadcast each component over its block.  Per order and state
+    the work is linear in the number of slots.
     """
 
     def __init__(self, field: ReducedField):
         d = field.dim
-        if field.kind == "series":
-            maps = [(field.series, MultiSeries.constant([1.0], d, 0))]
-        else:
-            maps = [(r.numerator, r.denominator) for r in field.rationals]
+        maps = [(r.numerator, r.denominator) for r in field.rationals]
         links = {}        # monomial -> (parent monomial, variable)
 
         def link(e):
@@ -231,8 +219,7 @@ class _Jets:
                     row = linear[slot[e]] if sum(e) else self.constant
                     row[cols] = c.real
         self.pair_rows = linear[owners]
-        self.unit_denominators = not linear[:, d:].any() and \
-            bool(np.all(self.constant[d:] == 1.0))
+        self.unit_denominators = field.polynomial
         self.inverse = 1.0 / np.arange(1, TAYLOR_ORDER + 1)
         self._spaces = {}
         self.forcing = None
@@ -351,13 +338,14 @@ def _run(jets: _Jets, y0, t_span, rtol: float, atol: float,
     atol + rtol |y|.  y is one state of the field, or with pair two stacked
     states that run as one batch.  One state must pass _initial_state, and
     the run stops where its norm passes DEFAULT_BLOWUP_FACTOR * max(1, |y0|).
-    A rational field's run stops where the denominator at any of its states
-    falls to DEFAULT_POLE_EVENT_FLOOR.  Both are watched at the end of each
-    step and located on its polynomial, as are the t_eval values.  A step
-    size below 10 spacings of t stops a series field: a polynomial field's
-    solution can end only by growing without bound, at times faster than
-    the norm check can follow, so the stop is a blowup at the last accepted
-    step.  A rational field's step collapse raises NumericalError.  stop is
+    Unless the field is polynomial (every denominator the constant 1), the
+    run stops where a denominator at any of its states falls to
+    DEFAULT_POLE_EVENT_FLOOR.  Both are watched at the end of each step and
+    located on its polynomial, as are the t_eval values.  A step size below
+    10 spacings of t stops a polynomial field: its solution can end only by
+    growing without bound, at times faster than the norm check can follow,
+    so the stop is a blowup at the last accepted step.  With a nonconstant
+    denominator the step collapse raises NumericalError.  stop is
     (flag, t_stop, y_stop), else None.  A pair has no norm threshold.
     """
     field = jets.field
@@ -370,7 +358,7 @@ def _run(jets: _Jets, y0, t_span, rtol: float, atol: float,
         checks.append((lambda u: np.linalg.norm(u) - bound,
                        lambda t, u: f"blowup at t={t:.6g}: state norm "
                                     f"exceeded {bound:.3g}"))
-    if field.kind == "rational":
+    if not field.polynomial:
         checks.append((lambda u: field.min_denominator(u)
                        - DEFAULT_POLE_EVENT_FLOOR,
                        lambda t, u: f"pole crossing at t={t:.6g}, "
@@ -387,7 +375,7 @@ def _run(jets: _Jets, y0, t_span, rtol: float, atol: float,
             coeffs = jets.expand(t, y)
         h = _step_size(coeffs, rtol, atol)
         if not h >= 10.0 * np.spacing(abs(t)):
-            if field.kind != "series":
+            if not field.polynomial:
                 raise NumericalError(f"integration failed: step size "
                                      f"collapsed at t={t:.6g}")
             stop = (f"blowup at t={t:.6g}: step size collapsed at state "
@@ -429,10 +417,11 @@ def integrate_reduced(f: ReducedField, ic, t_span: Tuple[float, float],
     n_out >= 2 samples span t_span, whose ends must be finite and distinct
     (ValidationError).  Finite-time blowup of truncated Taylor fields is
     expected behavior: the run stops where the state norm passes the
-    threshold, or for a series field where the step size collapses first,
-    and the trajectory ends at that stop and carries a flag instead of the
-    integration erroring out.  A rational field's step collapse still
-    raises NumericalError.
+    threshold, or for a polynomial field (every denominator the constant 1)
+    where the step size collapses first, and the trajectory ends at that
+    stop and carries a flag instead of the integration erroring out.  A
+    field with a nonconstant denominator stops at a pole crossing, and its
+    step collapse raises NumericalError.
     """
     t0, t1 = (float(t) for t in t_span)
     if n_out < 2 or not (math.isfinite(t0) and math.isfinite(t1)) \
@@ -780,12 +769,12 @@ def lyapunov_estimate(f: ReducedField, ic, perturbation_size: float = 1e-7,
     regime.  If the very first interval already saturates (separation
     comparable to the state scale) the estimate is flagged as unreliable.
     The initial condition is checked as in integrate_reduced, and a blowup
-    (a crossed threshold or, for a series field, a collapsed step size) or
-    a pole crossing in the transient raises NumericalError.  In the
-    renormalization intervals a rational field's denominators are watched
-    at both states of the pair, and a pole crossing raises NumericalError
-    with its time; a series field's pair has no event, and only a collapsed
-    step size raises (as a blowup).  The pair runs as one batch of the
+    (a crossed threshold or, for a polynomial field, a collapsed step size)
+    or a pole crossing in the transient raises NumericalError.  In the
+    renormalization intervals a nonconstant denominator is watched at both
+    states of the pair, and a pole crossing raises NumericalError with its
+    time; a polynomial field's pair has no event, and only a collapsed step
+    size raises (as a blowup).  The pair runs as one batch of the
     Taylor integrator.  ValidationError unless the horizon is finite and
     holds at least one interval, 0 < renorm_interval <= horizon, and the
     transient is finite and nonnegative.

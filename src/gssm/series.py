@@ -352,11 +352,6 @@ class MultiSeries:
     def min_order_present(self) -> int:
         return min((sum(k) for k in self.coeffs), default=0)
 
-    def max_abs_imag(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return max(float(np.max(np.abs(v.imag))) for v in self.coeffs.values())
-
     def coeff_scale(self, radii) -> np.ndarray:
         """Sum over terms of max|coefficient| * r^|k| for each radius r of
         the array `radii`, one array step for all of them.
@@ -484,22 +479,6 @@ def multiply_truncated(a: MultiSeries, b: MultiSeries, order: int) -> MultiSerie
     prod = product_rows(a.grlex(order), b.grlex(order), table, 0,
                         table.size(order))
     return MultiSeries.from_grlex(prod, a.dim_in, order)
-
-
-def power_truncated(s: MultiSeries, e: int, order: int) -> MultiSeries:
-    """Integer power of a scalar series, truncated."""
-    if s.dim_out != 1:
-        raise ValueError("power_truncated needs a scalar series")
-    table = grlex_table(s.dim_in, order)
-    n = table.size(order)
-    result, base = np.eye(n, 1, dtype=complex), s.grlex(order)
-    while e:
-        if e & 1:
-            result = product_rows(result, base, table, 0, n)
-        e >>= 1
-        if e:
-            base = product_rows(base, base, table, 0, n)
-    return MultiSeries.from_grlex(result, s.dim_in, order)
 
 
 class Composition:

@@ -348,7 +348,7 @@ def test_criterion_11_reexpansion_property():
         den = MultiSeries(d, 1, M, dcoef)
         ser = taylor_of_rational(RationalMap(num, den, (N, M)), N + M)
         rat = pade_univariate(ser, N, M) if d == 1 else \
-            pade_multivariate(ser, N, M)
+            pade_multivariate(ser, N, M)[0]
         back = taylor_of_rational(rat, N + M)
         scale = max(float(np.max(np.abs(v))) for v in ser.coeffs.values())
         for idx in indices_up_to_order(d, N + M):

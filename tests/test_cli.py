@@ -211,6 +211,26 @@ def test_integrate_blowup_exit_code(tmp_path, capsys):
     assert traj.n_samples > 1
 
 
+
+def test_integrate_polynomial_rationals_step_collapse_is_a_blowup(tmp_path,
+                                                                 capsys):
+    # u' = u^5 as the [5/0] block: the step size collapses before the norm
+    # threshold; the status line flags the blowup at t* = 1/4, and the
+    # trajectory up to it is on file
+    field = RationalMap.polynomial(MultiSeries(1, 1, 5, {(5,): [1.0]}))
+    rfile = tmp_path / "field.txt"
+    rfile.write_text(rationals_to_text([field]))
+    out = tmp_path / "out"
+    rc, _, fields = run_cli(capsys, "--out", out, "analyze", "integrate",
+                            "--rationals", rfile, "--ic", "1.0", "--t1", 5,
+                            "--n-out", 101)
+    assert rc == 3 and fields["status"] == "numerical-error"
+    assert fields["flags"].startswith("blowup at t=0.25")
+    traj = trajectory_from_csv(str(out / "trajectory.csv"))
+    assert traj.n_samples > 1 and abs(traj.times[-1] - 0.25) < 1e-3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "trajectory.csv" in manifest["outputs"]
+
 def test_integrate_with_lift(tmp_path, capsys):
     rc, _, _ = run_cli(capsys, "--out", tmp_path, "ssm", "--system", "euler",
                        "--d", 1, "--order", 7)
@@ -486,6 +506,26 @@ def test_regress_then_predict_roundtrip(tmp_path, capsys):
                             "--data", tmp_path / "data.csv", "--horizon", 1.0)
     assert rc == 2
 
+
+
+def test_predict_poly_is_the_fit_of_its_n_over_0_block(tmp_path, capsys):
+    _write_predict_inputs(tmp_path, d=1)
+    (tmp_path / "chart.txt").write_text(
+        "chart 2 1 2 1 0\nCENTER\n0 0\nBASIS\n1\n0\n")
+    num = MultiSeries(1, 1, 3, {(1,): [-1.0], (2,): [0.3], (3,): [-0.1]})
+    (tmp_path / "poly.txt").write_text(series_to_text(num))
+    (tmp_path / "fit.txt").write_text(
+        rational_to_text(RationalMap.polynomial(num)))
+    written = []
+    for flag, name in (("--poly", "poly.txt"), ("--fit", "fit.txt")):
+        out = tmp_path / flag[2:]
+        rc, _, _ = run_cli(capsys, "--out", out, "predict",
+                           "--chart", tmp_path / "chart.txt", flag,
+                           tmp_path / name, "--data", tmp_path / "data.csv",
+                           "--horizon", 2.0, "--n-out", 51)
+        assert rc == 0
+        written.append((out / "prediction.csv").read_bytes())
+    assert written[0] == written[1]
 
 def test_backbone_and_frc_cli(tmp_path, capsys):
     rc, _, _ = run_cli(capsys, "--out", tmp_path, "ssm", "--system",

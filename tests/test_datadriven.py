@@ -12,6 +12,7 @@ from gssm.datadriven import (ChartProjection, EmbeddingConfig,
 from gssm import datadriven
 from gssm.datadriven import _constrained_lstsq, _stage1_denominator
 from gssm.errors import NumericalError, ValidationError
+from gssm.pade import RationalMap
 from gssm.series import MultiSeries, indices_up_to_order, monomial_matrix
 from gssm.trajectory import TrajectoryData
 
@@ -338,7 +339,7 @@ def test_predict_linear_decay():
     basis = np.zeros((3, 1))
     basis[0, 0] = 1.0
     chart = ChartProjection(basis, np.zeros(3))
-    field = MultiSeries(1, 1, 1, {(1,): [-1.0]})
+    field = RationalMap.polynomial(MultiSeries(1, 1, 1, {(1,): [-1.0]}))
     t = np.linspace(0.0, 0.5, 51)
     window = TrajectoryData(t, np.exp(-t))
     cfg = EmbeddingConfig(3, 1)

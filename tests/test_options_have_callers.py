@@ -126,7 +126,7 @@ def test_the_scan_sees_definitions_and_calls():
     calls = _calls()
     assert "n_out" in calls["integrate_reduced"][0]
     # ReducedField is only built as cls(...) in its classmethods
-    assert {"series", "rationals", "forcing"} <= calls["ReducedField"][0]
+    assert {"rationals", "forcing"} <= calls["ReducedField"][0]
 
 
 def test_every_option_has_a_caller():

@@ -144,9 +144,9 @@ def test_a_batched_pair_equals_two_separate_runs():
 
 
 def test_unit_denominators_skip_the_division_recurrence_exactly():
-    # one polynomial field as a series and over the constant denominator 1;
-    # the series kind and the unit rational skip the recurrence past order
-    # 0, and the general path (the flag cleared) must give the same bits
+    # one polynomial field from a series and over the constant denominator
+    # 1; both skip the recurrence past order 0, and the general path (the
+    # flag cleared) must give the same bits
     poly = MultiSeries(2, 2, 3, {(0, 1): [1.0, 0.3], (1, 0): [0.0, 1.0],
                                  (3, 0): [0.0, -1.0], (1, 2): [0.2, 0.0]})
     unit = RationalMap(poly, MultiSeries.constant([1.0], 2, 0), (3, 0))
@@ -188,11 +188,24 @@ def test_step_collapse_of_a_polynomial_field_is_a_blowup():
     with pytest.raises(NumericalError, match="renormalization interval "
                        "stopped: blowup at t=0.125"):
         lyapunov_estimate(f, [1.0], transient=0.0)
-    # the same field as a rational map still raises
+    # u' = u^5 declared as the [5/0] rational is the same polynomial field
+    # and ends with the same blowup at t* = 1/4
     rat = ReducedField.from_rationals(RationalMap(
         MultiSeries(1, 1, 5, {(5,): [1.0]}), MultiSeries(1, 1, 0, {(0,): [1.0]}),
         (5, 0)))
-    with pytest.raises(NumericalError, match="integration failed"):
+    assert rat.polynomial
+    tr = integrate_reduced(rat, [1.0], (0.0, 5.0))
+    assert len(tr.flags) == 1 and tr.flags[0].startswith("blowup at t=")
+    t_flag = float(tr.flags[0][len("blowup at t="):].split(":")[0])
+    assert abs(t_flag - 0.25) < 1e-3 and abs(tr.times[-1] - 0.25) < 1e-3
+    # u' = u^7 / (1 + u^2) ends at t* = 1/6 + 1/4 with no pole on the way;
+    # a nonconstant denominator's step collapse raises
+    rat = ReducedField.from_rationals(RationalMap(
+        MultiSeries(1, 1, 7, {(7,): [1.0]}),
+        MultiSeries(1, 1, 2, {(0,): [1.0], (2,): [1.0]}), (7, 2)))
+    assert not rat.polynomial
+    with pytest.raises(NumericalError, match="integration failed: step size "
+                       "collapsed at t=0.41"):
         integrate_reduced(rat, [1.0], (0.0, 5.0))
 
 
@@ -206,6 +219,14 @@ def test_pole_crossing_terminates_rational_field():
     assert tr.values[-1, 0] < 1.0
     with pytest.raises(ValidationError):
         integrate_reduced(f, [1.0 - 1e-9], (0.0, 1.0))
+    # a denominator term written after the field is built is watched too
+    unit = RationalMap(num, MultiSeries(1, 1, 1, {(0,): [1.0]}), (1, 1))
+    f = ReducedField.from_rationals(unit)
+    assert f.polynomial
+    unit.denominator.coeffs[(1,)] = np.array([-1.0 + 0j])
+    assert not f.polynomial
+    tr = integrate_reduced(f, [0.5], (0.0, 10.0))
+    assert any("pole" in fl for fl in tr.flags)
 
 
 def test_lift_of_linear_flow_is_the_eigenplane_flow():

@@ -7,7 +7,7 @@ from gssm.errors import ValidationError
 from gssm.series import (_BLOCK_ENTRIES, _BLOCK_ROWS, Composition,
                          MultiSeries, compose_truncated, grlex_table,
                          indices_of_order, indices_up_to_order, invert_map,
-                         multiply_truncated, power_truncated, product_rows,
+                         multiply_truncated, product_rows,
                          read_sections, reciprocal_truncated,
                          series_from_text, series_to_text)
 from gssm.ssm import compute_ssm, realify_parametrization, spectral_analysis
@@ -315,8 +315,8 @@ def test_compose_with_quadratic_inner_fills_only_doubled_degrees():
             continue
         term = MultiSeries.constant(v, 2, order)
         for i, e in enumerate(k):
-            term = multiply_truncated(power_truncated(comps[i], e, order), term,
-                                      order)
+            for _ in range(e):
+                term = multiply_truncated(comps[i], term, order)
         expected = expected + term
     assert set(composed.coeffs) == set(expected.coeffs)
     for k in expected.coeffs:
@@ -383,7 +383,7 @@ def test_operations_never_store_indices_above_order():
     b = MultiSeries(2, 1, 5, {tuple(k): rng.normal(size=1)
                               for k in rng.integers(1, 3, size=(8, 2))})
     for result in (multiply_truncated(a, b, 4),
-                   power_truncated(a, 3, 4),
+                   multiply_truncated(multiply_truncated(a, a, 4), a, 4),
                    a + b, a - b, a.scaled(2.0)):
         assert all(sum(k) <= result.order for k in result.coeffs)
     with pytest.raises(ValueError):
@@ -427,13 +427,6 @@ def test_derivative_matches_termwise_rule():
             assert set(got.coeffs) == set(want)
             for idx, v in want.items():
                 assert np.array_equal(got.coeffs[idx], v)
-
-
-def test_power_matches_repeated_multiplication():
-    s = uni(0.0, 1.0, 0.5, -0.25)
-    direct = multiply_truncated(multiply_truncated(s, s, 8), s, 8)
-    viapow = power_truncated(s, 3, 8)
-    assert np.allclose(viapow.univariate_coeffs(), direct.univariate_coeffs(), atol=1e-14)
 
 
 @st.composite
