@@ -24,19 +24,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .datadriven import (EmbeddingConfig, RegressionProblem, chart_from_text,
-                         chart_to_text, delay_embed, estimate_derivatives,
-                         fit_rational_field, predict, tangent_space_pca)
+from .datadriven import (DEFAULT_MARGIN, EmbeddingConfig, RegressionProblem,
+                         chart_from_text, chart_to_text, delay_embed,
+                         estimate_derivatives, fit_rational_field, predict,
+                         tangent_space_pca)
 from .errors import NumericalError, ValidationError
-from .pade import (RationalMap, evaluate_rational_many, pade_multivariate,
+from .pade import (evaluate_rational_many, pade_multivariate,
                    rational_from_text, rationals_from_text, rationals_to_text)
 from .reduced import (Forcing, ReducedField, backbone, double_well_field,
                       forced_response, forcing_projection, integrate_reduced,
                       lift, lyapunov_estimate, poincare_sample, psd_estimate)
-from .series import (MultiSeries, format_float, series_from_text,
-                     series_to_text, write_csv)
-from .singularity import (classify_sign_pattern, denominator_zero_scan,
-                          estimate_radius)
+from .series import MultiSeries, format_float, write_csv
+from .singularity import (DEFAULT_SCAN_FLOOR, classify_sign_pattern,
+                          denominator_zero_scan, estimate_radius)
 from .ssm import (SSMModel, compute_ssm, extract_polar, model_from_text,
                   model_to_text, realify_parametrization, realify_reduced,
                   spectral_analysis)
@@ -427,17 +427,11 @@ def cmd_psd(args, run):
 
 
 def _coefficients_from(args) -> np.ndarray:
-    sources = [s for s in ("coeffs", "series", "model") if getattr(args, s, None)]
+    sources = [s for s in ("coeffs", "model") if getattr(args, s)]
     if len(sources) != 1:
-        raise ValidationError(
-            "exactly one of --coeffs, --series, --model is required")
+        raise ValidationError("exactly one of --coeffs, --model is required")
     if sources[0] == "coeffs":
         return _floats(",".join(_read(args.coeffs).split()))
-    if sources[0] == "series":
-        s = series_from_text(_read(args.series))
-        if s.dim_in != 1:
-            raise ValidationError("singularity analysis needs a univariate series")
-        return s.univariate_coeffs().real
     polar = extract_polar(_load_model(args.model))
     series = polar.omega_series() if args.rep == "omega" \
         else polar.kappa_series()
@@ -537,7 +531,7 @@ def cmd_regress(args, run):
         report.append(f"held-out error: {poly_hold:.6e}")
 
     run.write("rational_fit.txt", rationals_to_text([rat.rational]))
-    run.write("poly_fit.txt", series_to_text(poly.rational.numerator))
+    run.write("poly_fit.txt", rationals_to_text([poly.rational]))
     run.write("chart.txt", chart_to_text(chart, cfg))
     run.write("report.txt", "\n".join(report) + "\n")
     return dict(status, rat_params=rat.n_parameters,
@@ -547,12 +541,7 @@ def cmd_regress(args, run):
 @_command
 def cmd_predict(args, run):
     chart, cfg = chart_from_text(_read(args.chart))
-    if (args.fit is None) == (args.poly is None):
-        raise ValidationError("exactly one of --fit or --poly is required")
-    if args.fit:
-        fitted = rational_from_text(_read(args.fit))
-    else:
-        fitted = RationalMap.polynomial(series_from_text(_read(args.poly)))
+    fitted = rational_from_text(_read(args.fit))
     window = _load_traj(args.data)
     traj = predict(chart, fitted, window, cfg, args.horizon,
                    n_out=args.n_out)
@@ -677,26 +666,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = ssub.add_parser("radius")
     p.add_argument("--coeffs")
-    p.add_argument("--series")
     p.add_argument("--model")
     p.add_argument("--rep", choices=["omega", "kappa"], default="omega")
     p.set_defaults(handler="cmd_sing_radius", command="singularity-radius",
-                   inputs=("coeffs", "series", "model"))
+                   inputs=("coeffs", "model"))
 
     p = ssub.add_parser("pattern")
     p.add_argument("--coeffs")
-    p.add_argument("--series")
     p.add_argument("--model")
     p.add_argument("--rep", choices=["omega", "kappa"], default="omega")
     p.set_defaults(handler="cmd_sing_pattern", command="singularity-pattern",
-                   inputs=("coeffs", "series", "model"))
+                   inputs=("coeffs", "model"))
 
     p = ssub.add_parser("scan")
     p.add_argument("--rationals", required=True)
     p.add_argument("--min", required=True)
     p.add_argument("--max", required=True)
     p.add_argument("--points", required=True)
-    p.add_argument("--floor", type=float, default=1e-6)
+    p.add_argument("--floor", type=float, default=DEFAULT_SCAN_FLOOR)
     p.set_defaults(handler="cmd_sing_scan", command="singularity-scan",
                    inputs=("rationals",))
 
@@ -709,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--poly-order", dest="poly_order", type=int, default=None)
-    p.add_argument("--margin", type=float, default=1e-3)
+    p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
     p.add_argument("--restarts", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--holdout", type=float, default=0.2)
@@ -719,13 +706,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="closed-loop observable prediction")
     p.add_argument("--chart", required=True)
-    p.add_argument("--fit")
-    p.add_argument("--poly")
+    p.add_argument("--fit", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--n-out", dest="n_out", type=int, default=1001)
-    p.set_defaults(handler="cmd_predict",
-                   inputs=("chart", "fit", "poly", "data"))
+    p.set_defaults(handler="cmd_predict", inputs=("chart", "fit", "data"))
 
     return top
 

@@ -295,7 +295,7 @@ def _solve_a_given_b(phi, psi_tail, targets, b):
     return a
 
 
-def _feasibility_certificate(psi_tail, margin):
+def _feasibility_certificate(psi_tail):
     """Largest achievable min-denominator; proves infeasibility when < margin."""
     k, m = psi_tail.shape
     if m == 0:
@@ -405,7 +405,7 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
     flags: List[str] = []
 
     if constrained and delta >= 1.0:
-        best_floor = _feasibility_certificate(psi_tail, delta)
+        best_floor = _feasibility_certificate(psi_tail)
         if best_floor < delta:
             raise ValidationError(
                 f"positivity margin {delta:g} is infeasible: no denominator "

@@ -527,7 +527,6 @@ class FRCPoint:
 
 @dataclass
 class FRCBranch:
-    eps_f: float
     points: List[FRCPoint] = field(default_factory=list, init=False)
 
     def as_array(self) -> np.ndarray:
@@ -555,11 +554,6 @@ class ModalForcing:
         """g and h from coefficients of u^0, u^1, ... (u = rho^2)."""
         return cls(eps, *(RationalMap.polynomial(MultiSeries.from_univariate(c))
                           for c in (g_coeffs, h_coeffs)))
-
-    @property
-    def leading_order(self) -> float:
-        """(eps/2) |g(0)|, the scalar eps_f of forcing_projection."""
-        return float(self.eps * abs(self.g.numerator.get((0,))[0]) / 2.0)
 
     def at(self, rho):
         """g, dg/drho, h, dh/drho at rho (a float or an array)."""
@@ -666,7 +660,7 @@ def forced_response(kappa_rep, omega_rep, eps_f, rho_grid,
     grid = np.asarray(rho_grid, dtype=float).reshape(-1)
     if np.any(grid <= 0):
         raise ValidationError("rho grid must be positive")
-    branch = FRCBranch(forcing.leading_order)
+    branch = FRCBranch()
     curves = (_univariate_value_and_deriv(kappa_rep, grid, "kappa")
               + _univariate_value_and_deriv(omega_rep, grid, "omega")
               + forcing.at(grid))

@@ -716,14 +716,3 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join([v if isinstance(v, str) else format_float(v)
                                 for v in row]) + "\n" for row in rows)
-
-
-def series_to_text(s: MultiSeries) -> str:
-    head = f"series {s.dim_in} {s.dim_out} {s.order}"
-    return "\n".join([head] + coeff_lines(s)) + "\n"
-
-
-@text_reader("series")
-def series_from_text(lines: List[str]) -> MultiSeries:
-    dim_in, dim_out, order = (int(t) for t in read_header(lines, "series", 3))
-    return parse_coeff_lines(lines[1:], dim_in, dim_out, order)

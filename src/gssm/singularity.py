@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,24 +34,21 @@ def _coeff_array(series_or_coeffs) -> np.ndarray:
     return c
 
 
-def _stride_signature(c: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Nonzero coefficient positions, values, and their common stride."""
+def _nonzero_coefficients(c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Nonzero coefficient positions and values."""
     mags = np.abs(c)
     if mags.max() == 0:
         raise ValidationError("series is identically zero")
     nz = np.nonzero(mags > ZERO_COEFF_RTOL * mags.max())[0]
     if len(nz) < 2:
         raise ValidationError("need at least two nonzero coefficients")
-    gaps = np.diff(nz)
-    stride = int(np.min(gaps))
-    return nz, c[nz], stride
+    return nz, c[nz]
 
 
 @dataclass
 class RadiusEstimate:
     radius: float
     fit_residual: float
-    ratios: np.ndarray
     flags: List[str] = field(default_factory=list)
 
 
@@ -64,7 +61,7 @@ def estimate_radius(series_or_coeffs) -> RadiusEstimate:
     the Euler-series situation.
     """
     c = _coeff_array(series_or_coeffs)
-    nz, vals, _ = _stride_signature(c)
+    nz, vals = _nonzero_coefficients(c)
     if len(nz) < 6:
         raise ValidationError("need at least 6 nonzero coefficients")
     mags = np.abs(vals)
@@ -85,7 +82,7 @@ def estimate_radius(series_or_coeffs) -> RadiusEstimate:
         flags.append("zero radius of convergence: ratios extrapolate to 0 "
                      "(divergent series)")
         intercept = max(intercept, 0.0)
-    return RadiusEstimate(intercept, resid, ratios, flags)
+    return RadiusEstimate(intercept, resid, flags)
 
 
 @dataclass

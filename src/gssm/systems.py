@@ -18,7 +18,6 @@ class NamedSystem:
     id: str
     parameters: Dict[str, float]
     realization: PolySystem
-    notes: str = ""
 
 
 def _euler_system() -> PolySystem:
@@ -60,14 +59,13 @@ def _shaw_pierre_system(k: float, c: float, gamma: float) -> PolySystem:
     return PolySystem(a, f)
 
 
-# id -> (builder taking the parameters by name, default parameters, notes)
-_SYSTEMS: Dict[str, Tuple[Callable[..., PolySystem], Dict[str, float], str]] = {
-    "euler": (_euler_system, {}, ""),
+# id -> (builder taking the parameters by name, default parameters)
+_SYSTEMS: Dict[str, Tuple[Callable[..., PolySystem], Dict[str, float]]] = {
+    "euler": (_euler_system, {}),
     "dauchot_manneville": (_dauchot_manneville_system,
-                           {"s1": -0.038, "s2": -1.0}, ""),
-    "imaginary_sing": (_imaginary_sing_system, {},
-                       "rational right-hand side; use imaginary_sing_model"),
-    "shaw_pierre": (_shaw_pierre_system, {"k": 3.0, "c": 0.003, "gamma": 0.5}, ""),
+                           {"s1": -0.038, "s2": -1.0}),
+    "imaginary_sing": (_imaginary_sing_system, {}),
+    "shaw_pierre": (_shaw_pierre_system, {"k": 3.0, "c": 0.003, "gamma": 0.5}),
 }
 SYSTEM_IDS = tuple(_SYSTEMS)
 
@@ -76,12 +74,12 @@ def make_system(system_id: str, **params) -> NamedSystem:
     if system_id not in _SYSTEMS:
         raise ValidationError(f"unknown system id {system_id!r}; "
                               f"known: {', '.join(SYSTEM_IDS)}")
-    build, defaults, notes = _SYSTEMS[system_id]
+    build, defaults = _SYSTEMS[system_id]
     for key in params:
         if key not in defaults:
             raise ValidationError(f"unknown parameter {key!r} for {system_id}")
     merged = {**defaults, **params}
-    return NamedSystem(system_id, merged, build(**merged), notes)
+    return NamedSystem(system_id, merged, build(**merged))
 
 
 # ---- closed forms and oracles -----------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from gssm.cli import main
 from gssm.pade import RationalMap, rational_from_text, rational_to_text, \
     rationals_from_text, rationals_to_text
-from gssm.series import MultiSeries, series_to_text
+from gssm.series import MultiSeries
 from gssm.singularity import estimate_radius
 from gssm.ssm import (compute_ssm, extract_polar, model_from_text,
                       model_to_text, spectral_analysis, SSMModel)
@@ -312,10 +312,12 @@ R
 
 
 @pytest.mark.parametrize("text, argv", [
-    ("series 1 1 3\n0 abc 0\n",
-     ["singularity", "radius", "--series"]),
-    ("series 1 1 2\n0 1 0\n5 1 0\n",
-     ["singularity", "radius", "--series"]),
+    ("pade 1 1 3 0\nNUMERATOR\n0 abc 0\nDENOMINATOR\n0 1 0\n",
+     ["singularity", "scan", "--min", "0", "--max", "1", "--points", "5",
+      "--rationals"]),
+    ("pade 1 1 2 0\nNUMERATOR\n0 1 0\n5 1 0\nDENOMINATOR\n0 1 0\n",
+     ["singularity", "scan", "--min", "0", "--max", "1", "--points", "5",
+      "--rationals"]),
     ("pade 1 1 0 1\nNUMERATOR\n0 1 0\nDENOMINATOR\n0 1 0\n1 -1.0.5 0\n",
      ["singularity", "scan", "--min", "0", "--max", "1", "--points", "5",
       "--rationals"]),
@@ -343,7 +345,7 @@ R
     ("chart 2 1 2 1 -1\nCENTER\n0 0\nBASIS\n1\n0\n",
      ["predict", "--fit", "fit.txt", "--data", "data.csv", "--horizon", "1",
       "--chart"]),
-], ids=["series-token", "series-index-above-order", "pade-float",
+], ids=["pade-token", "pade-index-above-order", "pade-float",
         "model-eigenvalue", "chart-truncated", "coeffs-token",
         "trajectory-ragged", "model-repeated-section", "model-repeated-row",
         "pade-repeated-section", "chart-two-center-rows",
@@ -494,38 +496,41 @@ def test_regress_then_predict_roundtrip(tmp_path, capsys):
 
     rc, _, _ = run_cli(capsys, "--out", tmp_path, "predict",
                        "--chart", tmp_path / "chart.txt",
-                       "--poly", tmp_path / "poly_fit.txt",
+                       "--fit", tmp_path / "poly_fit.txt",
                        "--data", tmp_path / "data.csv",
                        "--horizon", 2.0, "--n-out", 201)
     assert rc == 0
 
-    rc, _, fields = run_cli(capsys, "predict",
-                            "--chart", tmp_path / "chart.txt",
-                            "--fit", tmp_path / "rational_fit.txt",
-                            "--poly", tmp_path / "poly_fit.txt",
-                            "--data", tmp_path / "data.csv", "--horizon", 1.0)
-    assert rc == 2
 
 
+def test_regress_writes_the_polynomial_baseline_as_an_n_over_0_block(
+        tmp_path, capsys):
+    t = np.linspace(0.0, 3.0, 601)
+    trajectory_to_csv(TrajectoryData(t, np.exp(-t)),
+                      str(tmp_path / "data.csv"))
+    # with M = 0 and --poly-order N both fits solve the same least-squares
+    # problem, so the rational fit's numerator is the baseline's
+    rc, _, _ = run_cli(capsys, "--out", tmp_path, "regress",
+                       "--data", tmp_path / "data.csv", "--delays", 3,
+                       "--lag", 2, "--d", 1, "--N", 2, "--M", 0,
+                       "--poly-order", 2, "--restarts", 1)
+    assert rc == 0
+    poly = rational_from_text((tmp_path / "poly_fit.txt").read_text())
+    fit = rational_from_text((tmp_path / "rational_fit.txt").read_text())
+    assert poly.type_tag == (2, 0)
+    [(idx, one)] = poly.denominator.terms()
+    assert idx == (0,) and one.tolist() == [1.0]
+    assert poly.numerator.order == fit.numerator.order == 2
+    assert set(poly.numerator.coeffs) == set(fit.numerator.coeffs)
+    for idx, v in fit.numerator.terms():
+        assert np.array_equal(poly.numerator.coeffs[idx], v)
 
-def test_predict_poly_is_the_fit_of_its_n_over_0_block(tmp_path, capsys):
-    _write_predict_inputs(tmp_path, d=1)
-    (tmp_path / "chart.txt").write_text(
-        "chart 2 1 2 1 0\nCENTER\n0 0\nBASIS\n1\n0\n")
-    num = MultiSeries(1, 1, 3, {(1,): [-1.0], (2,): [0.3], (3,): [-0.1]})
-    (tmp_path / "poly.txt").write_text(series_to_text(num))
-    (tmp_path / "fit.txt").write_text(
-        rational_to_text(RationalMap.polynomial(num)))
-    written = []
-    for flag, name in (("--poly", "poly.txt"), ("--fit", "fit.txt")):
-        out = tmp_path / flag[2:]
-        rc, _, _ = run_cli(capsys, "--out", out, "predict",
-                           "--chart", tmp_path / "chart.txt", flag,
-                           tmp_path / name, "--data", tmp_path / "data.csv",
-                           "--horizon", 2.0, "--n-out", 51)
-        assert rc == 0
-        written.append((out / "prediction.csv").read_bytes())
-    assert written[0] == written[1]
+    rc, _, _ = run_cli(capsys, "--out", tmp_path / "pred", "predict",
+                       "--chart", tmp_path / "chart.txt",
+                       "--fit", tmp_path / "poly_fit.txt",
+                       "--data", tmp_path / "data.csv",
+                       "--horizon", 2.0, "--n-out", 51)
+    assert rc == 0
 
 def test_backbone_and_frc_cli(tmp_path, capsys):
     rc, _, _ = run_cli(capsys, "--out", tmp_path, "ssm", "--system",
@@ -587,11 +592,10 @@ def test_frc_lift_amplitude_from_pade_curves(tmp_path, capsys):
 
 
 def test_singularity_radius_of_series_and_model_files(tmp_path, capsys):
-    sfile = tmp_path / "series.txt"
-    sfile.write_text(series_to_text(MultiSeries(
-        1, 1, 25, {(n,): [0.5 ** n] for n in range(26)})))
+    sfile = tmp_path / "coeffs.txt"
+    sfile.write_text(" ".join(str(0.5 ** n) for n in range(26)))
     rc, _, fields = run_cli(capsys, "--out", tmp_path, "singularity",
-                            "radius", "--series", sfile)
+                            "radius", "--coeffs", sfile)
     assert rc == 0 and abs(float(fields["radius"]) - 2.0) < 0.05
 
     rc, _, _ = run_cli(capsys, "--out", tmp_path, "ssm", "--system",
@@ -705,7 +709,7 @@ def test_lift_failure_keeps_a_manifest_of_the_trajectory(tmp_path, capsys):
 
 FILE_OPTIONS = {"--import-model", "--model", "--lift-model", "--rationals",
                 "--kappa", "--omega", "--data", "--coeffs", "--chart",
-                "--fit", "--poly"}
+                "--fit"}
 
 
 def test_every_manifest_lists_exactly_the_files_of_its_run(tmp_path, capsys):
@@ -763,7 +767,7 @@ def test_every_manifest_lists_exactly_the_files_of_its_run(tmp_path, capsys):
              "--fit", reg / "rational_fit.txt", "--data", ins / "exp.csv",
              "--horizon", 2.0, "--n-out", 201]),
         (0, ["predict", "--chart", reg / "chart.txt",
-             "--poly", reg / "poly_fit.txt", "--data", ins / "exp.csv",
+             "--fit", reg / "poly_fit.txt", "--data", ins / "exp.csv",
              "--horizon", 2.0, "--n-out", 201]),
         (0, ["singularity", "scan", "--rationals", rat, "--min", "0",
              "--max", "2", "--points", "41", "--floor", "1e-2"]),

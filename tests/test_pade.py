@@ -8,7 +8,7 @@ from gssm.pade import (RationalMap, evaluate_rational_many,
                        pade_multivariate, pade_univariate, rational_from_text,
                        rational_to_text, rationals_from_text, rationals_to_text,
                        taylor_of_rational)
-from gssm.series import (MultiSeries, indices_up_to_order, multiply_truncated,
+from gssm.series import (MultiSeries, indices_up_to_order,
                          reciprocal_truncated)
 
 
