@@ -562,13 +562,22 @@ def _add_field_flags(p) -> None:
     p.add_argument("--f-vector", dest="f_vector")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors (a missing or unknown option, a malformed
+    value) raise ValidationError, so they end in the status line and exit 2
+    like every other malformed request.  Subparsers are of the same class."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process (parsing leaves it
     unchanged).  Each command names its handler, a function of this module
     looked up when main runs it, and its inputs: the options that name
     input files, which the manifest hashes."""
-    top = argparse.ArgumentParser(prog="gssm")
+    top = _Parser(prog="gssm")
     top.add_argument("--out", help="output directory (or env GSSM_OUT)")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -716,8 +725,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return globals()[args.handler](args)
     except ValidationError as exc:
         print(f"gssm: status=validation-error message={json.dumps(str(exc))}")

@@ -283,8 +283,16 @@ def _quotient_gradient(terms, phi, psi_tail):
     num, den, resid = terms
     with np.errstate(all="ignore"):
         ga = -2.0 * (resid / den[:, None]).T @ phi
-        gb = 2.0 * psi_tail.T @ (np.sum(resid * num, axis=1) / den ** 2)
+        # sum(resid * num, axis=1) column by column: np.sum's order on a few
+        # columns, without its reduction per row
+        parts = resid * num
+        dots = parts[:, 0]
+        for column in parts.T[1:]:
+            dots = dots + column
+        gb = 2.0 * psi_tail.T @ (dots / den ** 2)
     g = np.concatenate([ga.ravel(), gb])
+    if np.isfinite(g).all():
+        return g
     return np.nan_to_num(g, nan=0.0, posinf=0.0, neginf=0.0)
 
 

@@ -141,16 +141,23 @@ class _Jets:
     is the sum over b = a and a's ancestors of y0^(e_a - e_b) h_k(b), h_k(b)
     being b's known part.  So one gather and one product over the at most
     depth - 1 ancestors of each slot's parent give the parents' coefficients,
-    and one product with the step's gain sum_a C_a y0^(e_a - e_b), C_a being
-    slot a's coefficients in every numerator component and denominator,
-    gives the numerators and denominators.  Each quotient follows from the
-    series-division recurrence and overwrites its numerator; for a
-    polynomial field, whose denominators are all the constant 1, the
-    recurrence past order 0 is skipped.  The forcing eps v cos(omega t)
-    adds its closed-form jet eps v omega^k cos(omega t0 + k pi/2) / k!.
-    The slots are grouped by var into blocks of one width, so the Cauchy
-    products broadcast each component over its block.  Per order and state
-    the work is linear in the number of slots.
+    and the step's gain sum_a C_a y0^(e_a - e_b), C_a being slot a's
+    coefficients in every numerator component and denominator, maps the
+    known parts to the numerators and denominators.
+
+    Y_{k+1} = Q_k / (k + 1) + f_k is one product per order, of the row
+    [h_k, 1, cos(omega t0), sin(omega t0), conv_k] with the step's fold_k:
+    the numerators' gain over k + 1, the constants (order 0 only), the
+    forcing eps v cos(omega t) as its closed-form jet
+    eps v omega^k cos(omega t0 + k pi/2) / (k + 1)!, which takes one of
+    four sign patterns of cos and sin, and -I / (k + 1).  A polynomial
+    field, whose denominators are all the constant 1, leaves conv_k = 0,
+    so a step costs it four array calls per order.  Otherwise the gain is
+    divided by the denominators' values at order 0, and conv_k is
+    sum_{j>=1} D_j Q_{k-j} of the series-division recurrence
+    Q_k = N_k - conv_k.  The slots are grouped by var into blocks of one
+    width, so the Cauchy products broadcast each component over its block.
+    Per order and state the work is linear in the number of slots.
     """
 
     def __init__(self, field: ReducedField):
@@ -190,7 +197,9 @@ class _Jets:
         pairs.sort(key=lambda p: p[0])
         below = np.array([b for b, _, _ in pairs])
         owners = np.array([a for _, a, _ in pairs])
-        self.diffs = np.array([diff for _, _, diff in pairs]).reshape(-1, d)
+        # exponents as floats, so the step's powers need no cast
+        self.diffs = np.array([diff for _, _, diff in pairs],
+                              dtype=float).reshape(-1, d).T
         self.starts = np.flatnonzero(np.r_[True, below[1:] != below[:-1]])
         # each slot's parent, unrolled: the slots b of the parent's pairs,
         # and those pairs (index len(pairs), weight 0, pads the short rows)
@@ -218,113 +227,147 @@ class _Jets:
                 for e, c in series.coeffs.items():
                     row = linear[slot[e]] if sum(e) else self.constant
                     row[cols] = c.real
-        self.pair_rows = linear[owners]
+        self.pair_rows = linear[owners].T
         self.unit_denominators = field.polynomial
         self.inverse = 1.0 / np.arange(1, TAYLOR_ORDER + 1)
         self._spaces = {}
-        self.forcing = None
+        # the forcing's jet on cos(omega t0) and sin(omega t0)
+        self.omega, self.jet = 0.0, np.zeros((TAYLOR_ORDER, 2, d))
         forcing = field.forcing
         if forcing is not None and forcing.amplitude != 0.0:
             k = np.arange(TAYLOR_ORDER)
             scale = forcing.amplitude * forcing.frequency ** k / \
                 np.cumprod(np.maximum(k, 1.0)) / (k + 1)
-            self.forcing = (forcing.frequency,
-                            np.outer(scale, forcing.vector))
+            # cos(x + k pi/2) = cos x, -sin x, -cos x, sin x
+            turns = np.array([[1.0, 0.0], [0.0, -1.0],
+                              [-1.0, 0.0], [0.0, 1.0]])[k % 4]
+            self.omega = forcing.frequency
+            self.jet = np.outer(scale, forcing.vector)[:, None] * \
+                turns[:, :, None]
 
-    def _workspace(self, m: int):
+    def _workspace(self, m: int, divide: bool):
         """Buffers for m states and their views at every order, kept from
-        step to step."""
-        if m not in self._spaces:
+        step to step.  The general path (divide) has its own: it rewrites
+        fold_0's constants at each step, divided by the denominators."""
+        key = (m, divide)
+        if key not in self._spaces:
             n, d, width = TAYLOR_ORDER, self.dim, self.width
             size = d * width
             ys = np.empty((n + 1, m, d))
             ps = np.zeros((m, size, n))       # x_k at each slot's parent
-            # numerators (overwritten by the quotients), denominators, and
-            # a 1 beside each quotient that takes up the forcing's term:
-            # Y_{k+1} = Q_k / (k + 1) + drive_k is then one product
-            nd = np.ones((m, 3 * d, n))
-            pairs = nd.reshape(m, 3, d, n)[:, ::2].transpose(0, 2, 3, 1)
-            steps = np.zeros((n, d, 2, 1))
-            steps[:, :, 0, 0] = self.inverse[:, None]
-            known = np.zeros((m, d, width, 1, 1))
-            flat = known.reshape(m, size)
-            ups = np.empty((m, size) + self.ancestors.shape[1:] + (1,))
-            conv = np.empty((m, d, 1, 1))
+            # each state's row [h_k, 1, cos, sin, conv_k] and the step's
+            # products fold_k that take it to Y_{k+1}
+            rows = np.zeros((m, 1, size + 3 + d))
+            rows[:, 0, size] = 1.0
+            fold = np.zeros((n, m, d, size + 3 + d))
+            fold[0, :, :, size] = self.constant[:d]
+            fold[:, :, :, size + 1:size + 3] = \
+                self.jet.transpose(0, 2, 1)[:, None]
+            fold[:, :, :, size + 3:] = -self.inverse[:, None, None, None] * \
+                np.eye(d)
+            known = rows[:, 0, :size].reshape(m, d, width, 1, 1)
+            conv = rows[:, 0, size + 3:]
+            # numerators (overwritten by the quotients) and denominators
+            nd = np.zeros((m, 2 * d, n))
             lagged = ys.transpose(1, 2, 0)[:, :, None, :, None]
             blocks = ps.reshape(m, d, width, 1, n)
-            orders = [(blocks[..., :k], lagged[..., k:0:-1, :],
-                       ps[:, :, k, None, None], nd[:, None, :2 * d, k],
-                       nd[:, d:2 * d, None, 1:k + 1],
-                       nd[:, :d, k - 1::-1, None], nd[:, :d, k],
-                       pairs[:, :, k, None], steps[k],
-                       ys[k + 1, :, :, None, None])
+            # the last order's parents would feed no Cauchy product
+            parents = [ps[:, :, k, None, None] for k in range(n - 1)] + [None]
+            orders = [(blocks[..., :k], lagged[..., k:0:-1, :], parents[k],
+                       nd[:, None, :, k], nd[:, d:, None, 1:k + 1],
+                       nd[:, :d, k - 1::-1, None], nd[:, :d, k], fold[k],
+                       ys[k + 1, :, :, None])
                       for k in range(n)]
-            self._spaces[m] = (ys, ps, nd, steps, known, flat[:, None],
-                               ups, conv, conv[..., 0, 0], orders)
-        return self._spaces[m]
+            n_pairs = self.diffs.shape[1]
+            gain = np.empty((m, 2 * d, size))
+            self._spaces[key] = (
+                ys, ps, rows, rows.transpose(0, 2, 1),
+                rows[:, 0, size + 1:size + 3], fold, known, conv,
+                conv[:, :, None, None], nd, np.empty((m, d, n_pairs)),
+                np.zeros((m, n_pairs + 1)),
+                np.empty((m, size, 1) + self.ancestors.shape[1:]),
+                np.empty((m, size) + self.ancestors.shape[1:] + (1,)),
+                gain, gain.transpose(0, 2, 1), orders)
+        return self._spaces[key]
 
     def expand(self, t0: float, y0: np.ndarray) -> np.ndarray:
         """Coefficients Y_0..Y_N (N = TAYLOR_ORDER) of the solutions through
         the states y0 (m, d) at t0, shape (N + 1, m, d)."""
-        d = self.dim
-        ys, ps, nd, steps, known, row, ups, conv, conv_out, orders = \
-            self._workspace(len(y0))
-        # the step's weights y0^(e_a - e_b), and a zero one for the pads
-        powers = np.zeros((len(y0), len(self.diffs) + 1))
-        np.multiply.reduce(y0[:, None, :] ** self.diffs, axis=2,
-                           out=powers[:, :-1])
-        weights = powers.take(self.ancestor_pairs, axis=1)[:, :, None]
-        gain = np.add.reduceat(powers[:, :-1, None] * self.pair_rows,
-                               self.starts, axis=1)
-        if self.forcing is not None:
-            omega, scale = self.forcing
-            steps[:, :, 1, 0] = scale * np.cos(
-                omega * t0 + np.arange(TAYLOR_ORDER) * (math.pi / 2))[:, None]
-        ys[0] = y0
-        values, lookup = row[:, 0], self.ancestors[..., None]
+        d, size = self.dim, self.units.size
         divide = not self.unit_denominators
+        (ys, ps, rows, column, trig, fold, known, conv, conv_out, nd, parts,
+         powers, weights, ups, gain, gain_rows, orders) = \
+            self._workspace(len(y0), divide)
+        # the step's weights y0^(e_a - e_b), and a zero one for the pads;
+        # every index is in range, and mode "clip" spares take a buffered out
+        np.power(y0[:, :, None], self.diffs, out=parts)
+        np.multiply.reduce(parts, axis=1, out=powers[:, :-1])
+        powers.take(self.ancestor_pairs, axis=1, out=weights[:, :, 0],
+                    mode="clip")
+        np.add.reduceat(powers[:, None, :-1] * self.pair_rows, self.starts,
+                        axis=2, out=gain)
+        trig[...] = math.cos(self.omega * t0), math.sin(self.omega * t0)
+        ys[0] = y0
+        values, row = rows[:, 0, :size], rows[:, :, :size]
+        lookup = self.ancestors[..., None]
         # order 0: the variables are their own known part
         known.fill(0.0)
         known[:, :, 0, 0, 0] = y0
-        for k, (lower, lags, parents, sums, dens, quots, num, pair, step,
-                nxt) in enumerate(orders):
-            if k:
-                np.matmul(lower, lags, out=known)
-            values.take(lookup, axis=1, out=ups)
-            np.matmul(weights, ups, out=parents)
-            np.matmul(row, gain, out=sums)
-            if not k:
-                # the constants enter at order 0; the later orders come
-                # divided by the denominators' values
-                ps[..., 0] += self.units
-                nd[:, :2 * d, 0] += self.constant
-                at_y0 = np.concatenate([nd[:, d:2 * d, 0]] * 2, axis=1)
-                np.divide(num, at_y0[:, :d], out=num)
-                gain /= at_y0[:, None]
-            elif divide:
-                np.matmul(dens, quots, out=conv)
-                np.subtract(num, conv_out, out=num)
-            np.matmul(pair, step, out=nxt)
+        values.take(lookup, axis=1, out=ups, mode="clip")
+        _, _, parents, sums, _, _, _, fold_k, nxt = orders[0]
+        np.matmul(weights, ups, out=parents)
+        ps[..., 0] += self.units
+        if divide:
+            # the later orders come divided by the denominators' values
+            np.matmul(row, gain_rows, out=sums)
+            nd[:, :, 0] += self.constant
+            at_y0 = np.concatenate([nd[:, d:, 0]] * 2, axis=1)
+            np.divide(nd[:, :d, 0], at_y0[:, :d], out=nd[:, :d, 0])
+            np.divide(gain, at_y0[:, :, None], out=gain)
+            np.divide(self.constant[:d], at_y0[:, :d],
+                      out=fold[0, :, :, size])
+            conv.fill(0.0)
+        np.multiply(self.inverse[:, None, None, None], gain[:, :d],
+                    out=fold[..., :size])
+        np.matmul(fold_k, column, out=nxt)
+        for lower, lags, parents, sums, dens, quots, num, fold_k, nxt \
+                in orders[1:]:
+            np.matmul(lower, lags, out=known)
+            if parents is not None:
+                values.take(lookup, axis=1, out=ups, mode="clip")
+                np.matmul(weights, ups, out=parents)
+            if divide:
+                np.matmul(row, gain_rows, out=sums)
+                np.matmul(dens, quots, out=conv_out)
+                np.subtract(num, conv, out=num)
+            np.matmul(fold_k, column, out=nxt)
         return ys.copy()
+
+
+# the rows _step_size reads (Y_0 and the last two), and the exponents of
+# _at's powers
+_STEP_ROWS = np.array([0, TAYLOR_ORDER - 1, TAYLOR_ORDER])
+_POWERS = np.arange(TAYLOR_ORDER + 1.0)
 
 
 def _step_size(coeffs: np.ndarray, rtol: float, atol: float) -> float:
     """Jorba & Zou's step size from the last two coefficients, for the
     tolerance atol + rtol |y|; inf for a polynomial solution, nan if a
     coefficient overflowed."""
-    n = len(coeffs) - 1
-    tops = np.max(np.abs(coeffs[n - 1:].reshape(2, -1)), axis=1).tolist()
+    rows = np.abs(coeffs.take(_STEP_ROWS, axis=0)).reshape(3, -1)
+    scale, *tops = rows.max(axis=1).tolist()
     if not all(map(math.isfinite, tops)):
         return math.nan
-    tol = atol + rtol * float(np.max(np.abs(coeffs[0])))
-    return _STEP_SAFETY * min((tol / top) ** (1.0 / k) if top else math.inf
-                              for k, top in zip((n - 1, n), tops))
+    tol = atol + rtol * scale
+    return _STEP_SAFETY * min(
+        (tol / top) ** (1.0 / k) if top else math.inf
+        for k, top in zip((TAYLOR_ORDER - 1, TAYLOR_ORDER), tops))
 
 
 def _at(coeffs: np.ndarray, s) -> np.ndarray:
     """The step polynomial sum_k Y_k s^k at an offset (flat state) or at an
     array of offsets (one row each)."""
-    powers = np.power.outer(np.asarray(s, dtype=float), np.arange(len(coeffs)))
+    powers = np.power.outer(s, _POWERS)
     return powers @ coeffs.reshape(len(coeffs), -1)
 
 
@@ -374,7 +417,7 @@ def _run(jets: _Jets, y0, t_span, rtol: float, atol: float,
         with np.errstate(over="ignore", invalid="ignore"):
             coeffs = jets.expand(t, y)
         h = _step_size(coeffs, rtol, atol)
-        if not h >= 10.0 * np.spacing(abs(t)):
+        if not h >= 10.0 * math.ulp(t):
             if not field.polynomial:
                 raise NumericalError(f"integration failed: step size "
                                      f"collapsed at t={t:.6g}")

@@ -284,6 +284,27 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv, words", [
+    (["predict", "--chart", "c.txt", "--data", "d.csv", "--horizon", "1"],
+     "required: --fit"),
+    (["systems", "--bogus"], "unrecognized arguments: --bogus"),
+    (["ssm", "--system", "euler", "--order", "x"], "invalid int value"),
+])
+def test_parser_errors_end_in_the_status_line(tmp_path, capsys, argv, words):
+    # argparse's own errors are malformed requests like any other: exit 2
+    # with the status line last, and no artifact
+    rc, _, fields = run_cli(capsys, "--out", tmp_path / "out", *argv)
+    assert rc == 2 and fields["status"] == "validation-error"
+    assert words in fields["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--help"])
+    assert exc.value.code == 0 and "--fit" in capsys.readouterr().out
+
+
 MODEL_BAD_EIGENVALUE = """ssm 2 1 graph 3
 EIGENVALUES
 1 x

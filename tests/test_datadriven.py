@@ -10,7 +10,9 @@ from gssm.datadriven import (ChartProjection, EmbeddingConfig,
                              estimate_derivatives, fit_rational_field,
                              predict, tangent_space_pca)
 from gssm import datadriven
-from gssm.datadriven import _constrained_lstsq, _stage1_denominator
+from gssm.datadriven import (_constrained_lstsq, _quotient_error,
+                             _quotient_gradient, _quotient_terms,
+                             _stage1_denominator)
 from gssm.errors import NumericalError, ValidationError
 from gssm.pade import RationalMap
 from gssm.series import MultiSeries, indices_up_to_order, monomial_matrix
@@ -274,6 +276,46 @@ def test_rank_deficient_constrained_stage1():
     assert any("rank-deficient" in fl for fl in fit.flags)
     assert fit.min_denominator >= prob.margin - 1e-9
     assert np.isfinite(fit.error) and fit.error <= fit.stage1_error
+
+
+def _gradient_problem(rng, n_out, k=40, p=4, q=3):
+    phi = rng.standard_normal((k, p))
+    psi_tail = 0.3 * rng.standard_normal((k, q))
+    targets = rng.standard_normal((k, n_out))
+    theta = 0.5 * rng.standard_normal(n_out * p + q)
+    return theta, phi, psi_tail, targets
+
+
+@pytest.mark.parametrize("n_out", [1, 2, 3])
+def test_quotient_gradient_matches_central_differences(n_out):
+    rng = np.random.default_rng(n_out)
+    theta, phi, psi_tail, targets = _gradient_problem(rng, n_out)
+    grad = _quotient_gradient(
+        _quotient_terms(theta, phi, psi_tail, targets, n_out), phi, psi_tail)
+    step, fd = 1e-6, []
+    for e in np.eye(len(theta)):
+        up, down = (_quotient_error(theta + sign * step * e, phi, psi_tail,
+                                    targets, n_out) for sign in (1.0, -1.0))
+        fd.append((up - down) / (2.0 * step))
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad))
+
+
+def test_quotient_gradient_zeroes_what_a_zero_denominator_breaks():
+    rng = np.random.default_rng(7)
+    theta, phi, psi_tail, targets = _gradient_problem(rng, 2)
+    psi_tail[0] = [1.0, 0.0, 0.0]
+    theta[-3:] = [-1.0, 0.2, 0.1]        # den = 1 + psi_tail @ b is 0 at 0
+    terms = _quotient_terms(theta, phi, psi_tail, targets, 2)
+    assert terms[1][0] == 0.0
+    grad = _quotient_gradient(terms, phi, psi_tail)
+    num, den, resid = terms
+    with np.errstate(all="ignore"):
+        raw = np.concatenate([
+            (-2.0 * (resid / den[:, None]).T @ phi).ravel(),
+            2.0 * psi_tail.T @ (np.sum(resid * num, axis=1) / den ** 2)])
+    broken = ~np.isfinite(raw)
+    assert broken.any()
+    assert np.array_equal(grad, np.where(broken, 0.0, raw))
 
 
 def test_regression_problem_counts_unknowns():

@@ -16,7 +16,7 @@ from gssm.reduced import (Forcing, ModalForcing, ReducedField, backbone,
                           integrate_reduced, lift, lyapunov_estimate,
                           poincare_sample, psd_estimate)
 from gssm.reduced import (DEFAULT_ATOL, DEFAULT_RTOL, TAYLOR_ORDER, _Jets,
-                          _run)
+                          _run, _step_size)
 from gssm.series import MultiSeries
 from gssm.ssm import (PolarNormalForm, PolySystem, compute_ssm, extract_polar,
                       foliation_projection, realify_parametrization,
@@ -113,20 +113,49 @@ def test_rational_field_matches_dop853_on_its_rhs():
     assert np.max(np.abs(tr.values - ref)) <= 2e-10
 
 
-def test_deep_ssm_field_matches_dop853_on_its_rhs():
-    # the realified order-21 Shaw-Pierre reduced dynamics: 130 terms whose
-    # chain runs 21 monomials deep, forced; RK45: 1.3e-9
+def _deep_ssm_field():
+    """The realified order-21 Shaw-Pierre reduced dynamics, forced: 130
+    terms whose chain runs 21 monomials deep."""
     sp = make_system("shaw_pierre")
     model = compute_ssm(sp.realization, spectral_analysis(sp.realization, 2),
                         21, style="graph")
-    f = ReducedField.from_series(realify_reduced(model),
-                                 Forcing(0.01, 1.1, [0.0, 1.0]))
+    return ReducedField.from_series(realify_reduced(model),
+                                    Forcing(0.01, 1.1, [0.0, 1.0]))
+
+
+def test_deep_ssm_field_matches_dop853_on_its_rhs():
+    # RK45: 1.3e-9
+    f = _deep_ssm_field()
     times = np.linspace(0.0, 30.0, 61)
     ref = solve_ivp(f.rhs, (0.0, 30.0), [0.2, 0.0], method="DOP853",
                     rtol=1e-13, atol=1e-15, t_eval=times).y.T
     tr = integrate_reduced(f, [0.2, 0.0], (0.0, 30.0), n_out=61)
     assert tr.flags == []
     assert np.max(np.abs(tr.values - ref)) <= 1e-9
+
+
+def test_the_step_polynomial_solves_the_field():
+    # an oracle free of the jets' own rounding: within a tenth of the step
+    # size, the step polynomial's derivative is the field evaluated on it
+    constants = MultiSeries(2, 2, 2, {(0, 0): [0.3, -0.2], (0, 1): [1.0, 0.0],
+                                      (2, 0): [0.0, -1.0]})
+    cases = ((double_well_field(), [[0.1, 0.1], [-1.2, 0.7]]),
+             (_rational_oscillator(), [[0.8, -0.3], [-0.5, 0.4]]),
+             (_deep_ssm_field(), [[0.2, 0.0], [-0.1, 0.15]]),
+             (ReducedField.from_series(constants), [[0.5, 0.1], [0.0, -0.4]]))
+    orders = np.arange(TAYLOR_ORDER + 1)
+    for f, states in cases:
+        jets = _Jets(f)
+        for m in (1, 2):
+            coeffs = jets.expand(0.7, np.array(states[:m]))
+            h = _step_size(coeffs, DEFAULT_RTOL, DEFAULT_ATOL)
+            assert 0.0 < h < math.inf
+            flat = coeffs.reshape(TAYLOR_ORDER + 1, -1)
+            for s in np.linspace(0.0, 0.1 * h, 6):
+                y = (s ** orders) @ flat
+                dy = (orders[1:] * s ** orders[:-1]) @ flat[1:]
+                rhs = f.rhs(0.7 + s, y.reshape(m, -1)).ravel()
+                assert np.max(np.abs(dy - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
 def test_a_batched_pair_equals_two_separate_runs():
