@@ -225,7 +225,10 @@ class RationalFit:
     on some samples; dividing by it there makes the value sensitive to the
     stage-1 denominator (on chaos_fit's problems it moved by up to 6e-6
     relative when b moved by under 1e-6).  Compare it only as an upper bound:
-    error <= stage1_error.
+    error <= stage1_error.  restart_den_ranges holds the denominator's
+    (min, max) on the samples at each stage-2 end point that stayed finite;
+    start_runs holds, for each stage-2 start, its SLSQP iterations summed
+    over its working-set runs and the status of its last run.
     """
 
     rational: RationalMap
@@ -236,6 +239,7 @@ class RationalFit:
     min_denominator: float
     flags: List[str] = field(default_factory=list)
     restart_den_ranges: List[tuple] = field(default_factory=list)
+    start_runs: List[tuple] = field(default_factory=list)
 
     def summary(self) -> str:
         n_const = self.rational.numerator.dim_out
@@ -247,6 +251,9 @@ class RationalFit:
             f"min denominator on data: {self.min_denominator:.6e}",
             f"active positivity constraints: {self.active_constraints}",
         ]
+        lines += [f"stage-2 start {i}: {nit} SLSQP iterations, status "
+                  f"{status}" for i, (nit, status) in
+                  enumerate(self.start_runs)]
         lines += [f"note: {fl}" for fl in self.flags]
         return "\n".join(lines)
 
@@ -400,6 +407,16 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
     minimizer of the full problem too.  When W holds every sample from the
     start (k <= WORKING_SET_LOWEST * (q - 1)) stage 2 is one SLSQP run over
     all rows.
+
+    The first stage-2 start is the stage-1 point; each further one draws
+    Gaussian noise of 0.3 times its largest coefficient onto it.  With the
+    margin, the noisy denominator is halved until it holds the margin and
+    the start's numerator is the least-squares one at that denominator
+    (_solve_a_given_b), as in variable projection: the noisy numerator fits
+    neither the data nor a denominator near the margin, and SLSQP can spend
+    its whole budget descending from it.  Unconstrained starts keep the
+    noisy numerator: its far-off starts are what let some restart put a
+    denominator zero inside the data hull for the comparison experiments.
     """
     d, n_out = prob.dim, prob.n_outputs
     delta = prob.margin
@@ -467,11 +484,12 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
             cand = theta1 + rng.normal(scale=0.3 * scale, size=theta1.shape)
             if constrained:
                 b = shrink_to_feasible(cand[n_out * p:])
-                cand = np.concatenate([cand[:n_out * p], b])
+                cand = np.concatenate([_solve_a_given_b(
+                    phi, psi_tail, prob.targets, b).ravel(), b])
             starts.append(cand)
     best_theta, best_err = theta1, stage1_error
     refined = False
-    den_ranges = []
+    den_ranges, runs = [], []
     # SLSQP asks for the error and then the gradient at each accepted
     # point: both come from one residual pass
     last = [None, None]
@@ -499,7 +517,8 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
 
     def descend(start):
         """The end point of stage 2 from start and its denominator on every
-        sample, or None if SLSQP leaves the finite numbers."""
+        sample, or None if SLSQP leaves the finite numbers; with the start's
+        SLSQP iterations and last status."""
         rows = np.union1d(np.arange(0, k, WORKING_SET_STRIDE),
                           lowest(_denominator(psi_tail, start[n_out * p:])))
         theta, budget = start, STAGE2_MAXITER
@@ -512,18 +531,20 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
                            if constrained else [],
                            options={"maxiter": budget, "ftol": 1e-14})
             theta, budget = res.x, budget - res.nit
+            run = (STAGE2_MAXITER - budget, int(res.status))
             if not np.all(np.isfinite(theta)):
-                return None
+                return None, run
             dvals = _denominator(psi_tail, theta[n_out * p:])
             bad = np.flatnonzero(dvals < delta - CONSTRAINT_SLACK)
             if (not constrained or bad.size == 0 or len(rows) == k
                     or budget <= 0):
-                return theta, dvals
+                return (theta, dvals), run
             grown = np.union1d(rows, np.union1d(bad, lowest(dvals)))
             rows = grown if len(grown) > len(rows) else np.arange(k)
 
     for start in starts:
-        end = descend(start)
+        end, run = descend(start)
+        runs.append(run)
         if end is None:
             continue
         theta, dvals = end
@@ -556,7 +577,7 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
     active = int(np.sum(den_vals - delta < 1e-8 * max(1.0, delta)))
     return RationalFit(rational, best_err, stage1_error, prob.n_parameters,
                        active if constrained else 0,
-                       float(np.min(den_vals)), flags, den_ranges)
+                       float(np.min(den_vals)), flags, den_ranges, runs)
 
 
 def chart_to_text(chart: ChartProjection, cfg: EmbeddingConfig) -> str:

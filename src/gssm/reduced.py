@@ -409,8 +409,12 @@ def _run(jets: _Jets, y0, t_span, rtol: float, atol: float,
     t, t_end = float(t_span[0]), float(t_span[1])
     sign = 1.0 if t_end >= t else -1.0
     levels = [g(y) for g, _ in checks]
-    times, states = ([t], [y.ravel()]) if t_eval is None else ([], [])
-    keys = None if t_eval is None else sign * np.asarray(t_eval, dtype=float)
+    if t_eval is None:
+        times, states = [t], [y.ravel()]
+    else:
+        # each step appends its block of samples, possibly empty
+        times, states = [t_eval[:0]], [np.empty((0, y.size))]
+        keys = sign * t_eval
     done, stop = 0, None
     while t != t_end:
         # near a blowup the high orders overflow; the step size then collapses
@@ -442,14 +446,16 @@ def _run(jets: _Jets, y0, t_span, rtol: float, atol: float,
             states.append(y_new.ravel())
         else:
             upto = int(np.searchsorted(keys, sign * t_new, side="right"))
-            times.extend(t_eval[done:upto])
-            states.extend(_at(coeffs, t_eval[done:upto] - t))
+            times.append(t_eval[done:upto])
+            states.append(_at(coeffs, t_eval[done:upto] - t))
             done = upto
         if stop is not None:
             break
         t, y, levels = t_new, y_new, new_levels
-    return (np.asarray(times, dtype=float),
-            np.reshape(states, (len(times), y.size)), stop)
+    if t_eval is None:
+        return (np.asarray(times, dtype=float),
+                np.reshape(states, (len(times), y.size)), stop)
+    return np.concatenate(times), np.concatenate(states), stop
 
 
 def integrate_reduced(f: ReducedField, ic, t_span: Tuple[float, float],

@@ -6,6 +6,7 @@ machine-readable status line, and the files left in the output directory.
 
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -505,6 +506,19 @@ def test_regress_then_predict_roundtrip(tmp_path, capsys):
         assert (tmp_path / name).is_file()
     report = (tmp_path / "report.txt").read_text()
     assert "held-out error" in report
+    # [1/0] has no stage 2; a denominator gives one line per start
+    assert "stage-2 start" not in report
+    rc, _, _ = run_cli(capsys, "--out", tmp_path / "m1", "regress",
+                       "--data", tmp_path / "data.csv", "--delays", 3,
+                       "--lag", 2, "--d", 1, "--N", 1, "--M", 1,
+                       "--restarts", 2)
+    assert rc == 0
+    lines = [ln for ln in (tmp_path / "m1" / "report.txt").read_text()
+             .splitlines() if ln.startswith("stage-2 start")]
+    assert len(lines) == 2
+    for i, ln in enumerate(lines):
+        assert re.fullmatch(rf"stage-2 start {i}: \d+ SLSQP iterations, "
+                            r"status \d+", ln)
 
     rc, _, fields = run_cli(capsys, "--out", tmp_path, "predict",
                             "--chart", tmp_path / "chart.txt",

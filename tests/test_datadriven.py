@@ -12,7 +12,7 @@ from gssm.datadriven import (ChartProjection, EmbeddingConfig,
 from gssm import datadriven
 from gssm.datadriven import (_constrained_lstsq, _quotient_error,
                              _quotient_gradient, _quotient_terms,
-                             _stage1_denominator)
+                             _solve_a_given_b, _stage1_denominator)
 from gssm.errors import NumericalError, ValidationError
 from gssm.pade import RationalMap
 from gssm.series import MultiSeries, indices_up_to_order, monomial_matrix
@@ -158,13 +158,17 @@ def test_rational_fit_degenerates_to_polynomial_at_m_zero():
     assert rat.rational.denominator.coeffs.keys() == {(0, 0)}
 
 
-def test_double_well_roots_survive_noise():
+def _noisy_double_well():
+    """[3/2] problem of 41 samples of eta - eta^3 with 1% noise."""
     rng = np.random.default_rng(42)
     eta = np.linspace(-1.5, 1.5, 41)
     zeta = eta - eta ** 3
     noisy = zeta + 0.01 * np.max(np.abs(zeta)) * rng.standard_normal(eta.shape)
-    fit = fit_rational_field(RegressionProblem(eta[:, None], noisy, 3, 2),
-                             restarts=10, seed=1)
+    return RegressionProblem(eta[:, None], noisy, 3, 2)
+
+
+def test_double_well_roots_survive_noise():
+    fit = fit_rational_field(_noisy_double_well(), restarts=10, seed=1)
     ncoef = [float(fit.rational.numerator.get((m,))[0].real) for m in range(4)]
     roots = sorted(r.real for r in npoly.polyroots(ncoef) if abs(r.imag) < 1e-6)
     assert len(roots) == 3
@@ -173,11 +177,7 @@ def test_double_well_roots_survive_noise():
 
 
 def test_unconstrained_fit_reproduces_the_pole_hazard():
-    rng = np.random.default_rng(42)
-    eta = np.linspace(-1.5, 1.5, 41)
-    zeta = eta - eta ** 3
-    noisy = zeta + 0.01 * np.max(np.abs(zeta)) * rng.standard_normal(eta.shape)
-    prob = RegressionProblem(eta[:, None], noisy, 3, 2)
+    prob = _noisy_double_well()
     free = fit_rational_field(prob, restarts=10, seed=1, constrained=False)
     assert any(lo < 0.0 < hi for lo, hi in free.restart_den_ranges)
     safe = fit_rational_field(prob, restarts=10, seed=1)
@@ -423,8 +423,8 @@ def test_limit_cycle_self_consistency():
 
 
 def _record_minimize(monkeypatch, psi_tail):
-    """Wrap datadriven.minimize; per call, the samples of its margin rows,
-    its start and its end point."""
+    """Wrap datadriven.minimize; per call, the samples of its margin rows
+    (none in an unconstrained fit), its start and its end point."""
     index = {row.tobytes(): i for i, row in enumerate(psi_tail)}
     m = psi_tail.shape[1]
     calls = []
@@ -432,9 +432,9 @@ def _record_minimize(monkeypatch, psi_tail):
 
     def wrapped(fun, x0, **kwargs):
         res = real(fun, x0, **kwargs)
-        jac = kwargs["constraints"][0]["jac"](x0)
-        calls.append(({index[row[-m:].tobytes()] for row in jac},
-                      np.array(x0), res.x.copy()))
+        jacs = [c["jac"](x0) for c in kwargs["constraints"]]
+        calls.append(({index[row[-m:].tobytes()] for jac in jacs
+                       for row in jac}, np.array(x0), res.x.copy()))
         return res
 
     monkeypatch.setattr(datadriven, "minimize", wrapped)
@@ -553,9 +553,8 @@ def test_interior_optimum_needs_no_re_solve(monkeypatch):
     assert abs(fit.error - ref) <= 1e-8 * ref
 
 
-def test_stage2_hands_slsqp_a_small_share_of_the_margin_rows(monkeypatch):
-    # chaos_fit's fit: 2,961 samples of the Hopf cycle, [3/2], 3 restarts;
-    # SLSQP's subproblem cost grows with the rows it is given
+def _hopf_problem():
+    """chaos_fit's fit: 2,961 samples of the Hopf cycle, [3/2]."""
     t = np.arange(0.0, 60.0 + 0.01, 0.02)
     sol = solve_ivp(_hopf_rhs, (0.0, 60.0), [0.4, 0.0], t_eval=t,
                     rtol=1e-10, atol=1e-12)
@@ -563,13 +562,87 @@ def test_stage2_hands_slsqp_a_small_share_of_the_margin_rows(monkeypatch):
     emb = delay_embed(TrajectoryData(t, sol.y[0]), cfg)
     eta = tangent_space_pca(emb, 2, center=np.zeros(5)).project(emb.values)
     zeta = estimate_derivatives(TrajectoryData(emb.times, eta)).values
+    return RegressionProblem(eta, zeta, 3, 2)
+
+
+def test_stage2_hands_slsqp_a_small_share_of_the_margin_rows(monkeypatch):
+    # 3 restarts, as chaos_fit; SLSQP's subproblem cost grows with the rows
+    # it is given
+    prob = _hopf_problem()
+    eta = prob.inputs
     psi_tail = monomial_matrix(eta, indices_up_to_order(2, 2))[:, 1:]
     calls = _record_minimize(monkeypatch, psi_tail)
-    fit = fit_rational_field(RegressionProblem(eta, zeta, 3, 2), restarts=3)
+    fit = fit_rational_field(prob, restarts=3)
     assert len(eta) == 2961
     assert 3 <= len(calls) <= 3 + 2
     assert max(len(rows) for rows, _, _ in calls) <= 0.15 * len(eta)
     assert fit.min_denominator >= 1e-3 - 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_every_stage2_start_converges_on_the_hopf_fit(monkeypatch, seed):
+    # from a perturbed start that keeps its noisy numerator, SLSQP hits its
+    # cap on seed 1 and stops with status 4, "inequality constraints
+    # incompatible", on seed 5
+    prob = _hopf_problem()
+    real = datadriven.minimize
+    runs = []
+
+    def wrapped(fun, x0, **kwargs):
+        res = real(fun, x0, **kwargs)
+        runs.append((kwargs["options"]["maxiter"], res.nit, res.status))
+        return res
+
+    monkeypatch.setattr(datadriven, "minimize", wrapped)
+    fit = fit_rational_field(prob, restarts=3, seed=seed)
+    # one run per start: the start's first run gets the whole budget
+    assert [cap for cap, _, _ in runs] == [datadriven.STAGE2_MAXITER] * 3
+    for _, nit, status in runs:
+        assert status == 0 and nit < datadriven.STAGE2_MAXITER
+    assert fit.start_runs == [(nit, status) for _, nit, status in runs]
+    assert fit.error <= fit.stage1_error
+    assert fit.min_denominator >= prob.margin - 1e-9
+
+
+def _perturbed_draws(theta1, restarts, seed):
+    """The stage-1 point plus each perturbed start's noise, in order."""
+    rng = np.random.default_rng(seed)
+    scale = np.max(np.abs(theta1))
+    return [theta1 + rng.normal(scale=0.3 * scale, size=theta1.shape)
+            for _ in range(restarts - 1)]
+
+
+def test_constrained_restarts_start_at_the_numerator_of_their_denominator(
+        monkeypatch):
+    # the denominator is the noisy one halved until the margin holds; the
+    # numerator is the least-squares one there
+    prob = _noisy_double_well()
+    phi = monomial_matrix(prob.inputs, indices_up_to_order(1, 3))
+    psi_tail = monomial_matrix(prob.inputs, indices_up_to_order(1, 2))[:, 1:]
+    calls = _record_minimize(monkeypatch, psi_tail)
+    fit_rational_field(prob, restarts=10, seed=1)
+    # 41 samples: every run's working set is all of them, one run a start
+    assert len(calls) == 10
+    starts = [start for _, start, _ in calls]
+    draws = _perturbed_draws(starts[0], 10, 1)
+    for start, draw in zip(starts[1:], draws):
+        b = start[4:]
+        assert np.min(1.0 + psi_tail @ b) >= prob.margin
+        assert any(np.array_equal(b, 0.5 ** j * draw[4:]) for j in range(81))
+        a = _solve_a_given_b(phi, psi_tail, prob.targets, b)
+        assert np.allclose(start[:4], a.ravel(), rtol=1e-12,
+                           atol=1e-12 * np.max(np.abs(a)))
+
+
+def test_unconstrained_restarts_keep_the_perturbed_numerator(monkeypatch):
+    prob = _noisy_double_well()
+    psi_tail = monomial_matrix(prob.inputs, indices_up_to_order(1, 2))[:, 1:]
+    calls = _record_minimize(monkeypatch, psi_tail)
+    fit_rational_field(prob, restarts=10, seed=1, constrained=False)
+    assert len(calls) == 10
+    starts = [start for _, start, _ in calls]
+    draws = _perturbed_draws(starts[0], 10, 1)
+    assert all(np.array_equal(s, d) for s, d in zip(starts[1:], draws))
 
 
 def test_working_set_runs_share_one_iteration_budget(monkeypatch):
