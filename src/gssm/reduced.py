@@ -53,7 +53,9 @@ class Forcing:
 class ReducedField:
     """Rational maps stacked into one field of dim = sum of their dim_out
     components, each a function of all dim variables.  `polynomial` (every
-    denominator is the constant 1) decides the run's stop rules."""
+    denominator is the constant 1) decides the run's stop rules.  The
+    coefficients must be real within _imaginary_residual's bound
+    (ValidationError otherwise)."""
 
     rationals: List[RationalMap]
     forcing: Optional[Forcing] = None
@@ -68,6 +70,14 @@ class ReducedField:
         if self.forcing is not None and \
                 self.forcing.vector.shape != (self.dim,):
             raise ValidationError("forcing vector must have the field dim")
+        # the integrator runs in reals: an imaginary part would be dropped
+        for r in self.rationals:
+            for s in (r.numerator, r.denominator):
+                imag = _imaginary_residual(s)
+                if imag is not None:
+                    raise ValidationError(
+                        f"field has complex coefficients (imaginary part up "
+                        f"to {imag:.2e}); realify the model first")
 
     @classmethod
     def from_series(cls, series: MultiSeries,
@@ -126,6 +136,9 @@ def _initial_state(field: ReducedField, ic) -> np.ndarray:
 
 
 TAYLOR_ORDER = 24
+# the most padded slots for which _Jets maps the known parts to the
+# parents' coefficients with a dense product rather than a gather
+_PARENT_PRODUCT_SLOTS = 64
 # Jorba & Zou's safety factor on the step size from the last two coefficients
 _STEP_SAFETY = math.exp(-0.7 / (TAYLOR_ORDER - 1))
 
@@ -139,11 +152,12 @@ class _Jets:
     Cauchy product sum_i x_i(par(a)) Y_{k-i, var(a)}, whose one unknown term
     at order k is x_k(par(a)) Y_{0, var(a)}.  Unrolled down the chain, x_k(a)
     is the sum over b = a and a's ancestors of y0^(e_a - e_b) h_k(b), h_k(b)
-    being b's known part.  So one gather and one product over the at most
-    depth - 1 ancestors of each slot's parent give the parents' coefficients,
-    and the step's gain sum_a C_a y0^(e_a - e_b), C_a being slot a's
-    coefficients in every numerator component and denominator, maps the
-    known parts to the numerators and denominators.
+    being b's known part.  So the parents' coefficients are a map of the
+    known parts, with the weights y0^(e_a - e_b) over the at most depth - 1
+    ancestors of each slot's parent, and the step's gain
+    sum_a C_a y0^(e_a - e_b), C_a being slot a's coefficients in every
+    numerator component and denominator, maps the known parts to the
+    numerators and denominators.
 
     Y_{k+1} = Q_k / (k + 1) + f_k is one product per order, of the row
     [h_k, 1, cos(omega t0), sin(omega t0), conv_k] with the step's fold_k:
@@ -151,13 +165,22 @@ class _Jets:
     forcing eps v cos(omega t) as its closed-form jet
     eps v omega^k cos(omega t0 + k pi/2) / (k + 1)!, which takes one of
     four sign patterns of cos and sin, and -I / (k + 1).  A polynomial
-    field, whose denominators are all the constant 1, leaves conv_k = 0,
-    so a step costs it four array calls per order.  Otherwise the gain is
-    divided by the denominators' values at order 0, and conv_k is
-    sum_{j>=1} D_j Q_{k-j} of the series-division recurrence
-    Q_k = N_k - conv_k.  The slots are grouped by var into blocks of one
-    width, so the Cauchy products broadcast each component over its block.
-    Per order and state the work is linear in the number of slots.
+    field, whose denominators are all the constant 1, leaves conv_k = 0.
+    Otherwise the gain is divided by the denominators' values at order 0,
+    and conv_k is sum_{j>=1} D_j Q_{k-j} of the series-division recurrence
+    Q_k = N_k - conv_k, three more array calls per order.  The slots are
+    grouped by var into blocks of one width, so the Cauchy products
+    broadcast each component over its block.
+
+    The parents' map is linear in the same row.  With parent_product, set
+    for at most _PARENT_PRODUCT_SLOTS slots, the map is a dense block
+    stacked above fold_k (with the units x_0(1) = 1 in the column of the
+    row's 1), so one product per order gives the parents' x_k and Y_{k+1}
+    and a polynomial field costs two array calls per order.  The dense
+    block costs size^2 per order and state, so a larger field takes a
+    gather and a product over the ancestors instead, four calls per order
+    for a polynomial field, whose work per order and state is linear in
+    the number of slots.
     """
 
     def __init__(self, field: ReducedField):
@@ -216,6 +239,12 @@ class _Jets:
                 self.ancestor_pairs[a, :len(ups)] = ups
         self.units = np.zeros(size)
         self.units[::width] = 1.0
+        # the parents' map as (slot, ancestor, pair) entries of a dense
+        # block, for the product path
+        real = self.ancestor_pairs < len(pairs)
+        self.parent_entries = (np.nonzero(real)[0], self.ancestors[real],
+                               self.ancestor_pairs[real])
+        self.parent_product = size <= _PARENT_PRODUCT_SLOTS
         # C: every numerator component and its map's denominator on the
         # slots, taken per pair; `constant` is the constant monomial's share
         owner = np.repeat(np.arange(len(maps)), [n.dim_out for n, _ in maps])
@@ -245,46 +274,61 @@ class _Jets:
             self.jet = np.outer(scale, forcing.vector)[:, None] * \
                 turns[:, :, None]
 
-    def _workspace(self, m: int, divide: bool):
+    def _workspace(self, m: int, divide: bool, product: bool):
         """Buffers for m states and their views at every order, kept from
         step to step.  The general path (divide) has its own: it rewrites
-        fold_0's constants at each step, divided by the denominators."""
-        key = (m, divide)
+        fold_0's constants at each step, divided by the denominators.  The
+        product path stacks the parents' map above each fold_k, and order
+        k writes the parents' x_k and Y_{k+1} side by side into row k + 1
+        of one buffer, which the later Cauchy products read as views."""
+        key = (m, divide, product)
         if key not in self._spaces:
             n, d, width = TAYLOR_ORDER, self.dim, self.width
             size = d * width
-            ys = np.empty((n + 1, m, d))
-            ps = np.zeros((m, size, n))       # x_k at each slot's parent
+            top = size if product else 0
+            if product:
+                out = np.zeros((m, n + 1, size + d))
+                ys = out[:, :, size:].transpose(1, 0, 2)
+                ps = out[:, 1:, :size].transpose(0, 2, 1)
+                nxts = [out[:, k + 1, :, None] for k in range(n)]
+                parents = [None] * n
+            else:
+                ys = np.empty((n + 1, m, d))
+                ps = np.zeros((m, size, n))   # x_k at each slot's parent
+                nxts = [ys[k + 1, :, :, None] for k in range(n)]
+                # the last order's parents would feed no Cauchy product
+                parents = [ps[:, :, k, None, None]
+                           for k in range(n - 1)] + [None]
             # each state's row [h_k, 1, cos, sin, conv_k] and the step's
-            # products fold_k that take it to Y_{k+1}
+            # products fold_k that take it to Y_{k+1}, below the parents'
+            # map on the product path (which adds the units at order 0)
             rows = np.zeros((m, 1, size + 3 + d))
             rows[:, 0, size] = 1.0
-            fold = np.zeros((n, m, d, size + 3 + d))
-            fold[0, :, :, size] = self.constant[:d]
-            fold[:, :, :, size + 1:size + 3] = \
+            fold = np.zeros((n, m, top + d, size + 3 + d))
+            fold[0, :, :top, size] = self.units[:top]
+            fold[0, :, top:, size] = self.constant[:d]
+            fold[:, :, top:, size + 1:size + 3] = \
                 self.jet.transpose(0, 2, 1)[:, None]
-            fold[:, :, :, size + 3:] = -self.inverse[:, None, None, None] * \
-                np.eye(d)
+            fold[:, :, top:, size + 3:] = \
+                -self.inverse[:, None, None, None] * np.eye(d)
             known = rows[:, 0, :size].reshape(m, d, width, 1, 1)
             conv = rows[:, 0, size + 3:]
             # numerators (overwritten by the quotients) and denominators
             nd = np.zeros((m, 2 * d, n))
             lagged = ys.transpose(1, 2, 0)[:, :, None, :, None]
             blocks = ps.reshape(m, d, width, 1, n)
-            # the last order's parents would feed no Cauchy product
-            parents = [ps[:, :, k, None, None] for k in range(n - 1)] + [None]
             orders = [(blocks[..., :k], lagged[..., k:0:-1, :], parents[k],
                        nd[:, None, :, k], nd[:, d:, None, 1:k + 1],
                        nd[:, :d, k - 1::-1, None], nd[:, :d, k], fold[k],
-                       ys[k + 1, :, :, None])
+                       nxts[k])
                       for k in range(n)]
             n_pairs = self.diffs.shape[1]
             gain = np.empty((m, 2 * d, size))
             self._spaces[key] = (
-                ys, ps, rows, rows.transpose(0, 2, 1),
-                rows[:, 0, size + 1:size + 3], fold, known, conv,
-                conv[:, :, None, None], nd, np.empty((m, d, n_pairs)),
-                np.zeros((m, n_pairs + 1)),
+                ys, rows, rows.transpose(0, 2, 1),
+                rows[:, 0, size + 1:size + 3], fold, fold[:, :, top:, :size],
+                fold[0, :, top:, size], known, conv, conv[:, :, None, None],
+                nd, np.empty((m, d, n_pairs)), np.zeros((m, n_pairs + 1)),
                 np.empty((m, size, 1) + self.ancestors.shape[1:]),
                 np.empty((m, size) + self.ancestors.shape[1:] + (1,)),
                 gain, gain.transpose(0, 2, 1), orders)
@@ -295,15 +339,19 @@ class _Jets:
         the states y0 (m, d) at t0, shape (N + 1, m, d)."""
         d, size = self.dim, self.units.size
         divide = not self.unit_denominators
-        (ys, ps, rows, column, trig, fold, known, conv, conv_out, nd, parts,
-         powers, weights, ups, gain, gain_rows, orders) = \
-            self._workspace(len(y0), divide)
+        (ys, rows, column, trig, fold, numerators, constants, known, conv,
+         conv_out, nd, parts, powers, weights, ups, gain, gain_rows,
+         orders) = self._workspace(len(y0), divide, self.parent_product)
         # the step's weights y0^(e_a - e_b), and a zero one for the pads;
         # every index is in range, and mode "clip" spares take a buffered out
         np.power(y0[:, :, None], self.diffs, out=parts)
         np.multiply.reduce(parts, axis=1, out=powers[:, :-1])
-        powers.take(self.ancestor_pairs, axis=1, out=weights[:, :, 0],
-                    mode="clip")
+        if self.parent_product:
+            slots, ancestors, links = self.parent_entries
+            fold[:, :, slots, ancestors] = powers[:, links]
+        else:
+            powers.take(self.ancestor_pairs, axis=1, out=weights[:, :, 0],
+                        mode="clip")
         np.add.reduceat(powers[:, None, :-1] * self.pair_rows, self.starts,
                         axis=2, out=gain)
         trig[...] = math.cos(self.omega * t0), math.sin(self.omega * t0)
@@ -313,10 +361,11 @@ class _Jets:
         # order 0: the variables are their own known part
         known.fill(0.0)
         known[:, :, 0, 0, 0] = y0
-        values.take(lookup, axis=1, out=ups, mode="clip")
         _, _, parents, sums, _, _, _, fold_k, nxt = orders[0]
-        np.matmul(weights, ups, out=parents)
-        ps[..., 0] += self.units
+        if parents is not None:
+            values.take(lookup, axis=1, out=ups, mode="clip")
+            np.matmul(weights, ups, out=parents)
+            parents[..., 0, 0] += self.units
         if divide:
             # the later orders come divided by the denominators' values
             np.matmul(row, gain_rows, out=sums)
@@ -324,11 +373,10 @@ class _Jets:
             at_y0 = np.concatenate([nd[:, d:, 0]] * 2, axis=1)
             np.divide(nd[:, :d, 0], at_y0[:, :d], out=nd[:, :d, 0])
             np.divide(gain, at_y0[:, :, None], out=gain)
-            np.divide(self.constant[:d], at_y0[:, :d],
-                      out=fold[0, :, :, size])
+            np.divide(self.constant[:d], at_y0[:, :d], out=constants)
             conv.fill(0.0)
         np.multiply(self.inverse[:, None, None, None], gain[:, :d],
-                    out=fold[..., :size])
+                    out=numerators)
         np.matmul(fold_k, column, out=nxt)
         for lower, lags, parents, sums, dens, quots, num, fold_k, nxt \
                 in orders[1:]:

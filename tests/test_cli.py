@@ -367,12 +367,14 @@ R
     ("chart 2 1 2 1 -1\nCENTER\n0 0\nBASIS\n1\n0\n",
      ["predict", "--fit", "fit.txt", "--data", "data.csv", "--horizon", "1",
       "--chart"]),
+    ("pade 1 1 1 0\nNUMERATOR\n1 0 1\nDENOMINATOR\n0 1 0\n",
+     ["analyze", "integrate", "--ic", "1", "--t1", "1", "--rationals"]),
 ], ids=["pade-token", "pade-index-above-order", "pade-float",
         "model-eigenvalue", "chart-truncated", "coeffs-token",
         "trajectory-ragged", "model-repeated-section", "model-repeated-row",
         "pade-repeated-section", "chart-two-center-rows",
         "model-polar-section", "chart-observable-past-the-data",
-        "chart-observable-negative"])
+        "chart-observable-negative", "pade-complex-field"])
 def test_malformed_text_inputs_exit_2(tmp_path, capsys, text, argv):
     path = tmp_path / "input.txt"
     path.write_text(text)

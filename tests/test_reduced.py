@@ -187,11 +187,55 @@ def test_unit_denominators_skip_the_division_recurrence_exactly():
     assert series_jets.unit_denominators and rational_jets.unit_denominators
     assert not _Jets(_rational_oscillator()).unit_denominators
     y0 = np.array([[0.3, -0.2], [1.1, 0.4]])
-    for m in (1, 2):
-        ref = series_jets.expand(0.7, y0[:m])
-        assert np.all(np.isfinite(ref)) and np.any(ref[TAYLOR_ORDER] != 0.0)
-        for jets in (rational_jets, general_jets):
-            assert np.array_equal(jets.expand(0.7, y0[:m]), ref)
+    # on either map to the parents' coefficients
+    for product in (True, False):
+        for jets in (series_jets, rational_jets, general_jets):
+            jets.parent_product = product
+        for m in (1, 2):
+            ref = series_jets.expand(0.7, y0[:m])
+            assert np.all(np.isfinite(ref)) and \
+                np.any(ref[TAYLOR_ORDER] != 0.0)
+            for jets in (rational_jets, general_jets):
+                assert np.array_equal(jets.expand(0.7, y0[:m]), ref)
+
+
+def _full_field(numerator: int, denominator: int) -> ReducedField:
+    """A forced d = 2 field whose two maps hold every monomial up to the
+    numerator's and the denominator's degree, as a fit's maps do."""
+    rng = np.random.default_rng(1)
+
+    def full(order, constant):
+        coeffs = {(deg - i, i): rng.normal(size=1) * 0.5 ** deg
+                  for deg in range(1, order + 1) for i in range(deg + 1)}
+        coeffs[(0, 0)] = np.array([constant])
+        return MultiSeries(2, 1, order, coeffs)
+
+    maps = [RationalMap(full(numerator, 0.0), full(denominator, 1.0)
+                        if denominator else MultiSeries.constant([1.0], 2, 0),
+                        (numerator, denominator)) for _ in range(2)]
+    return ReducedField.from_rationals(maps, Forcing(0.1, 1.1, [0.0, 1.0]))
+
+
+def test_the_parent_product_and_the_gather_give_the_same_coefficients():
+    # a small field maps the known parts to its parents' coefficients in
+    # the product of each order, a large one by a gather; forced the other
+    # way, each must give the same jets to rounding
+    assert _Jets(_full_field(3, 2)).parent_product
+    cases = ((double_well_field(), [[0.1, 0.1], [-1.2, 0.7]], True),
+             (_rational_oscillator(), [[0.8, -0.3], [-0.5, 0.4]], True),
+             (_full_field(5, 0), [[0.2, -0.1], [0.15, 0.1]], True),
+             (_deep_ssm_field(), [[0.2, 0.0], [-0.1, 0.15]], False))
+    for f, states, product in cases:
+        jets, other = _Jets(f), _Jets(f)
+        assert jets.parent_product == product
+        other.parent_product = not product
+        for m in (1, 2):
+            ref = jets.expand(0.7, np.array(states[:m]))
+            gap = other.expand(0.7, np.array(states[:m])) - ref
+            assert np.all(np.isfinite(ref)) and \
+                np.any(ref[TAYLOR_ORDER] != 0.0)
+            assert np.all(np.max(np.abs(gap), axis=(1, 2))
+                          <= 1e-13 * np.max(np.abs(ref), axis=(1, 2)))
 
 
 def test_blowup_is_flagged_not_fatal():
@@ -656,6 +700,20 @@ def test_lift_refuses_a_complex_chart_and_keeps_real_ones_bitwise():
     assert np.array_equal(
         lift(MultiSeries(2, real_w.dim_out, real_w.order, w), traj).values,
         real_w.evaluate_many(traj.values).real)
+
+def test_a_field_refuses_complex_coefficients_and_keeps_real_ones():
+    # the integrator runs in reals: x' = i x would have run as x' = 0
+    with pytest.raises(ValidationError, match="complex coefficients"):
+        ReducedField.from_series(MultiSeries(1, 1, 1, {(1,): [1j]}))
+    with pytest.raises(ValidationError, match="complex coefficients"):
+        ReducedField.from_rationals(RationalMap(
+            MultiSeries(1, 1, 1, {(1,): [-1.0]}),
+            MultiSeries(1, 1, 1, {(0,): [1.0], (1,): [0.5j]}), (1, 1)))
+    # imaginary parts within realify's bound still build and run
+    f = ReducedField.from_series(MultiSeries(1, 1, 1, {(1,): [-1.0 + 1e-12j]}))
+    tr = integrate_reduced(f, [1.0], (0.0, 1.0))
+    assert abs(tr.values[-1, 0] - math.exp(-1.0)) < 1e-8
+
 
 def test_lyapunov_linear_fields():
     stable = ReducedField.from_series(MultiSeries(1, 1, 1, {(1,): [-1.0]}))
