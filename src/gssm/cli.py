@@ -35,8 +35,8 @@ from .reduced import (Forcing, ReducedField, backbone, double_well_field,
                       forced_response, forcing_projection, integrate_reduced,
                       lift, lyapunov_estimate, poincare_sample, psd_estimate)
 from .series import MultiSeries, format_float, write_csv
-from .singularity import (DEFAULT_SCAN_FLOOR, classify_sign_pattern,
-                          denominator_zero_scan, estimate_radius)
+from .singularity import (DEFAULT_SCAN_FLOOR, denominator_zero_scan,
+                          locate_singularity)
 from .ssm import (SSMModel, compute_ssm, extract_polar, model_from_text,
                   model_to_text, realify_parametrization, realify_reduced,
                   spectral_analysis)
@@ -44,6 +44,10 @@ from .systems import SYSTEM_IDS, make_system
 from .trajectory import TrajectoryData, trajectory_from_csv, trajectory_to_csv
 
 # ---- plumbing ----------------------------------------------------------------
+
+SCAN_POINTS = 41     # pade's zero-scan grid points per axis
+FRC_RHO_MIN = 1e-4   # the first amplitude of analyze frc's grid
+HOLDOUT = 0.2        # the share of regress's samples held out, at the end
 
 
 def _sha256(path: Path) -> str:
@@ -125,6 +129,14 @@ def _trajectory_status(run: _Run, traj: TrajectoryData) -> dict:
     """Status fields of an integrated trajectory; a flagged one exits 3."""
     run.failed = bool(traj.flags)
     return {"samples": traj.n_samples, "flags": _flags(traj.flags)}
+
+
+def finite(text: str) -> float:
+    """The argparse type of every float option: a finite number."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _floats(text: str) -> np.ndarray:
@@ -238,11 +250,6 @@ def cmd_ssm(args, run):
 # ---- pade --------------------------------------------------------------------
 
 
-def _scan_axes(dim: int, radius: float, points: int, nonnegative: bool):
-    lo = 0.0 if nonnegative else -radius
-    return [np.linspace(lo, radius, points)] * dim
-
-
 def _pade_targets(model: SSMModel, wanted):
     """(name, series, nonnegative scan domain) triples for a model's targets
     named in wanted (all when None); only those series are built."""
@@ -259,19 +266,20 @@ def _pade_targets(model: SSMModel, wanted):
 
 
 def _ladder(series: MultiSeries, n0: int, m0: int, radius: float,
-            points: int, nonnegative: bool):
+            nonnegative: bool):
     """Walk [N/M] -> [N/M-1] -> [N-1/M-1] until the zero scan is clean."""
     rungs = []
     for n_, m_ in ((n0, m0), (n0, m0 - 1), (n0 - 1, m0 - 1)):
         if n_ >= 0 and m_ >= 0 and (n_, m_) not in rungs:
             rungs.append((n_, m_))
+    lo = 0.0 if nonnegative else -radius
+    axes = [np.linspace(lo, radius, SCAN_POINTS)] * series.dim_in
     report = []
     for n_, m_ in rungs:
         if n_ + m_ > series.order:
             report.append((n_, m_, -1))
             continue
         maps = pade_multivariate(series, n_, m_)
-        axes = _scan_axes(series.dim_in, radius, points, nonnegative)
         n_flags = sum(len(denominator_zero_scan(r, axes)) for r in maps)
         report.append((n_, m_, n_flags))
         if n_flags == 0:
@@ -284,11 +292,14 @@ def cmd_pade(args, run):
     model = _load_model(args.model)
     n0 = args.N if args.N is not None else model.order // 2
     m0 = args.M if args.M is not None else model.order // 2
+    if min(n0, m0) < 0:
+        raise ValidationError("--N and --M must be nonnegative")
+    if not args.radius > 0:
+        raise ValidationError("--radius must be positive")
     wanted = args.targets.split(",") if args.targets else None
     fields = {}
     for name, series, nonneg in _pade_targets(model, wanted):
-        maps, orders, report = _ladder(series, n0, m0, args.radius,
-                                       args.scan_points, nonneg)
+        maps, orders, report = _ladder(series, n0, m0, args.radius, nonneg)
         if maps is None:
             lines = [f"target {name}: no pole-free approximant in the ladder"]
             for n_, m_, cnt in report:
@@ -314,7 +325,7 @@ def cmd_pade(args, run):
 def cmd_integrate(args, run):
     field = _load_field(args)
     ic = _floats(args.ic)
-    traj = integrate_reduced(field, ic, (args.t0, args.t1), n_out=args.n_out)
+    traj = integrate_reduced(field, ic, (0.0, args.t1), n_out=args.n_out)
     trajectory_to_csv(traj, str(run.path("trajectory.csv")))
     if args.lift_model:
         model = _load_model(args.lift_model)
@@ -373,7 +384,7 @@ def cmd_frc(args, run):
     vec = _floats(args.forcing_vector)
     eps_f = forcing_projection(model, vec, args.eps)
     kappa_rep, omega_rep = _curve_reps(args, model)
-    grid = np.linspace(args.rho_min, args.rho_max, args.points)
+    grid = np.linspace(FRC_RHO_MIN, args.rho_max, args.points)
     amp_fn = _lift_amplitude(model, args.amp_component, grid) \
         if args.amplitude == "lift" else None
     branch = forced_response(kappa_rep, omega_rep, eps_f, grid,
@@ -401,9 +412,7 @@ def cmd_poincare(args, run):
 @_command
 def cmd_lyapunov(args, run):
     field = _load_field(args)
-    est = lyapunov_estimate(field, _floats(args.ic),
-                            perturbation_size=args.perturbation,
-                            horizon=args.horizon,
+    est = lyapunov_estimate(field, _floats(args.ic), horizon=args.horizon,
                             renorm_interval=args.renorm_interval,
                             transient=args.transient)
     growth = TrajectoryData(est.times, est.log_growth)
@@ -438,38 +447,20 @@ def _coefficients_from(args) -> np.ndarray:
     return series.univariate_coeffs().real
 
 
-def _write_singularity_report(run, radius, angle, pattern, confidence,
-                              flags) -> None:
-    lines = [f"radius {format_float(radius)}",
-             f"theta {format_float(angle)}",
-             f"pattern {pattern}",
-             f"confidence {format_float(confidence)}"]
-    lines += [f"flag {f}" for f in flags]
-    run.write("singularity.txt", "\n".join(lines) + "\n")
-
-
 @_command
-def cmd_sing_radius(args, run):
-    est = estimate_radius(_coefficients_from(args))
-    _write_singularity_report(run, est.radius, float("nan"), "-",
-                              float("nan"), est.flags)
+def cmd_sing_locate(args, run):
+    est = locate_singularity(_coefficients_from(args))
+    lines = [f"radius {format_float(est.radius)}",
+             f"fit_residual {format_float(est.fit_residual)}",
+             f"theta {format_float(est.angle)}",
+             f"pattern {est.pattern}",
+             f"confidence {format_float(est.confidence)}"]
+    lines += [f"flag {f}" for f in est.flags]
+    run.write("singularity.txt", "\n".join(lines) + "\n")
     return {"radius": f"{est.radius:.6g}",
             "fit_residual": f"{est.fit_residual:.3g}",
-            "flags": _flags(est.flags)}
-
-
-@_command
-def cmd_sing_pattern(args, run):
-    coeffs = _coefficients_from(args)
-    pat = classify_sign_pattern(coeffs)
-    try:
-        radius = estimate_radius(coeffs).radius
-    except ValidationError:
-        radius = float("nan")
-    _write_singularity_report(run, radius, pat.angle, pat.pattern,
-                              pat.confidence, pat.flags)
-    return {"radius": f"{radius:.6g}", "theta": f"{pat.angle:.6g}",
-            "pattern": pat.pattern, "confidence": f"{pat.confidence:.4f}"}
+            "theta": f"{est.angle:.6g}", "pattern": est.pattern,
+            "confidence": f"{est.confidence:.4f}", "flags": _flags(est.flags)}
 
 
 @_command
@@ -480,6 +471,8 @@ def cmd_sing_scan(args, run):
     if not (len(lo) == len(hi) == len(pts) == rmap.dim_in):
         raise ValidationError("--min/--max/--points must match the map "
                               f"dimension {rmap.dim_in}")
+    if min(pts) < 2:
+        raise ValidationError("--points must be at least 2 on every axis")
     axes = [np.linspace(a, b, n) for a, b, n in zip(lo, hi, pts)]
     flags = denominator_zero_scan(rmap, axes, floor=args.floor)
     coords = [f"x{i + 1}" for i in range(rmap.dim_in)]
@@ -508,11 +501,11 @@ def cmd_regress(args, run):
     eta = chart.project(emb.values)
     zeta = estimate_derivatives(TrajectoryData(emb.times, eta),
                                 smooth_window=args.smooth_window).values
-    n_hold = int(round(args.holdout * len(eta)))
+    n_hold = int(round(HOLDOUT * len(eta)))
     n_train = len(eta) - n_hold
     prob = RegressionProblem(eta[:n_train], zeta[:n_train], args.N, args.M,
                              margin=args.margin)
-    rat = fit_rational_field(prob, restarts=args.restarts, seed=args.seed,
+    rat = fit_rational_field(prob, restarts=args.restarts,
                              constrained=not args.unconstrained)
     poly = fit_rational_field(RegressionProblem(eta[:n_train], zeta[:n_train],
                                                 args.poly_order, 0))
@@ -557,8 +550,8 @@ def _add_field_flags(p) -> None:
     p.add_argument("--model", help="manifold model file (uses its R)")
     p.add_argument("--double-well", dest="double_well", action="store_true",
                    help="built-in forced double-well fixture")
-    p.add_argument("--f-amp", dest="f_amp", type=float)
-    p.add_argument("--f-freq", dest="f_freq", type=float)
+    p.add_argument("--f-amp", dest="f_amp", type=finite)
+    p.add_argument("--f-freq", dest="f_freq", type=finite)
     p.add_argument("--f-vector", dest="f_vector")
 
 
@@ -602,8 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--N", type=int)
     p.add_argument("--M", type=int)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--scan-points", dest="scan_points", type=int, default=41)
+    p.add_argument("--radius", type=finite, default=1.0)
     p.add_argument("--targets", help="comma subset of W,R,kappa,omega")
     p.set_defaults(handler="cmd_pade", inputs=("model",))
 
@@ -613,8 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = asub.add_parser("integrate")
     _add_field_flags(p)
     p.add_argument("--ic", required=True)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, required=True)
+    p.add_argument("--t1", type=finite, required=True)
     p.add_argument("--n-out", dest="n_out", type=int, default=1001)
     p.add_argument("--lift-model", dest="lift_model")
     p.set_defaults(handler="cmd_integrate", command="analyze-integrate",
@@ -624,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     p.add_argument("--kappa")
     p.add_argument("--omega")
-    p.add_argument("--rho-max", dest="rho_max", type=float, required=True)
+    p.add_argument("--rho-max", dest="rho_max", type=finite, required=True)
     p.add_argument("--points", type=int, default=201)
     p.add_argument("--component", choices=["omega", "kappa", "both"],
                    default="both")
@@ -635,10 +626,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--kappa")
     p.add_argument("--omega")
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=finite, required=True)
     p.add_argument("--forcing-vector", dest="forcing_vector", required=True)
-    p.add_argument("--rho-min", dest="rho_min", type=float, default=1e-4)
-    p.add_argument("--rho-max", dest="rho_max", type=float, required=True)
+    p.add_argument("--rho-max", dest="rho_max", type=finite, required=True)
     p.add_argument("--points", type=int, default=400)
     p.add_argument("--amplitude", choices=["rho", "lift"], default="rho")
     p.add_argument("--amp-component", dest="amp_component", type=int, default=0)
@@ -650,18 +640,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ic", required=True)
     p.add_argument("--n-periods", dest="n_periods", type=int, default=100)
     p.add_argument("--skip", type=int, default=20)
-    p.add_argument("--omega", type=float)
+    p.add_argument("--omega", type=finite)
     p.set_defaults(handler="cmd_poincare", command="analyze-poincare",
                    inputs=("rationals", "model"))
 
     p = asub.add_parser("lyapunov")
     _add_field_flags(p)
     p.add_argument("--ic", required=True)
-    p.add_argument("--perturbation", type=float, default=1e-7)
-    p.add_argument("--horizon", type=float, default=200.0)
-    p.add_argument("--renorm-interval", dest="renorm_interval", type=float,
+    p.add_argument("--horizon", type=finite, default=200.0)
+    p.add_argument("--renorm-interval", dest="renorm_interval", type=finite,
                    default=1.0)
-    p.add_argument("--transient", type=float, default=50.0)
+    p.add_argument("--transient", type=finite, default=50.0)
     p.set_defaults(handler="cmd_lyapunov", command="analyze-lyapunov",
                    inputs=("rationals", "model"))
 
@@ -673,18 +662,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("singularity", help="convergence diagnostics")
     ssub = ps.add_subparsers(dest="mode", required=True)
 
-    p = ssub.add_parser("radius")
+    p = ssub.add_parser("locate", help="radius and angle of the nearest "
+                                       "singularity of a series")
     p.add_argument("--coeffs")
     p.add_argument("--model")
     p.add_argument("--rep", choices=["omega", "kappa"], default="omega")
-    p.set_defaults(handler="cmd_sing_radius", command="singularity-radius",
-                   inputs=("coeffs", "model"))
-
-    p = ssub.add_parser("pattern")
-    p.add_argument("--coeffs")
-    p.add_argument("--model")
-    p.add_argument("--rep", choices=["omega", "kappa"], default="omega")
-    p.set_defaults(handler="cmd_sing_pattern", command="singularity-pattern",
+    p.set_defaults(handler="cmd_sing_locate", command="singularity-locate",
                    inputs=("coeffs", "model"))
 
     p = ssub.add_parser("scan")
@@ -692,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min", required=True)
     p.add_argument("--max", required=True)
     p.add_argument("--points", required=True)
-    p.add_argument("--floor", type=float, default=DEFAULT_SCAN_FLOOR)
+    p.add_argument("--floor", type=finite, default=DEFAULT_SCAN_FLOOR)
     p.set_defaults(handler="cmd_sing_scan", command="singularity-scan",
                    inputs=("rationals",))
 
@@ -705,10 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--poly-order", dest="poly_order", type=int, default=None)
-    p.add_argument("--margin", type=float, default=DEFAULT_MARGIN)
+    p.add_argument("--margin", type=finite, default=DEFAULT_MARGIN)
     p.add_argument("--restarts", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--holdout", type=float, default=0.2)
     p.add_argument("--smooth-window", dest="smooth_window", type=int)
     p.add_argument("--unconstrained", action="store_true")
     p.set_defaults(handler="cmd_regress", inputs=("data",))
@@ -717,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chart", required=True)
     p.add_argument("--fit", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--horizon", type=float, required=True)
+    p.add_argument("--horizon", type=finite, required=True)
     p.add_argument("--n-out", dest="n_out", type=int, default=1001)
     p.set_defaults(handler="cmd_predict", inputs=("chart", "fit", "data"))
 

@@ -158,6 +158,9 @@ def estimate_derivatives(traj: TrajectoryData,
         raise ValidationError("need at least 5 samples for the stencil")
     vals = np.asarray(traj.values, dtype=float)
     if smooth_window is not None:
+        if not 3 < smooth_window <= traj.n_samples:
+            raise ValidationError(f"smooth_window {smooth_window} is outside "
+                                  f"savgol_filter's 4..{traj.n_samples}")
         vals = savgol_filter(vals, smooth_window, 3, axis=0)
     f = vals
     d = np.empty_like(f)
@@ -418,6 +421,8 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
     noisy numerator: its far-off starts are what let some restart put a
     denominator zero inside the data hull for the comparison experiments.
     """
+    if restarts < 1:
+        raise ValidationError(f"restarts must be at least 1, got {restarts}")
     d, n_out = prob.dim, prob.n_outputs
     delta = prob.margin
     exps_num = indices_up_to_order(d, prob.numerator_order)

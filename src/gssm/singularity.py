@@ -86,12 +86,21 @@ def estimate_radius(series_or_coeffs) -> RadiusEstimate:
 
 
 @dataclass
-class SingularityEstimate:
-    radius: float
+class SignPattern:
     angle: float
     pattern: str
     confidence: float
     flags: List[str] = field(default_factory=list)
+
+
+@dataclass
+class SingularityEstimate:
+    radius: float
+    fit_residual: float
+    angle: float
+    pattern: str
+    confidence: float
+    flags: List[str]
 
 
 def _predicted_signs(theta: float, count: int, start: int = 1) -> np.ndarray:
@@ -110,7 +119,7 @@ def _minimal_period(seq: np.ndarray) -> int:
     return n
 
 
-def classify_sign_pattern(series_or_coeffs) -> SingularityEstimate:
+def classify_sign_pattern(series_or_coeffs) -> SignPattern:
     """Angular location of the nearest singularity from coefficient signs.
 
     Works on the stride progression of nonzero coefficients (even series
@@ -148,15 +157,13 @@ def classify_sign_pattern(series_or_coeffs) -> SingularityEstimate:
         else 0
     bearing = np.count_nonzero(signs) + constant_bearing
     if bearing < 4:
-        return SingularityEstimate(float("nan"), float("nan"), "inconclusive",
-                                   0.0, ["fewer than 4 sign-bearing "
-                                         "coefficients"])
+        return SignPattern(float("nan"), "inconclusive", 0.0,
+                           ["fewer than 4 sign-bearing coefficients"])
     nonzero = signs[signs != 0]
     if np.all(nonzero == nonzero[0]) and 0 not in signs:
-        return SingularityEstimate(float("nan"), 0.0, "all-positive", 1.0)
+        return SignPattern(0.0, "all-positive", 1.0)
     if 0 not in signs and np.all(nonzero[1:] == -nonzero[:-1]):
-        return SingularityEstimate(float("nan"), math.pi / 2.0,
-                                   "alternating", 1.0)
+        return SignPattern(math.pi / 2.0, "alternating", 1.0)
 
     # c_k follows sign(cos(k theta)); with stride 2 the k-th power is 2n
     start_n = first // stride if stride == 2 else first
@@ -172,10 +179,6 @@ def classify_sign_pattern(series_or_coeffs) -> SingularityEstimate:
     if best_score < 1.0:
         pattern = "irregular"
         flags.append(f"best sign agreement {best_score:.3f} < 1")
-    elif best_theta == 0.0:
-        pattern = "all-positive"
-    elif best_theta == thetas[-1]:
-        pattern = "alternating"
     else:
         k = _minimal_period(pred)
         if k >= len(pred) or k > length:
@@ -186,16 +189,22 @@ def classify_sign_pattern(series_or_coeffs) -> SingularityEstimate:
             flags.append("matched period exceeds the observed coefficients")
         else:
             pattern = f"period-{2 * k}"
-    return SingularityEstimate(float("nan"), best_theta, pattern,
-                               best_score, flags)
+    return SignPattern(best_theta, pattern, best_score, flags)
 
 
 def locate_singularity(series_or_coeffs) -> SingularityEstimate:
-    """Radius and angle in one report (the single-line summary's content)."""
-    rad = estimate_radius(series_or_coeffs)
+    """Radius and angle in one report, with the flags of both.  A series the
+    ratio fit refuses (past the sign pattern, it can only be too short) gets
+    radius nan and a flag."""
     ang = classify_sign_pattern(series_or_coeffs)
-    return SingularityEstimate(rad.radius, ang.angle, ang.pattern,
-                               ang.confidence, rad.flags + ang.flags)
+    try:
+        rad = estimate_radius(series_or_coeffs)
+    except ValidationError as exc:
+        rad = RadiusEstimate(float("nan"), float("nan"),
+                             [f"no ratio fit: {exc}"])
+    return SingularityEstimate(rad.radius, rad.fit_residual, ang.angle,
+                               ang.pattern, ang.confidence,
+                               rad.flags + ang.flags)
 
 
 @dataclass

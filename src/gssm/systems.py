@@ -75,9 +75,12 @@ def make_system(system_id: str, **params) -> NamedSystem:
         raise ValidationError(f"unknown system id {system_id!r}; "
                               f"known: {', '.join(SYSTEM_IDS)}")
     build, defaults = _SYSTEMS[system_id]
-    for key in params:
+    for key, value in params.items():
         if key not in defaults:
             raise ValidationError(f"unknown parameter {key!r} for {system_id}")
+        if not np.isfinite(value):
+            raise ValidationError(f"parameter {key}={value} of {system_id} "
+                                  f"is not a finite number")
     merged = {**defaults, **params}
     return NamedSystem(system_id, merged, build(**merged))
 

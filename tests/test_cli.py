@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from gssm.cli import main
+from gssm.cli import build_parser, main
 from gssm.pade import RationalMap, rational_from_text, rational_to_text, \
     rationals_from_text, rationals_to_text
 from gssm.series import MultiSeries
@@ -348,7 +349,7 @@ R
     ("chart 5 2 5 1 0\nCENTER\n",
      ["predict", "--fit", "fit.txt", "--data", "data.csv", "--horizon", "1",
       "--chart"]),
-    ("1 0.5 abc 0.125\n", ["singularity", "radius", "--coeffs"]),
+    ("1 0.5 abc 0.125\n", ["singularity", "locate", "--coeffs"]),
     ("t,x1\n0,1\n1,2,3\n2,3\n", ["analyze", "psd", "--data"]),
     (MODEL_GRAPH_ORDER_1 + "R\n1 -1 0\n", ["ssm", "--import-model"]),
     (MODEL_GRAPH_ORDER_1.replace("R\n", "R\n1 -1 0\n"),
@@ -454,7 +455,7 @@ def test_gssm_out_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("GSSM_OUT", str(tmp_path))
     cfile = tmp_path / "coeffs.txt"
     cfile.write_text(" ".join(str(0.5 ** n) for n in range(26)))
-    rc, _, fields = run_cli(capsys, "singularity", "radius", "--coeffs", cfile)
+    rc, _, fields = run_cli(capsys, "singularity", "locate", "--coeffs", cfile)
     assert rc == 0
     assert abs(float(fields["radius"]) - 2.0) < 0.05
     assert (tmp_path / "singularity.txt").is_file()
@@ -465,7 +466,7 @@ def test_singularity_pattern_cli(tmp_path, capsys):
     cfile = tmp_path / "coeffs.txt"
     cfile.write_text(" ".join(str((-0.5) ** n) for n in range(26)))
     rc, _, fields = run_cli(capsys, "--out", tmp_path, "singularity",
-                            "pattern", "--coeffs", cfile)
+                            "locate", "--coeffs", cfile)
     assert rc == 0
     assert fields["pattern"] == "alternating"
     assert abs(float(fields["theta"]) - np.pi / 2) < 1e-4
@@ -632,7 +633,7 @@ def test_singularity_radius_of_series_and_model_files(tmp_path, capsys):
     sfile = tmp_path / "coeffs.txt"
     sfile.write_text(" ".join(str(0.5 ** n) for n in range(26)))
     rc, _, fields = run_cli(capsys, "--out", tmp_path, "singularity",
-                            "radius", "--coeffs", sfile)
+                            "locate", "--coeffs", sfile)
     assert rc == 0 and abs(float(fields["radius"]) - 2.0) < 0.05
 
     rc, _, _ = run_cli(capsys, "--out", tmp_path, "ssm", "--system",
@@ -643,7 +644,7 @@ def test_singularity_radius_of_series_and_model_files(tmp_path, capsys):
     for rep, series in (("omega", polar.omega_series()),
                         ("kappa", polar.kappa_series())):
         rc, _, fields = run_cli(capsys, "--out", tmp_path, "singularity",
-                                "radius", "--model", mfile, "--rep", rep)
+                                "locate", "--model", mfile, "--rep", rep)
         expected = estimate_radius(series.univariate_coeffs().real).radius
         assert rc == 0 and fields["radius"] == f"{expected:.6g}"
 
@@ -775,7 +776,7 @@ def test_every_manifest_lists_exactly_the_files_of_its_run(tmp_path, capsys):
     trajectory_to_csv(TrajectoryData(t, np.exp(-t)), str(ins / "exp.csv"))
 
     euler, sp = tmp_path / "r0" / "model.txt", tmp_path / "r2" / "model.txt"
-    reg = tmp_path / "r14"
+    reg = tmp_path / "r13"
     runs = [
         (0, ["ssm", "--system", "euler", "--d", 1, "--order", 7]),
         (0, ["ssm", "--import-model", euler]),
@@ -796,8 +797,7 @@ def test_every_manifest_lists_exactly_the_files_of_its_run(tmp_path, capsys):
         (0, ["analyze", "lyapunov", "--double-well", "--ic", "0.1,0.1",
              "--horizon", 40, "--transient", 10]),
         (0, ["analyze", "psd", "--data", ins / "sin.csv"]),
-        (0, ["singularity", "radius", "--coeffs", coeffs]),
-        (0, ["singularity", "pattern", "--coeffs", coeffs]),
+        (0, ["singularity", "locate", "--coeffs", coeffs]),
         (0, ["regress", "--data", ins / "exp.csv", "--delays", 3, "--lag", 2,
              "--d", 1, "--N", 1, "--M", 0, "--restarts", 1]),
         (0, ["predict", "--chart", reg / "chart.txt",
@@ -823,3 +823,175 @@ def test_every_manifest_lists_exactly_the_files_of_its_run(tmp_path, capsys):
 
     rc, _, _ = run_cli(capsys, "--out", tmp_path / "none", "systems")
     assert rc == 0 and not (tmp_path / "none").exists()
+
+
+def _write_refusal_inputs(tmp_path):
+    """pole.txt (x/(1-2x) to order 5), rat.txt (1/(1-x)), sp.txt (an
+    order-3 Shaw-Pierre model) and data.csv (601 samples of exp(-t))."""
+    (tmp_path / "pole.txt").write_text(model_to_text(graph_model(
+        MultiSeries(1, 1, 5, {(k,): [2.0 ** (k - 1)] for k in range(1, 6)}))))
+    (tmp_path / "rat.txt").write_text(rationals_to_text([RationalMap(
+        MultiSeries(1, 1, 0, {(0,): [1.0]}),
+        MultiSeries(1, 1, 1, {(0,): [1.0], (1,): [-1.0]}), (0, 1))]))
+    sp = make_system("shaw_pierre").realization
+    (tmp_path / "sp.txt").write_text(model_to_text(
+        compute_ssm(sp, spectral_analysis(sp, 2), 3)))
+    t = np.linspace(0.0, 3.0, 601)
+    trajectory_to_csv(TrajectoryData(t, np.exp(-t)), str(tmp_path / "data.csv"))
+
+
+PADE_POLE = ["pade", "--model", "pole.txt", "--N", "2", "--M", "2"]
+SCAN = ["singularity", "scan", "--rationals", "rat.txt", "--min", "0",
+        "--max", "0.5", "--points"]
+REGRESS_EXP = ["regress", "--data", "data.csv", "--delays", "3", "--lag", "2",
+               "--d", "1", "--N", "1", "--M", "1"]
+
+
+@pytest.mark.parametrize("argv, words", [
+    (PADE_POLE + ["--radius", "nan"], "--radius"),
+    (PADE_POLE + ["--radius", "0"], "--radius"),
+    (SCAN + ["0"], "--points"),
+    (SCAN + ["-3"], "--points"),
+    (["ssm", "--system", "shaw_pierre", "--param", "k=nan"], "k=nan"),
+    (["analyze", "frc", "--model", "sp.txt", "--eps", "nan",
+      "--forcing-vector", "0,1,0,0", "--rho-max", "0.3"], "--eps"),
+    (["analyze", "backbone", "--model", "sp.txt", "--rho-max", "nan"],
+     "--rho-max"),
+    (["pade", "--model", "pole.txt", "--N", "-1"], "--N"),
+    (REGRESS_EXP + ["--restarts", "0"], "restarts"),
+    (REGRESS_EXP + ["--smooth-window", "2"], "smooth_window"),
+    (REGRESS_EXP + ["--smooth-window", "5001"], "smooth_window"),
+], ids=["pade-radius-nan", "pade-radius-0", "scan-points-0",
+        "scan-points-negative", "ssm-param-nan", "frc-eps-nan",
+        "backbone-rho-max-nan", "pade-n-negative", "regress-restarts-0",
+        "regress-smooth-window-below-the-cubic",
+        "regress-smooth-window-past-the-data"])
+def test_out_of_range_option_values_exit_2(tmp_path, capsys, argv, words):
+    # each value used to run (or crash) instead of being refused
+    _write_refusal_inputs(tmp_path)
+    argv = [str(tmp_path / a) if a.endswith((".txt", ".csv")) else a
+            for a in argv]
+    rc, _, fields = run_cli(capsys, "--out", tmp_path / "out", *argv)
+    assert rc == 2 and fields["status"] == "validation-error"
+    assert words in fields["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_ssm_master_style_and_model_out(tmp_path, capsys):
+    # --master 2,3 takes Shaw-Pierre's second pair, of modulus sqrt(3k) = 3,
+    # where the default takes the first, of modulus sqrt(k)
+    rc, _, fields = run_cli(capsys, "--out", tmp_path, "ssm", "--system",
+                            "shaw_pierre", "--order", 3, "--master", "2,3",
+                            "--style", "graph", "--model-out", "fast.txt")
+    assert rc == 0
+    assert fields["file"] == "fast.txt" and fields["style"] == "graph"
+    model = model_from_text((tmp_path / "fast.txt").read_text())
+    assert model.style == "graph"
+    assert np.allclose(np.abs(model.master_eigenvalues), 3.0, atol=1e-5)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["outputs"] == ["fast.txt"]
+    assert manifest["options"]["master"] == "2,3"
+
+
+def _min_denominator(report):
+    line = next(ln for ln in report.splitlines()
+                if ln.startswith("min denominator on data"))
+    return float(line.split(":")[1])
+
+
+def test_regress_margin_and_unconstrained(tmp_path, capsys):
+    # x' = -x / (1 + 3x): the exact [2/1] denominator stays above 1.116 on
+    # the data, so a margin of 1.5 binds, and --unconstrained lifts it
+    t = np.linspace(0.0, 3.0, 601)
+    sol = solve_ivp(lambda _, x: -x / (1.0 + 3.0 * x), (0.0, 3.0), [1.0],
+                    t_eval=t, rtol=1e-12, atol=1e-14)
+    trajectory_to_csv(TrajectoryData(t, sol.y[0]), str(tmp_path / "data.csv"))
+    argv = ["regress", "--data", tmp_path / "data.csv", "--delays", 3,
+            "--lag", 2, "--d", 1, "--N", 2, "--M", 1, "--restarts", 2]
+    runs = {}
+    for name, extra in (("free", []), ("margin", ["--margin", 1.5]),
+                        ("unconstrained", ["--margin", 1.5,
+                                           "--unconstrained"])):
+        rc, _, fields = run_cli(capsys, "--out", tmp_path / name,
+                                *argv, *extra)
+        assert rc == 0
+        report = (tmp_path / name / "report.txt").read_text()
+        runs[name] = (float(fields["rat_error"]), _min_denominator(report))
+    assert runs["free"][0] < 1e-12 and runs["free"][1] < 1.2
+    assert runs["margin"][0] > 1e-6
+    assert runs["margin"][1] >= 1.5 - 1e-9
+    assert runs["unconstrained"] == runs["free"]
+    manifest = json.loads((tmp_path / "unconstrained" / "manifest.json")
+                          .read_text())
+    assert manifest["options"]["unconstrained"] is True
+    assert manifest["options"]["margin"] == 1.5
+
+
+def test_regress_smooth_window(tmp_path, capsys):
+    # the Savitzky-Golay filter takes most of the noise out of the
+    # derivatives, and so out of the fit error
+    t = np.linspace(0.0, 3.0, 601)
+    noise = 1e-4 * np.random.default_rng(0).standard_normal(len(t))
+    trajectory_to_csv(TrajectoryData(t, np.exp(-t) + noise),
+                      str(tmp_path / "data.csv"))
+    errors = []
+    for extra in ([], ["--smooth-window", 31]):
+        rc, _, fields = run_cli(capsys, "--out", tmp_path / str(len(extra)),
+                                "regress", "--data", tmp_path / "data.csv",
+                                "--delays", 3, "--lag", 2, "--d", 1, "--N", 1,
+                                "--M", 0, "--restarts", 1, *extra)
+        assert rc == 0
+        errors.append(float(fields["rat_error"]))
+    assert errors[1] < 0.1 * errors[0]
+
+
+def test_singularity_locate_reports_a_short_series_without_a_radius(
+        tmp_path, capsys):
+    # an order-7 Shaw-Pierre omega has 4 nonzero coefficients: too few for
+    # the ratio fit, enough for the sign pattern
+    rc, _, _ = run_cli(capsys, "--out", tmp_path, "ssm", "--system",
+                       "shaw_pierre", "--order", 7)
+    assert rc == 0
+    rc, _, fields = run_cli(capsys, "--out", tmp_path, "singularity",
+                            "locate", "--model", tmp_path / "model.txt")
+    assert rc == 0
+    assert fields["radius"] == "nan" and fields["fit_residual"] == "nan"
+    assert fields["pattern"] == "alternating"
+    assert "no ratio fit" in fields["flags"]
+    text = (tmp_path / "singularity.txt").read_text().splitlines()
+    assert text[:5] == ["radius nan", "fit_residual nan",
+                        f"theta {np.pi / 2!r}", "pattern alternating",
+                        "confidence 1"]
+    assert text[5].startswith("flag no ratio fit")
+
+
+def test_pade_ladder_reports_a_rung_the_series_is_too_short_for(tmp_path,
+                                                                 capsys):
+    # [3/3] needs order 6 of an order-5 series; the other rungs keep the
+    # pole of x / (1 - 2x) at 0.5
+    _write_refusal_inputs(tmp_path)
+    rc, _, fields = run_cli(capsys, "--out", tmp_path / "out", "pade",
+                            "--model", tmp_path / "pole.txt", "--N", 3,
+                            "--M", 3, "--radius", 1.2, "--targets", "R")
+    assert rc == 3
+    report = (tmp_path / "out" / "pade_R_report.txt").read_text()
+    assert "  [3/3]: series too short" in report.splitlines()
+    assert "  [3/2]: " in report and "  [2/2]: " in report
+
+
+def _readme_commands():
+    """Each gssm command of README.md's code blocks, continuations joined,
+    comments dropped."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```[a-z]*\n(.*?)```", readme.read_text(), re.S)
+    text = "\n".join(blocks).replace("\\\n", " ")
+    return [shlex.split(line, comments=True)
+            for line in text.splitlines()
+            if line.startswith("gssm ") and not line.startswith("gssm:")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        build_parser().parse_args(argv[1:])

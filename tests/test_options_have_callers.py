@@ -11,6 +11,11 @@ class stands for that class); a call sets a parameter by keyword, by
 positional index after ``self`` or ``cls``, or wholesale through
 ``*args`` / ``**kwargs``.  A dataclass field declared with
 ``field(init=False)`` is not a constructor parameter.
+
+The command line follows the same rule: every subcommand and option string
+of cli.py's add_parser and add_argument calls is named by a string literal
+in a test or in perfbench/workloads.py.  README examples do not count,
+since nothing runs them, and neither do perfbench's own command lines.
 """
 
 import ast
@@ -19,6 +24,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gssm"
 CALLERS = (PACKAGE, ROOT / "tests", ROOT / "perfbench")
+# this file's own lists of names would satisfy the check, so it is left out
+CLI_CALLERS = [path for path in sorted((ROOT / "tests").glob("*.py"))
+               if path.name != Path(__file__).name] + \
+    [ROOT / "perfbench" / "workloads.py"]
 
 
 def _trees(directory):
@@ -131,3 +140,38 @@ def test_the_scan_sees_definitions_and_calls():
 
 def test_every_option_has_a_caller():
     assert unset_options() == []
+
+
+def cli_names():
+    """Subcommand names and option strings of cli.py's parser."""
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        if not (isinstance(node, ast.Call) and
+                isinstance(node.func, ast.Attribute) and
+                node.func.attr in ("add_parser", "add_argument")):
+            continue
+        for arg in node.args:
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str) \
+                    and (node.func.attr == "add_parser" or
+                         arg.value.startswith("-")):
+                names.add(arg.value)
+    return names
+
+
+def unset_cli_names():
+    literals = {node.value for path in CLI_CALLERS
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return sorted(cli_names() - literals)
+
+
+def test_the_cli_scan_sees_subcommands_and_options():
+    names = cli_names()
+    assert {"ssm", "analyze", "frc", "singularity", "scan"} <= names
+    assert {"--out", "--model", "--rho-max", "--f-amp"} <= names
+    # positionals and dest names are not option strings
+    assert not {"action", "rho_max"} & names
+
+
+def test_every_cli_option_has_a_caller():
+    assert unset_cli_names() == []

@@ -139,6 +139,15 @@ def test_zero_input_returns_zero_rational():
     assert np.allclose(r.denominator.univariate_coeffs(), [1.0])
 
 
+def test_input_vanishing_through_the_numerator_order_gives_zero():
+    # the first nonzero coefficient is z^3, past N = 2: the [2/2] that
+    # matches through order 4 is 0
+    r = pade_univariate([0.0, 0.0, 0.0, 1.0, 2.0], 2, 2)
+    assert r.type_tag == (0, 0)
+    assert r.numerator.coeffs == {}
+    assert r.flags == ["input vanishes through requested numerator order"]
+
+
 def test_insufficient_order_rejected():
     with pytest.raises(ValidationError):
         pade_univariate([1.0, 2.0], 2, 2)

@@ -83,11 +83,37 @@ def test_garbled_signs_are_irregular():
     assert est.confidence < 1.0
 
 
+def test_signs_that_no_angle_matches_are_irregular():
+    # even-power signs + + 0 + -: the zero needs cos(6 theta) = 0, and none
+    # of those angles gives the rest
+    est = classify_sign_pattern(np.array([0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0,
+                                          0.0, 1.0, 0.0, -1.0]))
+    assert est.pattern == "irregular"
+    assert est.confidence == 0.8
+    assert est.flags == ["best sign agreement 0.800 < 1"]
+
+
 def test_locate_singularity_summary():
     est = locate_singularity(odd_geometric_series(25))
     assert abs(est.radius - 1.0) < 0.02
     assert est.angle == math.pi / 2
     assert est.pattern == "alternating"
+
+
+def test_locate_singularity_reports_both_estimators():
+    coeffs = odd_geometric_series(25)
+    est = locate_singularity(coeffs)
+    rad, pat = estimate_radius(coeffs), classify_sign_pattern(coeffs)
+    assert (est.radius, est.fit_residual) == (rad.radius, rad.fit_residual)
+    assert (est.angle, est.pattern, est.confidence) == \
+        (pat.angle, pat.pattern, pat.confidence)
+    assert est.flags == rad.flags + pat.flags
+    # four nonzero coefficients carry a sign pattern but no ratio fit
+    est = locate_singularity(np.array([1.0, 0.0, -0.5, 0.0, 0.25, 0.0,
+                                       -0.125]))
+    assert math.isnan(est.radius) and math.isnan(est.fit_residual)
+    assert est.pattern == "alternating"
+    assert est.flags == ["no ratio fit: need at least 6 nonzero coefficients"]
 
 
 def _scalar_rational(den_coeffs):

@@ -258,6 +258,27 @@ def test_invariance_residual_slope_tracks_order():
     assert res.slope >= 5.75
 
 
+def test_invariance_residual_of_a_manifold_over_two_real_modes():
+    # master modes -1 and -1.5 and the slave -7.3 are non-resonant; the
+    # sample circles lie in the real plane of the two modes
+    a = np.diag([-1.0, -1.5, -7.3])
+    f = MultiSeries(3, 3, 2, {(2, 0, 0): [0.0, 0.0, 1.0],
+                              (1, 1, 0): [0.0, 0.0, 0.5],
+                              (0, 1, 1): [0.3, 0.0, 0.0]})
+    sys = PolySystem(a, f)
+    model = compute_ssm(sys, spectral_analysis(sys, 2), 5)
+    assert model.d == 2 and not model.is_oscillatory_pair()
+    res = invariance_residual(sys, model)
+    assert abs(res.slope - 6.0) < 0.1 and res.flags == []
+
+
+def test_spectral_analysis_refuses_a_defective_linear_part():
+    jordan = PolySystem(np.array([[-1.0, 1.0], [0.0, -1.0]]),
+                        MultiSeries.zero(2, 2, 2))
+    with pytest.raises(NumericalError, match="defective"):
+        spectral_analysis(jordan, 1)
+
+
 def test_invariance_residual_says_why_its_slope_is_nan():
     sys = make_system("shaw_pierre").realization
     spec = spectral_analysis(sys, 2)
