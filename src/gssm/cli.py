@@ -353,6 +353,8 @@ def _curve_reps(args, model=None):
 
 @_command
 def cmd_backbone(args, run):
+    if args.points < 2:
+        raise ValidationError("--points must be at least 2")
     kappa_rep, omega_rep = _curve_reps(args)
     grid = np.linspace(0.0, args.rho_max, args.points)
     components = ("omega", "kappa") if args.component == "both" \
@@ -380,6 +382,11 @@ def _lift_amplitude(model: SSMModel, component: int, grid: np.ndarray):
 
 @_command
 def cmd_frc(args, run):
+    if args.points < 2:
+        raise ValidationError("--points must be at least 2")
+    if not args.rho_max > FRC_RHO_MIN:
+        raise ValidationError(f"--rho-max must exceed the grid's first "
+                              f"amplitude {FRC_RHO_MIN:g}")
     model = _load_model(args.model)
     vec = _floats(args.forcing_vector)
     eps_f = forcing_projection(model, vec, args.eps)

@@ -277,28 +277,25 @@ class _Jets:
     def _workspace(self, m: int, divide: bool, product: bool):
         """Buffers for m states and their views at every order, kept from
         step to step.  The general path (divide) has its own: it rewrites
-        fold_0's constants at each step, divided by the denominators.  The
-        product path stacks the parents' map above each fold_k, and order
-        k writes the parents' x_k and Y_{k+1} side by side into row k + 1
-        of one buffer, which the later Cauchy products read as views."""
+        fold_0's constants at each step, divided by the denominators.
+        Order k writes the parents' x_k and Y_{k+1} side by side into row
+        k + 1 of one buffer, which the later Cauchy products read as views:
+        the product path in one product, as it stacks the parents' map
+        above each fold_k, the gather path in its gather and its product."""
         key = (m, divide, product)
         if key not in self._spaces:
             n, d, width = TAYLOR_ORDER, self.dim, self.width
             size = d * width
             top = size if product else 0
-            if product:
-                out = np.zeros((m, n + 1, size + d))
-                ys = out[:, :, size:].transpose(1, 0, 2)
-                ps = out[:, 1:, :size].transpose(0, 2, 1)
-                nxts = [out[:, k + 1, :, None] for k in range(n)]
-                parents = [None] * n
-            else:
-                ys = np.empty((n + 1, m, d))
-                ps = np.zeros((m, size, n))   # x_k at each slot's parent
-                nxts = [ys[k + 1, :, :, None] for k in range(n)]
-                # the last order's parents would feed no Cauchy product
-                parents = [ps[:, :, k, None, None]
-                           for k in range(n - 1)] + [None]
+            out = np.zeros((m, n + 1, size + d))
+            ys = out[:, :, size:].transpose(1, 0, 2)
+            ps = out[:, 1:, :size].transpose(0, 2, 1)
+            nxts = [out[:, k + 1, size - top:, None] for k in range(n)]
+            # the gather path's parents; the last order's would feed no
+            # Cauchy product
+            parents = [None] * n if product else \
+                [out[:, k + 1, :size, None, None]
+                 for k in range(n - 1)] + [None]
             # each state's row [h_k, 1, cos, sin, conv_k] and the step's
             # products fold_k that take it to Y_{k+1}, below the parents'
             # map on the product path (which adds the units at order 0)
@@ -398,15 +395,15 @@ _STEP_ROWS = np.array([0, TAYLOR_ORDER - 1, TAYLOR_ORDER])
 _POWERS = np.arange(TAYLOR_ORDER + 1.0)
 
 
-def _step_size(coeffs: np.ndarray, rtol: float, atol: float) -> float:
+def _step_size(coeffs: np.ndarray) -> float:
     """Jorba & Zou's step size from the last two coefficients, for the
-    tolerance atol + rtol |y|; inf for a polynomial solution, nan if a
-    coefficient overflowed."""
+    tolerance DEFAULT_ATOL + DEFAULT_RTOL |y|; inf for a polynomial
+    solution, nan if a coefficient overflowed."""
     rows = np.abs(coeffs.take(_STEP_ROWS, axis=0)).reshape(3, -1)
     scale, *tops = rows.max(axis=1).tolist()
     if not all(map(math.isfinite, tops)):
         return math.nan
-    tol = atol + rtol * scale
+    tol = DEFAULT_ATOL + DEFAULT_RTOL * scale
     return _STEP_SAFETY * min(
         (tol / top) ** (1.0 / k) if top else math.inf
         for k, top in zip((TAYLOR_ORDER - 1, TAYLOR_ORDER), tops))
@@ -419,16 +416,17 @@ def _at(coeffs: np.ndarray, s) -> np.ndarray:
     return powers @ coeffs.reshape(len(coeffs), -1)
 
 
-def _run(jets: _Jets, y0, t_span, rtol: float, atol: float,
-         t_eval: Optional[np.ndarray] = None, pair: bool = False):
+def _run(jets: _Jets, y0, t_span, t_eval: Optional[np.ndarray] = None,
+         pair: bool = False):
     """One Taylor integration of the field: (times, states, stop), with the
     states at the steps or at t_eval.
 
     Each step expands the solution to TAYLOR_ORDER (_Jets) and takes the
     step size from the last two coefficients for the tolerance
-    atol + rtol |y|.  y is one state of the field, or with pair two stacked
-    states that run as one batch.  One state must pass _initial_state, and
-    the run stops where its norm passes DEFAULT_BLOWUP_FACTOR * max(1, |y0|).
+    DEFAULT_ATOL + DEFAULT_RTOL |y|.  y is one state of the field, or with
+    pair two stacked states that run as one batch.  One state must pass
+    _initial_state, and the run stops where its norm passes
+    DEFAULT_BLOWUP_FACTOR * max(1, |y0|).
     Unless the field is polynomial (every denominator the constant 1), the
     run stops where a denominator at any of its states falls to
     DEFAULT_POLE_EVENT_FLOOR.  Both are watched at the end of each step and
@@ -468,7 +466,7 @@ def _run(jets: _Jets, y0, t_span, rtol: float, atol: float,
         # near a blowup the high orders overflow; the step size then collapses
         with np.errstate(over="ignore", invalid="ignore"):
             coeffs = jets.expand(t, y)
-        h = _step_size(coeffs, rtol, atol)
+        h = _step_size(coeffs)
         if not h >= 10.0 * math.ulp(t):
             if not field.polynomial:
                 raise NumericalError(f"integration failed: step size "
@@ -507,7 +505,6 @@ def _run(jets: _Jets, y0, t_span, rtol: float, atol: float,
 
 
 def integrate_reduced(f: ReducedField, ic, t_span: Tuple[float, float],
-                      rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                       n_out: int = 1001) -> TrajectoryData:
     """Adaptive integration with blowup and pole-crossing termination.
 
@@ -524,7 +521,7 @@ def integrate_reduced(f: ReducedField, ic, t_span: Tuple[float, float],
     if n_out < 2 or not (math.isfinite(t0) and math.isfinite(t1)) \
             or t0 == t1:
         raise ValidationError("need n_out >= 2 and finite t0 != t1")
-    times, values, stop = _run(_Jets(f), ic, (t0, t1), rtol, atol,
+    times, values, stop = _run(_Jets(f), ic, (t0, t1),
                                np.linspace(t0, t1, n_out))
     if stop is None:
         return TrajectoryData(times, values)
@@ -646,11 +643,10 @@ class ModalForcing:
     h: RationalMap
 
     @classmethod
-    def polynomial(cls, eps: float, g_coeffs, h_coeffs=(0.0,)
-                   ) -> "ModalForcing":
-        """g and h from coefficients of u^0, u^1, ... (u = rho^2)."""
+    def polynomial(cls, eps: float, g_coeffs) -> "ModalForcing":
+        """g from coefficients of u^0, u^1, ... (u = rho^2), and h = 0."""
         return cls(eps, *(RationalMap.polynomial(MultiSeries.from_univariate(c))
-                          for c in (g_coeffs, h_coeffs)))
+                          for c in (g_coeffs, (0.0,))))
 
     def at(self, rho):
         """g, dg/drho, h, dh/drho at rho (a float or an array)."""
@@ -833,8 +829,7 @@ def poincare_sample(f: ReducedField, ic, n_periods: int,
         raise ValidationError("need omega > 0, n_periods >= 1 and skip >= 0")
     period = 2.0 * math.pi / omega
     stamps = (skip + np.arange(1, n_periods + 1)) * period
-    times, values, stop = _run(_Jets(f), ic, (0.0, stamps[-1]), DEFAULT_RTOL,
-                               DEFAULT_ATOL, stamps)
+    times, values, stop = _run(_Jets(f), ic, (0.0, stamps[-1]), stamps)
     if len(times) == 0:
         raise NumericalError(f"trajectory ended before the first section: "
                              f"{stop[0]}")
@@ -885,8 +880,7 @@ def lyapunov_estimate(f: ReducedField, ic, perturbation_size: float = 1e-7,
         raise ValidationError("transient must be finite and nonnegative")
     jets, u, t0 = _Jets(f), _initial_state(f, ic), 0.0
     if transient > 0:
-        _, states, stop = _run(jets, u, (0.0, transient), DEFAULT_RTOL,
-                               DEFAULT_ATOL)
+        _, states, stop = _run(jets, u, (0.0, transient))
         if stop is not None:
             raise NumericalError(f"transient integration stopped: {stop[0]}")
         u, t0 = states[-1], transient
@@ -902,7 +896,7 @@ def lyapunov_estimate(f: ReducedField, ic, perturbation_size: float = 1e-7,
     for k in range(n_steps):
         t1 = t0 + renorm_interval
         _, states, stop = _run(jets, np.concatenate([u, v]), (t0, t1),
-                               DEFAULT_RTOL, DEFAULT_ATOL, pair=True)
+                               pair=True)
         if stop is not None:
             raise NumericalError(f"renormalization interval stopped: "
                                  f"{stop[0]}")
@@ -942,15 +936,15 @@ def psd_estimate(traj: TrajectoryData, component: int = 0
     return freq, power
 
 
-def double_well_field(amplitude: float = 0.5) -> ReducedField:
-    """Forced double-well (Duffing) field, chaotic at the default amplitude.
+def double_well_field() -> ReducedField:
+    """Forced double-well (Duffing) field, chaotic at this forcing.
 
-    x' = v, v' = x - x^3 - 0.3 v + amplitude cos(1.2 t).
+    x' = v, v' = x - x^3 - 0.3 v + 0.5 cos(1.2 t).
     """
     g = MultiSeries(2, 2, 3, {
         (0, 1): [1.0, -0.3],
         (1, 0): [0.0, 1.0],
         (3, 0): [0.0, -1.0],
     })
-    forcing = Forcing(amplitude, 1.2, np.array([0.0, 1.0]))
+    forcing = Forcing(0.5, 1.2, np.array([0.0, 1.0]))
     return ReducedField.from_series(g, forcing=forcing)

@@ -256,17 +256,6 @@ class MultiSeries:
         return cls(dim_in, len(v), order, {(0,) * dim_in: v})
 
     @classmethod
-    def identity_map(cls, dim: int, order: int) -> "MultiSeries":
-        """The identity map z -> z as a vector series."""
-        coeffs = {}
-        for i in range(dim):
-            idx = tuple(1 if j == i else 0 for j in range(dim))
-            v = np.zeros(dim, dtype=complex)
-            v[i] = 1.0
-            coeffs[idx] = v
-        return cls(dim, dim, order, coeffs)
-
-    @classmethod
     def from_univariate(cls, coeffs: Sequence[complex]) -> "MultiSeries":
         """Scalar univariate series from a flat coefficient list (c_0, c_1, ...)."""
         coeffs = list(coeffs)

@@ -240,20 +240,3 @@ def denominator_zero_scan(r: RationalMap, axes: Sequence,
     return [ScanFlag(pts[i], float(den[i]),
                      "below-floor" if below[i] else "sign-change")
             for i in np.flatnonzero(below | change.ravel())]
-
-
-def synthetic_pattern_series(r: float, theta: float, nu: float,
-                             order: int) -> np.ndarray:
-    """Even-series coefficients of (1 - 2 z^2 cos(2 theta)/r^2 + z^4/r^4)^nu.
-
-    Expanded as G(z) = sum over n of 2 binom(nu, 2n) r^(-2n) cos(2n theta)
-    z^(2n); used to exercise the classifier with a known singularity pair
-    at r e^(+- i theta).
-    """
-    coeffs = np.zeros(order + 1)
-    for n in range(0, order // 2 + 1):
-        binom = 1.0
-        for j in range(2 * n):
-            binom *= (nu - j) / (j + 1.0)
-        coeffs[2 * n] = 2.0 * binom * r ** (-2 * n) * math.cos(2 * n * theta)
-    return coeffs

@@ -595,8 +595,6 @@ class CoordinateGraph:
     vector field u' = g(u) in those coordinates.
     """
 
-    coords: List[int]
-    order: int
     parametrization: MultiSeries
     reduced: MultiSeries
 
@@ -618,7 +616,7 @@ def to_coordinate_graph(model: SSMModel, coords: Sequence[int]) -> CoordinateGra
         field = field + multiply_truncated(model.R.component(i),
                                            phi.derivative(i), model.order)
     reduced = compose_truncated(field, g, model.order)
-    return CoordinateGraph(coords, model.order, param, reduced)
+    return CoordinateGraph(param, reduced)
 
 
 # ---- model files -------------------------------------------------------------

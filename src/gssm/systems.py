@@ -1,21 +1,18 @@
-"""Built-in example systems and the brute-force oracles used to test them."""
+"""Built-in example systems."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ValidationError
-from .series import MultiSeries, compose_truncated
-from .ssm import PolySystem, SSMModel
+from .series import MultiSeries
+from .ssm import PolySystem
 
 @dataclass
 class NamedSystem:
-    id: str
     parameters: Dict[str, float]
     realization: PolySystem
 
@@ -82,145 +79,4 @@ def make_system(system_id: str, **params) -> NamedSystem:
             raise ValidationError(f"parameter {key}={value} of {system_id} "
                                   f"is not a finite number")
     merged = {**defaults, **params}
-    return NamedSystem(system_id, merged, build(**merged))
-
-
-# ---- closed forms and oracles -----------------------------------------------
-
-
-def euler_series(order: int) -> MultiSeries:
-    """The alternating factorial series c_n = (-1)^(n+1) (n-1)!, c_0 = 0."""
-    coeffs = {(n,): np.array([complex((-1) ** (n + 1) * math.factorial(n - 1))])
-              for n in range(1, order + 1)}
-    return MultiSeries(1, 1, order, coeffs)
-
-
-def euler_exact(x: float) -> float:
-    """Stieltjes integral representation of the resummed series.
-
-    h(x) = integral_0^inf exp(-t)/(1 + x t) dt; defined off the negative
-    real axis, here restricted to x > 0.
-    """
-    if x <= 0:
-        raise ValidationError("euler_exact requires x > 0")
-    val, err = quad(lambda t: math.exp(-t) / (1.0 + x * t), 0.0, np.inf,
-                    epsabs=1e-12, epsrel=1e-12, limit=400)
-    if err > 1e-8:
-        raise ValidationError(f"quadrature did not converge: err={err:.2e}")
-    return float(x * val)
-
-
-def odd_geometric_series(order: int) -> MultiSeries:
-    """Series of x/(1+x^2): alternating odd powers."""
-    coeffs = {(2 * n + 1,): np.array([complex((-1) ** n)])
-              for n in range(0, (order - 1) // 2 + 1)}
-    return MultiSeries(1, 1, order, coeffs)
-
-
-def imaginary_sing_model(order: int) -> SSMModel:
-    """Exact unstable-manifold parametrization y = x/(1+x^2), truncated.
-
-    Built directly from the closed form (the system's right-hand side is
-    rational, so the polynomial solver does not apply).  The chart is the
-    unit-norm eigenvector gauge: x = p/sqrt(2), and p' = p exactly.
-    """
-    scale = 1.0 / math.sqrt(2.0)
-    x_of_p = MultiSeries(1, 1, order, {(1,): [scale]})
-    h = odd_geometric_series(order)
-    y_of_p = compose_truncated(h, x_of_p, order)
-    w = MultiSeries.from_components([x_of_p, y_of_p])
-    r = MultiSeries(1, 1, order, {(1,): [1.0]})
-    return SSMModel(n=2, d=1, style="graph", order=order,
-                    master_eigenvalues=np.array([1.0 + 0j]),
-                    master_right=np.array([[scale], [scale]], dtype=complex),
-                    W=w, R=r,
-                    flags=["planted from the exact closed-form parametrization"])
-
-
-@dataclass
-class FixedPoint:
-    location: np.ndarray
-    eigenvalues: np.ndarray
-    label: str
-
-
-def _stability_label(eigs: np.ndarray) -> str:
-    re = eigs.real
-    if np.all(re < -1e-10):
-        return "stable"
-    if np.all(re > 1e-10):
-        return "unstable"
-    if np.any(np.abs(re) <= 1e-10):
-        return "marginal"
-    return "saddle"
-
-
-def fixed_points_oracle(sys: PolySystem, box: List[Tuple[float, float]],
-                        seeds_per_axis: int = 7) -> List[FixedPoint]:
-    """Damped-Newton roots of the autonomous right-hand side from a seed grid."""
-    n = sys.dim
-    if len(box) != n:
-        raise ValidationError("box must give one (lo, hi) interval per state")
-    axes = [np.linspace(lo, hi, seeds_per_axis) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    seeds = np.stack([m.ravel() for m in mesh], axis=1)
-
-    roots: List[np.ndarray] = []
-    for seed in seeds:
-        x = seed.astype(float).copy()
-        converged = False
-        for _ in range(120):
-            fval = sys.autonomous_rhs(x)
-            fnorm = np.linalg.norm(fval)
-            if fnorm < 1e-12 * (1.0 + np.linalg.norm(x)):
-                converged = True
-                break
-            jac = sys.jacobian(x)
-            step, *_ = np.linalg.lstsq(jac, -fval, rcond=None)
-            # backtracking: accept the first step with residual decrease
-            lam = 1.0
-            for _ in range(40):
-                trial = x + lam * step
-                if np.linalg.norm(sys.autonomous_rhs(trial)) < fnorm:
-                    break
-                lam *= 0.5
-            else:
-                break
-            x = x + lam * step
-        if not converged:
-            continue
-        # polish: plain Newton past the residual exit, so clusters around a
-        # degenerate root (linear convergence) collapse to one point
-        for _ in range(60):
-            fval = sys.autonomous_rhs(x)
-            step, *_ = np.linalg.lstsq(sys.jacobian(x), -fval, rcond=None)
-            if not np.all(np.isfinite(step)):
-                break
-            x = x + step
-            if np.linalg.norm(step) < 1e-15 * (1.0 + np.linalg.norm(x)):
-                break
-        if any(lo - 1e-9 > xi or xi > hi + 1e-9
-               for xi, (lo, hi) in zip(x, box)):
-            continue
-        if any(np.linalg.norm(x - r) < 1e-8 * (1 + np.linalg.norm(r))
-               for r in roots):
-            continue
-        roots.append(x)
-
-    out = []
-    for r in sorted(roots, key=lambda v: tuple(v)):
-        eigs = np.linalg.eigvals(sys.jacobian(r))
-        out.append(FixedPoint(r, eigs, _stability_label(eigs)))
-    return out
-
-
-# closed forms for the triangular-system manifold graph y = h(x):
-# h(x) = -x^2/(2 s1 - s2) - 2 x^3/((2 s1 - s2)^2 (3 s1 - s2)) + ...
-
-
-def dauchot_w2(s1: float, s2: float) -> float:
-    return -1.0 / (2.0 * s1 - s2)
-
-
-def dauchot_w3(s1: float, s2: float) -> float:
-    return -2.0 / ((2.0 * s1 - s2) ** 2 * (3.0 * s1 - s2))
+    return NamedSystem(merged, build(**merged))

@@ -27,9 +27,10 @@ from gssm.ssm import (PolySystem, SSMModel, compute_ssm, extract_polar,
                       invariance_residual, model_from_text, model_to_text,
                       realify_parametrization, spectral_analysis,
                       to_coordinate_graph)
-from gssm.systems import (dauchot_w2, dauchot_w3, euler_exact, euler_series,
-                          fixed_points_oracle, imaginary_sing_model,
-                          make_system)
+from gssm.systems import make_system
+
+from closed_forms import (dauchot_w2, dauchot_w3, euler_exact, euler_series,
+                          fixed_points_oracle, imaginary_sing_model)
 
 
 def _univ(series):

@@ -23,9 +23,11 @@ from gssm.series import MultiSeries
 from gssm.singularity import estimate_radius
 from gssm.ssm import (compute_ssm, extract_polar, model_from_text,
                       model_to_text, spectral_analysis, SSMModel)
-from gssm.systems import imaginary_sing_model, make_system
+from gssm.systems import make_system
 from gssm.trajectory import TrajectoryData, trajectory_from_csv, \
     trajectory_to_csv
+
+from closed_forms import imaginary_sing_model
 
 
 def run_cli(capsys, *argv):
@@ -845,6 +847,9 @@ SCAN = ["singularity", "scan", "--rationals", "rat.txt", "--min", "0",
         "--max", "0.5", "--points"]
 REGRESS_EXP = ["regress", "--data", "data.csv", "--delays", "3", "--lag", "2",
                "--d", "1", "--N", "1", "--M", "1"]
+FRC_SP = ["analyze", "frc", "--model", "sp.txt", "--eps", "0.01",
+          "--forcing-vector", "0,1,0,0"]
+BACKBONE_SP = ["analyze", "backbone", "--model", "sp.txt", "--rho-max", "0.3"]
 
 
 @pytest.mark.parametrize("argv, words", [
@@ -861,13 +866,49 @@ REGRESS_EXP = ["regress", "--data", "data.csv", "--delays", "3", "--lag", "2",
     (REGRESS_EXP + ["--restarts", "0"], "restarts"),
     (REGRESS_EXP + ["--smooth-window", "2"], "smooth_window"),
     (REGRESS_EXP + ["--smooth-window", "5001"], "smooth_window"),
+    (FRC_SP + ["--rho-max", "0.3", "--points", "0"], "--points"),
+    (BACKBONE_SP + ["--points", "0"], "--points"),
+    (BACKBONE_SP + ["--points", "1"], "--points"),
+    (FRC_SP + ["--rho-max", "5e-5"], "--rho-max"),
 ], ids=["pade-radius-nan", "pade-radius-0", "scan-points-0",
         "scan-points-negative", "ssm-param-nan", "frc-eps-nan",
         "backbone-rho-max-nan", "pade-n-negative", "regress-restarts-0",
         "regress-smooth-window-below-the-cubic",
-        "regress-smooth-window-past-the-data"])
+        "regress-smooth-window-past-the-data", "frc-points-0",
+        "backbone-points-0", "backbone-points-1",
+        "frc-rho-max-below-the-grid-start"])
 def test_out_of_range_option_values_exit_2(tmp_path, capsys, argv, words):
     # each value used to run (or crash) instead of being refused
+    _write_refusal_inputs(tmp_path)
+    argv = [str(tmp_path / a) if a.endswith((".txt", ".csv")) else a
+            for a in argv]
+    rc, _, fields = run_cli(capsys, "--out", tmp_path / "out", *argv)
+    assert rc == 2 and fields["status"] == "validation-error"
+    assert words in fields["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["ssm", "--system", "shaw_pierre", "--master", "1,x"],
+     "cannot parse integer list"),
+    (["analyze", "psd", "--data", "missing.csv"], "no such file"),
+    (["analyze", "integrate", "--rationals", "rat.txt", "--f-amp", "0.1",
+      "--ic", "0.5", "--t1", "1"], "--f-amp needs --f-freq"),
+    (["analyze", "integrate", "--model", "sp.txt", "--f-amp", "0.1",
+      "--f-freq", "1", "--f-vector", "1,0,0", "--ic", "0.1,0", "--t1", "1"],
+     "forcing vector must have 2 entries"),
+    (["pade", "--model", "sp.txt", "--targets", "X"], "no matching targets"),
+    (["analyze", "backbone", "--kappa", "rat.txt", "--rho-max", "1"],
+     "--kappa and --omega go together"),
+    (["analyze", "backbone", "--rho-max", "1"],
+     "need --model or --kappa/--omega"),
+    (["singularity", "locate"], "exactly one of --coeffs, --model"),
+], ids=["ssm-master-not-integers", "psd-data-missing", "f-amp-without-f-freq",
+        "f-vector-of-the-wrong-length", "pade-targets-none-match",
+        "backbone-kappa-without-omega", "backbone-without-a-curve",
+        "locate-without-a-series"])
+def test_incomplete_or_mismatched_requests_exit_2(tmp_path, capsys, argv,
+                                                   words):
     _write_refusal_inputs(tmp_path)
     argv = [str(tmp_path / a) if a.endswith((".txt", ".csv")) else a
             for a in argv]

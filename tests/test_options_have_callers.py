@@ -1,29 +1,48 @@
-"""Every parameter and dataclass field with a default in gssm is set by
-some call.
+"""The pipeline sets every option of gssm and names every public function
+and class.
 
-A default that no call overrides is a constant spelled as an option: it
-doubles the configurations the tests must cover and never varies.  The
-sources of src/gssm, tests/ and perfbench/ are read as text (AST), never
-imported.  Calls are matched to definitions by the called name alone
-(``f(...)``, ``obj.f(...)``; a class name stands for its ``__init__`` or,
-for a dataclass, its generated constructor, and ``cls(...)`` inside a
-class stands for that class); a call sets a parameter by keyword, by
-positional index after ``self`` or ``cls``, or wholesale through
-``*args`` / ``**kwargs``.  A dataclass field declared with
-``field(init=False)`` is not a constructor parameter.
+src/gssm exists to run the pipeline, and perfbench/ runs it as the
+benchmark; tests check what they run and do not count as callers.  The
+sources of src/gssm and perfbench/ are read as text (AST), never imported.
 
-The command line follows the same rule: every subcommand and option string
-of cli.py's add_parser and add_argument calls is named by a string literal
-in a test or in perfbench/workloads.py.  README examples do not count,
-since nothing runs them, and neither do perfbench's own command lines.
+Options: every parameter and dataclass field with a default is set by some
+call.  A default that no call overrides is a constant spelled as an option:
+it doubles the configurations the tests must cover and never varies.
+Calls are matched to definitions by the called name alone (``f(...)``,
+``obj.f(...)``; a class name stands for its ``__init__`` or, for a
+dataclass, its generated constructor, and ``cls(...)`` inside a class
+stands for that class); a call sets a parameter by keyword, by positional
+index after ``self`` or ``cls``, or wholesale through ``*args`` /
+``**kwargs``.  A dataclass field declared with ``field(init=False)`` is
+not a constructor parameter.
+
+Public names: every module-level function or class of src/gssm whose name
+does not start with an underscore is named outside its own definition's
+lines, as a name, an attribute or a string literal equal to it (cli.main
+looks its handlers up by name).  Code that only tests call lives in
+tests/; ALLOWED names the exceptions, each with the open ROADMAP item that
+gives it a caller.
+
+The command line follows the same rule with its own callers: every
+subcommand and option string of cli.py's add_parser and add_argument calls
+is named by a string literal in a test or in perfbench/workloads.py.
+README examples do not count, since nothing runs them, and neither do
+perfbench's own command lines.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gssm"
-CALLERS = (PACKAGE, ROOT / "tests", ROOT / "perfbench")
+CALLERS = (PACKAGE, ROOT / "perfbench")
+# public names without a pipeline caller yet, by the ROADMAP item that
+# gives each one
+ALLOWED = {
+    "pade.taylor_of_rational": "item 21: the data-driven normal form",
+    "reduced.foliation_forcing": "item 5: O(eps) forcing in the CLI",
+}
 # this file's own lists of names would satisfy the check, so it is left out
 CLI_CALLERS = [path for path in sorted((ROOT / "tests").glob("*.py"))
                if path.name != Path(__file__).name] + \
@@ -140,6 +159,60 @@ def test_the_scan_sees_definitions_and_calls():
 
 def test_every_option_has_a_caller():
     assert unset_options() == []
+
+
+def _public_definitions():
+    """(path, name, first line, last line) of each module-level function or
+    class of src/gssm whose name has no leading underscore."""
+    for path, tree in _trees(PACKAGE):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) and \
+                    not node.name.startswith("_"):
+                first = min([node.lineno] +
+                            [d.lineno for d in node.decorator_list])
+                yield path, node.name, first, node.end_lineno
+
+
+def _mentions():
+    """word -> {(path, line)} of every name, attribute and string literal."""
+    seen = defaultdict(set)
+    for directory in CALLERS:
+        for path, tree in _trees(directory):
+            for node in ast.walk(tree):
+                word = node.id if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else \
+                    node.value if isinstance(node, ast.Constant) and \
+                    isinstance(node.value, str) else None
+                if word is not None:
+                    seen[word].add((path, node.lineno))
+    return seen
+
+
+def uncalled_public_names():
+    mentions = _mentions()
+    return sorted(f"{path.stem}.{name}"
+                  for path, name, first, last in _public_definitions()
+                  if all(where == path and first <= line <= last
+                         for where, line in mentions[name]))
+
+
+def test_the_name_scan_sees_definitions_and_uses():
+    defined = {f"{path.stem}.{name}" for path, name, _, _ in
+               _public_definitions()}
+    assert {"reduced.integrate_reduced", "series.MultiSeries",
+            "cli.cmd_ssm", "cli.main"} <= defined
+    assert not {"reduced._run", "reduced._Jets"} & defined
+    mentions = _mentions()
+    # cli.main runs a handler named by the string set in build_parser
+    assert any(path.name == "cli.py" for path, _ in mentions["cmd_ssm"])
+    assert any(path.parent.name == "perfbench"
+               for path, _ in mentions["lyapunov_estimate"])
+
+
+def test_every_public_name_has_a_caller():
+    # an allowed name leaves ALLOWED once its item gives it a caller
+    assert uncalled_public_names() == sorted(ALLOWED)
 
 
 def cli_names():

@@ -7,9 +7,10 @@ from gssm.errors import ValidationError
 from gssm.pade import RationalMap
 from gssm.series import MultiSeries
 from gssm.singularity import (classify_sign_pattern, denominator_zero_scan,
-                              estimate_radius, locate_singularity,
-                              synthetic_pattern_series)
-from gssm.systems import euler_series, odd_geometric_series
+                              estimate_radius, locate_singularity)
+
+from closed_forms import (euler_series, odd_geometric_series,
+                          synthetic_pattern_series)
 
 
 def test_radius_of_known_poles():

@@ -9,8 +9,10 @@ from gssm.ssm import (PolySystem, compute_ssm, extract_polar,
                       invariance_residual, model_from_text, model_to_text,
                       realify_parametrization, realify_reduced,
                       spectral_analysis, to_coordinate_graph)
-from gssm.systems import (dauchot_w2, dauchot_w3, euler_series,
-                          imaginary_sing_model, make_system)
+from gssm.systems import make_system
+
+from closed_forms import (dauchot_w2, dauchot_w3, euler_series,
+                          imaginary_sing_model)
 
 
 def test_spectral_sorting_and_conjugate_gauge():

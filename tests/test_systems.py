@@ -3,9 +3,11 @@ import pytest
 from scipy.special import exp1
 
 from gssm.errors import ValidationError
-from gssm.systems import (dauchot_w2, dauchot_w3, euler_exact, euler_series,
+from gssm.systems import make_system
+
+from closed_forms import (dauchot_w2, dauchot_w3, euler_exact, euler_series,
                           fixed_points_oracle, imaginary_sing_model,
-                          make_system, odd_geometric_series)
+                          odd_geometric_series)
 
 
 def test_rhs_closed_forms_random_points():

@@ -40,3 +40,10 @@ def test_workload_passes_its_check_and_refuses_a_corrupt_output(
     assert problems == []
     problems, _ = wl.check(ref, wl.corrupt(out))
     assert problems
+
+
+def test_no_test_module_shares_a_name_with_a_perfbench_module():
+    # workloads.py imports its sibling modules by bare name; a tests/ module
+    # of the same name, once imported, would stand in for the sibling
+    tests = {path.stem for path in Path(__file__).parent.glob("*.py")}
+    assert tests & {path.stem for path in PERFBENCH.glob("*.py")} == set()
