@@ -355,6 +355,8 @@ def _curve_reps(args, model=None):
 def cmd_backbone(args, run):
     if args.points < 2:
         raise ValidationError("--points must be at least 2")
+    if not args.rho_max > 0:
+        raise ValidationError("--rho-max must be positive")
     kappa_rep, omega_rep = _curve_reps(args)
     grid = np.linspace(0.0, args.rho_max, args.points)
     components = ("omega", "kappa") if args.component == "both" \

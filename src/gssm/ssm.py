@@ -15,7 +15,7 @@ resonant reduced-dynamics monomials and pushes everything else into W~.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -36,18 +36,12 @@ STYLES = ("graph", "normal-form")
 class PolySystem:
     """First-order analytic system x' = A x + f(x).
 
-    f is a MultiSeries with no constant or linear terms.  rhs_callable, when
-    given, replaces A x + f(x) entirely (demo systems with rational right-hand
-    sides); the polynomial SSM solver and jacobian reject such systems.  A
-    forcing enters through the reduced model (reduced.foliation_forcing,
-    reduced.Forcing).
+    f is a MultiSeries with no constant or linear terms.  A forcing enters
+    through the reduced model (reduced.foliation_forcing, reduced.Forcing).
     """
 
     linear_part: np.ndarray
     nonlinearity: MultiSeries
-    rhs_callable: Optional[Callable] = None
-    _jac_series: Optional[List[MultiSeries]] = field(default=None, init=False,
-                                                     repr=False)
 
     def __post_init__(self):
         self.linear_part = np.asarray(self.linear_part, dtype=float)
@@ -62,25 +56,6 @@ class PolySystem:
     @property
     def dim(self) -> int:
         return self.linear_part.shape[0]
-
-    def autonomous_rhs(self, x) -> np.ndarray:
-        x = np.asarray(x)
-        if self.rhs_callable is not None:
-            return np.asarray(self.rhs_callable(x))
-        out = self.linear_part @ x + self.nonlinearity.evaluate(x)
-        return out.real if np.isrealobj(x) else out
-
-    def jacobian(self, x) -> np.ndarray:
-        if self.rhs_callable is not None:
-            raise ValidationError("the Jacobian requires a polynomial "
-                                  "right-hand side")
-        x = np.asarray(x, dtype=float)
-        if self._jac_series is None:
-            self._jac_series = self.nonlinearity.jacobian_rows()
-        jac = self.linear_part.astype(complex).copy()
-        for i, ds in enumerate(self._jac_series):
-            jac[:, i] += ds.evaluate(x)
-        return jac.real
 
 
 @dataclass
@@ -246,8 +221,6 @@ def compute_ssm(sys: PolySystem, spec: SpectralData, order: int,
         raise ValidationError(f"style must be one of {STYLES}")
     if order < 1:
         raise ValidationError("order must be >= 1")
-    if sys.rhs_callable is not None:
-        raise ValidationError("SSM solver requires a polynomial right-hand side")
     n, d, master = sys.dim, len(spec.master), spec.master
     lam_all, lam_e = spec.eigenvalues, spec.master_eigenvalues
     v, lft = spec.right_vectors, spec.left_vectors
@@ -327,9 +300,6 @@ def foliation_projection(sys: PolySystem, spec: SpectralData,
     non-autonomous SSM and Szalai, Proc. R. Soc. A 476 (2020) for
     invariant foliations.
     """
-    if sys.rhs_callable is not None:
-        raise ValidationError("foliation projection requires a polynomial "
-                              "right-hand side")
     if model.style != "normal-form" or not model.is_oscillatory_pair():
         raise ValidationError("foliation projection requires a normal-form "
                               "model over a conjugate master pair")
@@ -558,10 +528,7 @@ def invariance_residual(sys: PolySystem, model: SSMModel) -> ResidualStats:
     pts = np.concatenate([_sample_points(model, r) for r in radii])
     x = model.W.evaluate_many(pts)
     t1 = x @ a.T
-    if sys.rhs_callable is not None:
-        t2 = np.array([sys.rhs_callable(row) for row in x]) - t1
-    else:
-        t2 = sys.nonlinearity.evaluate_many(x)
+    t2 = sys.nonlinearity.evaluate_many(x)
     jac = np.stack([ds.evaluate_many(pts) for ds in dw], axis=2)
     t3 = np.einsum("kij,kj->ki", jac, model.R.evaluate_many(pts))
     norms = [np.linalg.norm(t, axis=1).reshape(len(radii), -1)

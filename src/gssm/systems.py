@@ -32,15 +32,17 @@ def _dauchot_manneville_system(s1: float, s2: float) -> PolySystem:
 
 
 def _imaginary_sing_system() -> PolySystem:
-    # x' = x, y' = -y + 2x/(x^2+1)^2: rational right-hand side; the solver
-    # path uses the exact parametrization y = x/(1+x^2) instead
-    a = np.array([[1.0, 0.0], [2.0, -1.0]])
-    f = MultiSeries.zero(2, 2, 2)
-
-    def rhs(x):
-        return np.array([x[0], -x[1] + 2.0 * x[0] / (x[0] ** 2 + 1.0) ** 2])
-
-    return PolySystem(a, f, rhs_callable=rhs)
+    # x' = x, y' = -y + 2x/(1+x^2)^2 lifted to a polynomial field by
+    # w = 1/(1+x^2) - 1: y' = -y + 2x(1+w)^2 and
+    # w' = -2x^2(1+w)^2 - (w + x^2 + w x^2), whose last bracket vanishes on
+    # the lift; the unstable manifold is y = x/(1+x^2), w = -x^2/(1+x^2)
+    a = np.array([[1.0, 0.0, 0.0], [2.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+    f = MultiSeries(3, 3, 4, {(1, 0, 1): [0.0, 4.0, 0.0],
+                              (1, 0, 2): [0.0, 2.0, 0.0],
+                              (2, 0, 0): [0.0, 0.0, -3.0],
+                              (2, 0, 1): [0.0, 0.0, -5.0],
+                              (2, 0, 2): [0.0, 0.0, -2.0]})
+    return PolySystem(a, f)
 
 
 def _shaw_pierre_system(k: float, c: float, gamma: float) -> PolySystem:

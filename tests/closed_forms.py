@@ -7,14 +7,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 from scipy.integrate import quad
 
 from gssm.errors import ValidationError
-from gssm.series import MultiSeries, compose_truncated
-from gssm.ssm import PolySystem, SSMModel
+from gssm.series import MultiSeries
+from gssm.ssm import PolySystem
 
 
 def euler_series(order: int) -> MultiSeries:
@@ -46,24 +46,25 @@ def odd_geometric_series(order: int) -> MultiSeries:
     return MultiSeries(1, 1, order, coeffs)
 
 
-def imaginary_sing_model(order: int) -> SSMModel:
-    """Exact unstable-manifold parametrization y = x/(1+x^2), truncated.
+def autonomous_rhs(sys: PolySystem, x) -> np.ndarray:
+    """A x + f(x); its real part for a real x."""
+    x = np.asarray(x)
+    out = sys.linear_part @ x + sys.nonlinearity.evaluate(x)
+    return out.real if np.isrealobj(x) else out
 
-    Built directly from the closed form (the system's right-hand side is
-    rational, so the polynomial solver does not apply).  The chart is the
-    unit-norm eigenvector gauge: x = p/sqrt(2), and p' = p exactly.
-    """
-    scale = 1.0 / math.sqrt(2.0)
-    x_of_p = MultiSeries(1, 1, order, {(1,): [scale]})
-    h = odd_geometric_series(order)
-    y_of_p = compose_truncated(h, x_of_p, order)
-    w = MultiSeries.from_components([x_of_p, y_of_p])
-    r = MultiSeries(1, 1, order, {(1,): [1.0]})
-    return SSMModel(n=2, d=1, style="graph", order=order,
-                    master_eigenvalues=np.array([1.0 + 0j]),
-                    master_right=np.array([[scale], [scale]], dtype=complex),
-                    W=w, R=r,
-                    flags=["planted from the exact closed-form parametrization"])
+
+def jacobian_of(sys: PolySystem) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> A + Df(x) at a real x, with f's derivative series built once."""
+    rows = sys.nonlinearity.jacobian_rows()
+
+    def jacobian(x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        jac = sys.linear_part.astype(complex)
+        for i, ds in enumerate(rows):
+            jac[:, i] += ds.evaluate(x)
+        return jac.real
+
+    return jacobian
 
 
 @dataclass
@@ -94,23 +95,24 @@ def fixed_points_oracle(sys: PolySystem, box: List[Tuple[float, float]],
     mesh = np.meshgrid(*axes, indexing="ij")
     seeds = np.stack([m.ravel() for m in mesh], axis=1)
 
+    jacobian = jacobian_of(sys)
     roots: List[np.ndarray] = []
     for seed in seeds:
         x = seed.astype(float).copy()
         converged = False
         for _ in range(120):
-            fval = sys.autonomous_rhs(x)
+            fval = autonomous_rhs(sys, x)
             fnorm = np.linalg.norm(fval)
             if fnorm < 1e-12 * (1.0 + np.linalg.norm(x)):
                 converged = True
                 break
-            jac = sys.jacobian(x)
+            jac = jacobian(x)
             step, *_ = np.linalg.lstsq(jac, -fval, rcond=None)
             # backtracking: accept the first step with residual decrease
             lam = 1.0
             for _ in range(40):
                 trial = x + lam * step
-                if np.linalg.norm(sys.autonomous_rhs(trial)) < fnorm:
+                if np.linalg.norm(autonomous_rhs(sys, trial)) < fnorm:
                     break
                 lam *= 0.5
             else:
@@ -121,8 +123,8 @@ def fixed_points_oracle(sys: PolySystem, box: List[Tuple[float, float]],
         # polish: plain Newton past the residual exit, so clusters around a
         # degenerate root (linear convergence) collapse to one point
         for _ in range(60):
-            fval = sys.autonomous_rhs(x)
-            step, *_ = np.linalg.lstsq(sys.jacobian(x), -fval, rcond=None)
+            fval = autonomous_rhs(sys, x)
+            step, *_ = np.linalg.lstsq(jacobian(x), -fval, rcond=None)
             if not np.all(np.isfinite(step)):
                 break
             x = x + step
@@ -138,7 +140,7 @@ def fixed_points_oracle(sys: PolySystem, box: List[Tuple[float, float]],
 
     out = []
     for r in sorted(roots, key=lambda v: tuple(v)):
-        eigs = np.linalg.eigvals(sys.jacobian(r))
+        eigs = np.linalg.eigvals(jacobian(r))
         out.append(FixedPoint(r, eigs, _stability_label(eigs)))
     return out
 

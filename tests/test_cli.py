@@ -27,8 +27,6 @@ from gssm.systems import make_system
 from gssm.trajectory import TrajectoryData, trajectory_from_csv, \
     trajectory_to_csv
 
-from closed_forms import imaginary_sing_model
-
 
 def run_cli(capsys, *argv):
     rc = main([str(a) for a in argv])
@@ -64,6 +62,7 @@ def test_systems_list(capsys):
     for sid in ("euler", "dauchot_manneville", "imaginary_sing",
                 "shaw_pierre"):
         assert any(ln.startswith(sid + ":") for ln in out.splitlines())
+    assert "imaginary_sing: dim=3" in out.splitlines()
     assert not any(ln.startswith("custom:") for ln in out.splitlines())
 
 
@@ -135,6 +134,33 @@ def test_pade_fallback_ladder(tmp_path, capsys):
     den = rat.denominator.evaluate_many(x).real[:, 0]
     assert np.allclose(den, 1.0, atol=1e-12)
     assert np.allclose(num, x[:, 0], atol=1e-12)
+
+
+def test_pade_of_the_lift_manifold_is_the_global_closed_form(tmp_path,
+                                                             capsys):
+    # the lift's manifold y = x/(1+x^2), w = -x^2/(1+x^2) with x = p/sqrt(2)
+    # has poles at p = +-i sqrt(2), where its Taylor series stops converging;
+    # the [10/10] approximant of the computed series is the closed form
+    rc, _, fields = run_cli(capsys, "--out", tmp_path / "ssm", "ssm",
+                            "--system", "imaginary_sing", "--d", 1,
+                            "--order", 21)
+    assert rc == 0 and fields["n"] == "3"
+    mfile = tmp_path / "ssm" / "model.txt"
+    rc, _, _ = run_cli(capsys, "--out", tmp_path / "pade", "pade", "--model",
+                       mfile, "--targets", "W", "--N", 10, "--M", 10)
+    assert rc == 0
+    _, y_rat, w_rat = rationals_from_text(
+        (tmp_path / "pade" / "pade_W.txt").read_text())
+    for p in (0.5, 2.0, 5.0, 20.0):
+        x = p / np.sqrt(2.0)
+        for rat, exact in ((y_rat, x / (1 + x * x)),
+                           (w_rat, -x * x / (1 + x * x))):
+            value = rat.numerator.evaluate([p])[0] / \
+                rat.denominator.evaluate([p])[0]
+            assert abs(value - exact) <= 1e-13 * abs(exact), (p, value, exact)
+    # beyond the radius the Taylor series itself is far off
+    taylor = model_from_text(mfile.read_text()).W.evaluate([2.0])[1]
+    assert abs(taylor - np.sqrt(2.0) / 3.0) > 1.0
 
 
 def test_pade_ladder_exhaustion(tmp_path, capsys):
@@ -728,10 +754,11 @@ def test_forcing_flags_that_would_be_ignored_exit_2(tmp_path, capsys, argv):
 def test_lift_failure_keeps_a_manifest_of_the_trajectory(tmp_path, capsys):
     # the model of test_lift_refuses_a_model_that_does_not_realify: its
     # reduced field integrates, but lift refuses it
-    model = imaginary_sing_model(7)
+    sys = make_system("imaginary_sing").realization
+    model = compute_ssm(sys, spectral_analysis(sys, 1), 7, style="graph")
     w = dict(model.W.coeffs)
-    w[(3,)] = model.W.get((3,)) + np.array([0.0, 0.3j])
-    model.W = MultiSeries(1, 2, model.order, w)
+    w[(3,)] = model.W.get((3,)) + np.array([0.0, 0.3j, 0.0])
+    model.W = MultiSeries(1, 3, model.order, w)
     mfile = tmp_path / "m.txt"
     mfile.write_text(model_to_text(model))
     out = tmp_path / "out"
@@ -870,13 +897,18 @@ BACKBONE_SP = ["analyze", "backbone", "--model", "sp.txt", "--rho-max", "0.3"]
     (BACKBONE_SP + ["--points", "0"], "--points"),
     (BACKBONE_SP + ["--points", "1"], "--points"),
     (FRC_SP + ["--rho-max", "5e-5"], "--rho-max"),
+    (["analyze", "backbone", "--model", "sp.txt", "--rho-max", "0"],
+     "--rho-max"),
+    (["analyze", "backbone", "--model", "sp.txt", "--rho-max", "-1"],
+     "--rho-max"),
 ], ids=["pade-radius-nan", "pade-radius-0", "scan-points-0",
         "scan-points-negative", "ssm-param-nan", "frc-eps-nan",
         "backbone-rho-max-nan", "pade-n-negative", "regress-restarts-0",
         "regress-smooth-window-below-the-cubic",
         "regress-smooth-window-past-the-data", "frc-points-0",
         "backbone-points-0", "backbone-points-1",
-        "frc-rho-max-below-the-grid-start"])
+        "frc-rho-max-below-the-grid-start", "backbone-rho-max-0",
+        "backbone-rho-max-negative"])
 def test_out_of_range_option_values_exit_2(tmp_path, capsys, argv, words):
     # each value used to run (or crash) instead of being refused
     _write_refusal_inputs(tmp_path)

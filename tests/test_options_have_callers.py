@@ -17,11 +17,14 @@ index after ``self`` or ``cls``, or wholesale through ``*args`` /
 not a constructor parameter.
 
 Public names: every module-level function or class of src/gssm whose name
-does not start with an underscore is named outside its own definition's
+does not start with an underscore, and every method or property without
+one in the body of such a class, is named outside its own definition's
 lines, as a name, an attribute or a string literal equal to it (cli.main
-looks its handlers up by name).  Code that only tests call lives in
-tests/; ALLOWED names the exceptions, each with the open ROADMAP item that
-gives it a caller.
+looks its handlers up by name).  A string literal "Owner.member" names
+member (perfbench's tracer names its targets so).  Members are matched by
+name alone, so a member shares the mentions of every name it spells.
+Code that only tests call lives in tests/; ALLOWED names the exceptions,
+each with the open ROADMAP item that gives it a caller.
 
 The command line follows the same rule with its own callers: every
 subcommand and option string of cli.py's add_parser and add_argument calls
@@ -163,15 +166,25 @@ def test_every_option_has_a_caller():
 
 def _public_definitions():
     """(path, name, first line, last line) of each module-level function or
-    class of src/gssm whose name has no leading underscore."""
+    class of src/gssm whose name has no leading underscore, and of each
+    such method or property of those classes, named Class.member."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def lines(node):
+        return min([node.lineno] + [d.lineno for d in node.decorator_list]), \
+            node.end_lineno
+
     for path, tree in _trees(PACKAGE):
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)) and \
-                    not node.name.startswith("_"):
-                first = min([node.lineno] +
-                            [d.lineno for d in node.decorator_list])
-                yield path, node.name, first, node.end_lineno
+            if not isinstance(node, functions + (ast.ClassDef,)) or \
+                    node.name.startswith("_"):
+                continue
+            yield (path, node.name) + lines(node)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, functions) and \
+                            not item.name.startswith("_"):
+                        yield (path, f"{node.name}.{item.name}") + lines(item)
 
 
 def _mentions():
@@ -184,8 +197,12 @@ def _mentions():
                     node.attr if isinstance(node, ast.Attribute) else \
                     node.value if isinstance(node, ast.Constant) and \
                     isinstance(node.value, str) else None
-                if word is not None:
-                    seen[word].add((path, node.lineno))
+                if word is None:
+                    continue
+                seen[word].add((path, node.lineno))
+                owner, _, member = word.rpartition(".")
+                if owner.isidentifier() and member.isidentifier():
+                    seen[member].add((path, node.lineno))
     return seen
 
 
@@ -194,7 +211,7 @@ def uncalled_public_names():
     return sorted(f"{path.stem}.{name}"
                   for path, name, first, last in _public_definitions()
                   if all(where == path and first <= line <= last
-                         for where, line in mentions[name]))
+                         for where, line in mentions[name.split(".")[-1]]))
 
 
 def test_the_name_scan_sees_definitions_and_uses():
@@ -202,6 +219,7 @@ def test_the_name_scan_sees_definitions_and_uses():
                _public_definitions()}
     assert {"reduced.integrate_reduced", "series.MultiSeries",
             "cli.cmd_ssm", "cli.main"} <= defined
+    assert "series.MultiSeries.evaluate_many" in defined
     assert not {"reduced._run", "reduced._Jets"} & defined
     mentions = _mentions()
     # cli.main runs a handler named by the string set in build_parser

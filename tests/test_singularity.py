@@ -8,6 +8,8 @@ from gssm.pade import RationalMap
 from gssm.series import MultiSeries
 from gssm.singularity import (classify_sign_pattern, denominator_zero_scan,
                               estimate_radius, locate_singularity)
+from gssm.ssm import compute_ssm, spectral_analysis
+from gssm.systems import make_system
 
 from closed_forms import (euler_series, odd_geometric_series,
                           synthetic_pattern_series)
@@ -99,6 +101,19 @@ def test_locate_singularity_summary():
     assert abs(est.radius - 1.0) < 0.02
     assert est.angle == math.pi / 2
     assert est.pattern == "alternating"
+
+
+def test_locate_singularity_of_the_computed_lift_manifold():
+    # y = x/(1+x^2) with x = p/sqrt(2): poles at p = +-i sqrt(2)
+    sys = make_system("imaginary_sing").realization
+    spec = spectral_analysis(sys, 1)
+    for order in (11, 21, 31):
+        model = compute_ssm(sys, spec, order, style="graph")
+        est = locate_singularity(model.W.component(1))
+        assert abs(est.radius - math.sqrt(2.0)) <= 1e-12, (order, est.radius)
+        assert est.angle == math.pi / 2
+        assert est.pattern == "alternating"
+        assert est.confidence == 1.0
 
 
 def test_locate_singularity_reports_both_estimators():

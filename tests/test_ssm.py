@@ -11,8 +11,7 @@ from gssm.ssm import (PolySystem, compute_ssm, extract_polar,
                       spectral_analysis, to_coordinate_graph)
 from gssm.systems import make_system
 
-from closed_forms import (dauchot_w2, dauchot_w3, euler_series,
-                          imaginary_sing_model)
+from closed_forms import dauchot_w2, dauchot_w3, euler_series
 
 
 def test_spectral_sorting_and_conjugate_gauge():
@@ -294,13 +293,6 @@ def test_invariance_residual_says_why_its_slope_is_nan():
                          "radii over 0.5 decades"]
 
 
-def test_residual_slope_for_planted_rational_model():
-    model = imaginary_sing_model(5)
-    sys = make_system("imaginary_sing").realization
-    res = invariance_residual(sys, model)
-    assert res.slope >= 5.75
-
-
 def _term_by_term_residual_window(sys, model, res):
     """The noise floor summed term by term at each radius, and the valid
     mask, slope and flags that invariance_residual derives from it."""
@@ -341,8 +333,13 @@ def _residual_cases():
                             ("dauchot_manneville", {}, 1), ("euler", {}, 1)):
         sys = make_system(name, **params).realization
         yield sys, compute_ssm(sys, spectral_analysis(sys, d), 9, style="graph")
-    # empty nonlinearity and a callable right-hand side
-    yield make_system("imaginary_sing").realization, imaginary_sing_model(7)
+    # the polynomial lift of a rational field, and its linear part alone
+    # (an empty nonlinearity)
+    lift = make_system("imaginary_sing").realization
+    lift_model = compute_ssm(lift, spectral_analysis(lift, 1), 7,
+                             style="graph")
+    yield lift, lift_model
+    yield PolySystem(lift.linear_part, MultiSeries.zero(3, 3, 2)), lift_model
     # a one-term cubic in 100 variables, too many for a grlex table
     n = 100
     a = np.diag(-np.linspace(2.0, 5.0, n))
@@ -403,14 +400,6 @@ def test_degenerate_coordinate_graph_rejected():
     model = compute_ssm(sys, spec, 3, style="graph")
     with pytest.raises(NumericalError):
         to_coordinate_graph(model, [0, 2])
-
-
-def test_callable_rhs_systems_have_no_jacobian():
-    sys = make_system("imaginary_sing").realization
-    with pytest.raises(ValidationError, match="polynomial right-hand side"):
-        sys.jacobian([0.1, 0.2])
-    with pytest.raises(ValidationError, match="polynomial right-hand side"):
-        compute_ssm(sys, spectral_analysis(sys, 1), 3)
 
 
 def test_input_validation():

@@ -3,10 +3,11 @@ import pytest
 from scipy.special import exp1
 
 from gssm.errors import ValidationError
+from gssm.ssm import compute_ssm, spectral_analysis
 from gssm.systems import make_system
 
-from closed_forms import (dauchot_w2, dauchot_w3, euler_exact, euler_series,
-                          fixed_points_oracle, imaginary_sing_model,
+from closed_forms import (autonomous_rhs, dauchot_w2, dauchot_w3, euler_exact,
+                          euler_series, fixed_points_oracle,
                           odd_geometric_series)
 
 
@@ -20,21 +21,31 @@ def test_rhs_closed_forms_random_points():
     k, c, gamma = 3.0, 0.003, 0.5
     for _ in range(100):
         x = rng.uniform(-1.0, 1.0, size=2)
-        assert np.allclose(euler.autonomous_rhs(x),
+        assert np.allclose(autonomous_rhs(euler, x),
                            [x[0] ** 2, x[0] - x[1]], atol=1e-12)
-        assert np.allclose(dm.autonomous_rhs(x),
+        assert np.allclose(autonomous_rhs(dm, x),
                            [s1 * x[0] + x[1] + x[0] * x[1],
                             s2 * x[1] - x[0] ** 2], atol=1e-12)
-        assert np.allclose(ims.autonomous_rhs(x),
-                           [x[0], -x[1] + 2 * x[0] / (x[0] ** 2 + 1) ** 2],
-                           atol=1e-12)
+        u, y, w = rng.uniform(-1.0, 1.0, size=3)
+        assert np.allclose(autonomous_rhs(ims, [u, y, w]),
+                           [u, -y + 2 * u * (1 + w) ** 2,
+                            -w - 3 * u ** 2 - 5 * w * u ** 2
+                            - 2 * w ** 2 * u ** 2], atol=1e-12)
         q = rng.uniform(-1.0, 1.0, size=4)
         expect = [q[1],
                   -2 * k * q[0] - 2 * c * q[1] + k * q[2] + c * q[3]
                   - gamma * q[0] ** 3,
                   q[3],
                   k * q[0] + c * q[1] - 2 * k * q[2] - 2 * c * q[3]]
-        assert np.allclose(sp.autonomous_rhs(q), expect, atol=1e-12)
+        assert np.allclose(autonomous_rhs(sp, q), expect, atol=1e-12)
+    # on the lift's curve w = 1/(1+x^2) - 1 the field is x' = x,
+    # y' = -y + 2x/(1+x^2)^2, and w' the derivative of w along the flow
+    for x in np.linspace(-3.0, 3.0, 61):
+        on = [x, x / (1 + x * x), -x * x / (1 + x * x)]
+        assert np.allclose(autonomous_rhs(ims, on),
+                           [x, x * (1 - x * x) / (1 + x * x) ** 2,
+                            -2 * x * x / (1 + x * x) ** 2],
+                           rtol=0.0, atol=1e-14)
 
 
 def test_parameter_defaults_and_overrides():
@@ -85,15 +96,21 @@ def test_euler_series_asymptotic_to_integral():
     assert err < 30 * x ** 5
 
 
-def test_planted_model_tangency_and_closed_form():
-    model = imaginary_sing_model(7)
-    p = 0.31
-    x = p / np.sqrt(2.0)
-    val = model.W.evaluate([p])
-    assert np.isclose(val[0].real, x, atol=1e-14)
-    ref = x / (1.0 + x * x)
-    assert np.isclose(val[1].real, ref, atol=abs(x) ** 9 / (1 - x * x))
-    assert np.isclose(model.R.evaluate([p])[0], p, atol=1e-14)
+def test_computed_lift_manifold_equals_the_closed_form():
+    # (x, x/(1+x^2), -x^2/(1+x^2)) in the unit eigenvector's gauge
+    # x = p/sqrt(2): y's coefficients are those of x/(1+x^2), and w = -x y
+    sys = make_system("imaginary_sing").realization
+    spec = spectral_analysis(sys, 1)
+    scale = 1.0 / np.sqrt(2.0)
+    for order in (5, 11, 21, 31):
+        model = compute_ssm(sys, spec, order, style="graph")
+        h = odd_geometric_series(order).univariate_coeffs()
+        for k in range(1, order + 1):
+            expect = [float(k == 1), h[k], -h[k - 1]]
+            assert np.max(np.abs(model.W.get((k,)) - np.multiply(
+                expect, scale ** k))) <= 1e-15, (order, k)
+        assert model.R.coeffs.keys() == {(1,)}
+        assert model.R.get((1,))[0] == 1.0
 
 
 def test_fixed_points_of_the_intermittency_model():
