@@ -24,10 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .datadriven import (DEFAULT_MARGIN, EmbeddingConfig, RegressionProblem,
-                         chart_from_text, chart_to_text, delay_embed,
-                         estimate_derivatives, fit_rational_field, predict,
-                         tangent_space_pca)
 from .errors import NumericalError, ValidationError
 from .pade import (evaluate_rational_many, pade_multivariate,
                    rational_from_text, rationals_from_text, rationals_to_text)
@@ -313,6 +309,11 @@ def cmd_pade(args, run):
         fields[name] = f"[{orders[0]}/{orders[1]}]"
         if orders != (n0, m0):
             fields[f"{name}_fallback_from"] = f"[{n0}/{m0}]"
+        # the rank gate can write a component at a lower type than the rung
+        written = list(dict.fromkeys(f"[{r.type_tag[0]}/{r.type_tag[1]}]"
+                                     for r in maps))
+        if written != [fields[name]]:
+            fields[f"{name}_written"] = ",".join(written)
     if not fields:
         raise ValidationError(f"no matching targets among {args.targets!r}")
     return fields
@@ -500,8 +501,17 @@ def _pointwise_error(rational, eta, zeta) -> float:
 
 @_command
 def cmd_regress(args, run):
-    if args.poly_order is None:  # on args, so the manifest records it
+    # scipy.signal loads with datadriven, so only the commands that fit or
+    # predict pay for it
+    from .datadriven import (DEFAULT_MARGIN, EmbeddingConfig,
+                             RegressionProblem, chart_to_text, delay_embed,
+                             estimate_derivatives, fit_rational_field,
+                             tangent_space_pca)
+    # on args, so the manifest records them
+    if args.poly_order is None:
         args.poly_order = args.N + args.M + 1
+    if args.margin is None:
+        args.margin = DEFAULT_MARGIN
     series = _load_traj(args.data)
     cfg = EmbeddingConfig(args.delays, args.lag, args.observable)
     cfg.check_for_dimension(args.d)
@@ -542,6 +552,7 @@ def cmd_regress(args, run):
 
 @_command
 def cmd_predict(args, run):
+    from .datadriven import chart_from_text, predict
     chart, cfg = chart_from_text(_read(args.chart))
     fitted = rational_from_text(_read(args.fit))
     window = _load_traj(args.data)
@@ -697,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--poly-order", dest="poly_order", type=int, default=None)
-    p.add_argument("--margin", type=finite, default=DEFAULT_MARGIN)
+    p.add_argument("--margin", type=finite)
     p.add_argument("--restarts", type=int, default=3)
     p.add_argument("--smooth-window", dest="smooth_window", type=int)
     p.add_argument("--unconstrained", action="store_true")

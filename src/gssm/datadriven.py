@@ -231,7 +231,9 @@ class RationalFit:
     error <= stage1_error.  restart_den_ranges holds the denominator's
     (min, max) on the samples at each stage-2 end point that stayed finite;
     start_runs holds, for each stage-2 start, its SLSQP iterations summed
-    over its working-set runs and the status of its last run.
+    over its working-set runs, the status of its last run, the quotient
+    error at its end point (HUGE_OBJECTIVE where that is not finite) and
+    the number of margin rows its last run had (0 without the margin).
     """
 
     rational: RationalMap
@@ -255,7 +257,8 @@ class RationalFit:
             f"active positivity constraints: {self.active_constraints}",
         ]
         lines += [f"stage-2 start {i}: {nit} SLSQP iterations, status "
-                  f"{status}" for i, (nit, status) in
+                  f"{status}, error {err:.6e}, {rows} margin rows"
+                  for i, (nit, status, err, rows) in
                   enumerate(self.start_runs)]
         lines += [f"note: {fl}" for fl in self.flags]
         return "\n".join(lines)
@@ -288,29 +291,61 @@ def _quotient_error(theta, phi, psi_tail, targets, n_out):
                                          n_out)[2])
 
 
-def _quotient_gradient(terms, phi, psi_tail):
-    """Gradient of the quotient error from its _quotient_terms."""
+def _finite(g):
+    """g with what a zero denominator breaks (inf, nan) set to 0."""
+    if np.isfinite(g).all():
+        return g
+    return np.nan_to_num(g, nan=0.0, posinf=0.0, neginf=0.0)
+
+
+def _denominator_gradient(terms, psi_tail):
+    """The b-block of the quotient error's gradient from its
+    _quotient_terms."""
     num, den, resid = terms
     with np.errstate(all="ignore"):
-        ga = -2.0 * (resid / den[:, None]).T @ phi
         # sum(resid * num, axis=1) column by column: np.sum's order on a few
         # columns, without its reduction per row
         parts = resid * num
         dots = parts[:, 0]
         for column in parts.T[1:]:
             dots = dots + column
-        gb = 2.0 * psi_tail.T @ (dots / den ** 2)
-    g = np.concatenate([ga.ravel(), gb])
-    if np.isfinite(g).all():
-        return g
-    return np.nan_to_num(g, nan=0.0, posinf=0.0, neginf=0.0)
+        return _finite(2.0 * psi_tail.T @ (dots / den ** 2))
+
+
+def _quotient_gradient(terms, phi, psi_tail):
+    """Gradient of the quotient error from its _quotient_terms."""
+    _, den, resid = terms
+    with np.errstate(all="ignore"):
+        ga = -2.0 * (resid / den[:, None]).T @ phi
+    return np.concatenate([_finite(ga.ravel()),
+                           _denominator_gradient(terms, psi_tail)])
 
 
 def _solve_a_given_b(phi, psi_tail, targets, b):
-    """Componentwise least squares for the numerator at a frozen denominator."""
+    """The numerator that fits best at a frozen denominator, for each
+    output: a = argmin |targets - (phi / den) a|.
+
+    It solves the normal equations phi^T diag(den^-2) phi a = phi^T
+    (targets / den) where their Gram matrix is numerically positive
+    definite: every Cholesky pivot above the k * eps rounding of forming
+    it.  Elsewhere np.linalg.lstsq solves the least-squares problem.  The
+    normal equations' residual is the error's gradient in a, so solving
+    them, not the least-squares problem, keeps the denominator block an
+    accurate gradient of the error at a(b).
+    """
     den = _denominator(psi_tail, b)
-    a = np.linalg.lstsq(phi / den[:, None], targets, rcond=None)[0].T
-    return a
+    with np.errstate(all="ignore"):
+        w = phi / den[:, None]
+        gram = w.T @ w
+    if not np.isfinite(gram).all():  # a zero of the denominator on a sample
+        return np.full((targets.shape[1], phi.shape[1]), np.nan)
+    try:
+        pivots = np.diag(np.linalg.cholesky(gram)) ** 2
+    except np.linalg.LinAlgError:
+        pivots = np.zeros(len(gram))
+    if np.any(pivots <= len(phi) * np.finfo(float).eps * np.diag(gram)):
+        return np.linalg.lstsq(w, targets, rcond=None)[0].T
+    return np.linalg.solve(gram, w.T @ targets).T
 
 
 def _feasibility_certificate(psi_tail):
@@ -394,6 +429,14 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
     stage 1 solves it and stage 2 is skipped.  A rank-deficient stage-1
     system is flagged.
 
+    Stage 2 is variable projection (Golub & Pereyra 1973): SLSQP moves the
+    q - 1 denominator coefficients b alone.  At each b the numerator is the
+    least-squares one, a(b) = argmin |zeta - (phi / den) a|
+    (_solve_a_given_b); the objective is the quotient error at (a(b), b),
+    and its gradient is the b-block of the quotient error's gradient there,
+    exact because a(b) is optimal at fixed b.  The margin rows are linear
+    in b, with psi_tail's rows as their Jacobian.
+
     Stage 2 hands SLSQP the margin rows of a working set W of samples, not
     of all k (constraint generation, as in cutting-plane and active-set
     methods): every WORKING_SET_STRIDE-th sample plus the
@@ -411,15 +454,15 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
     start (k <= WORKING_SET_LOWEST * (q - 1)) stage 2 is one SLSQP run over
     all rows.
 
-    The first stage-2 start is the stage-1 point; each further one draws
-    Gaussian noise of 0.3 times its largest coefficient onto it.  With the
-    margin, the noisy denominator is halved until it holds the margin and
-    the start's numerator is the least-squares one at that denominator
-    (_solve_a_given_b), as in variable projection: the noisy numerator fits
-    neither the data nor a denominator near the margin, and SLSQP can spend
-    its whole budget descending from it.  Unconstrained starts keep the
-    noisy numerator: its far-off starts are what let some restart put a
-    denominator zero inside the data hull for the comparison experiments.
+    The first stage-2 start is the stage-1 denominator; each further one
+    draws Gaussian noise of 0.3 times the largest stage-1 coefficient onto
+    all of theta.  With the margin, the noisy denominator is halved until
+    it holds the margin, and that b is the start.  The one exception to the
+    b-only descent is an unconstrained perturbed start: it descends over
+    all of theta from its noisy numerator.  Its far-off starts are what let
+    some restart put a denominator zero inside the data hull for the
+    comparison experiments; from a(b), every such restart ends with its
+    denominator near 1.
     """
     if restarts < 1:
         raise ValidationError(f"restarts must be at least 1, got {restarts}")
@@ -479,39 +522,47 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
     stage1_error = _quotient_error(theta1, phi, psi_tail, prob.targets, n_out)
 
     # stage 2: descend the true quotient objective; without a denominator
-    # stage 1 already is the least-squares optimum
+    # stage 1 already is the least-squares optimum.  A start of q - 1
+    # values is a denominator's b, whose numerator is a(b); a longer one is
+    # all of theta
     starts = []
     if q > 1:
         rng = np.random.default_rng(seed)
         scale = np.max(np.abs(theta1)) or 1.0
-        starts = [theta1]
+        starts = [theta1[n_out * p:]]
         for _ in range(restarts - 1):
             cand = theta1 + rng.normal(scale=0.3 * scale, size=theta1.shape)
-            if constrained:
-                b = shrink_to_feasible(cand[n_out * p:])
-                cand = np.concatenate([_solve_a_given_b(
-                    phi, psi_tail, prob.targets, b).ravel(), b])
-            starts.append(cand)
+            starts.append(shrink_to_feasible(cand[n_out * p:]) if constrained
+                          else cand)
     best_theta, best_err = theta1, stage1_error
     refined = False
     den_ranges, runs = [], []
     # SLSQP asks for the error and then the gradient at each accepted
-    # point: both come from one residual pass
+    # point: both come from one numerator solve and residual pass
     last = [None, None]
 
-    def terms_at(theta):
-        if not np.array_equal(theta, last[0]):
-            last[:] = theta.copy(), _quotient_terms(
-                theta, phi, psi_tail, prob.targets, n_out)
+    def terms_at(x):
+        """theta at SLSQP's variable x and its _quotient_terms."""
+        if not np.array_equal(x, last[0]):
+            theta = x if len(x) > q - 1 else np.concatenate(
+                [_solve_a_given_b(phi, psi_tail, prob.targets, x).ravel(), x])
+            last[:] = x.copy(), (theta, _quotient_terms(
+                theta, phi, psi_tail, prob.targets, n_out))
         return last[1]
+
+    def gradient(x):
+        theta, terms = terms_at(x)
+        if len(x) == len(theta):
+            return _quotient_gradient(terms, phi, psi_tail)
+        # a(b) is optimal at fixed b, so the error's derivative along the
+        # numerator vanishes there and the b-block is the projected gradient
+        return _denominator_gradient(terms, psi_tail)
 
     def margin_constraints(rows):
         # den >= delta on the samples in rows; all rows is psi_tail itself
         sub = psi_tail if len(rows) == k else psi_tail[rows]
-        jac = np.hstack([np.zeros((len(sub), n_out * p)), sub])
-        return [{"type": "ineq",
-                 "fun": lambda th: _denominator(sub, th[n_out * p:]) - delta,
-                 "jac": lambda th: jac}]
+        return [{"type": "ineq", "fun": lambda b: _denominator(sub, b) - delta,
+                 "jac": lambda b: sub}]
 
     n_low = WORKING_SET_LOWEST * (q - 1)
 
@@ -523,20 +574,21 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
     def descend(start):
         """The end point of stage 2 from start and its denominator on every
         sample, or None if SLSQP leaves the finite numbers; with the start's
-        SLSQP iterations and last status."""
+        SLSQP iterations, last status, final quotient error and margin rows
+        of its last run."""
         rows = np.union1d(np.arange(0, k, WORKING_SET_STRIDE),
-                          lowest(_denominator(psi_tail, start[n_out * p:])))
-        theta, budget = start, STAGE2_MAXITER
+                          lowest(_denominator(psi_tail, start[-(q - 1):])))
+        x, budget = start, STAGE2_MAXITER
         while True:
-            res = minimize(lambda th: _squared_norm(terms_at(th)[2]), theta,
-                           jac=lambda th: _quotient_gradient(terms_at(th),
-                                                             phi, psi_tail),
-                           method="SLSQP",
+            res = minimize(lambda v: _squared_norm(terms_at(v)[1][2]), x,
+                           jac=gradient, method="SLSQP",
                            constraints=margin_constraints(rows)
                            if constrained else [],
                            options={"maxiter": budget, "ftol": 1e-14})
-            theta, budget = res.x, budget - res.nit
-            run = (STAGE2_MAXITER - budget, int(res.status))
+            x, budget = res.x, budget - res.nit
+            theta, terms = terms_at(x)
+            run = (STAGE2_MAXITER - budget, int(res.status),
+                   _squared_norm(terms[2]), len(rows) if constrained else 0)
             if not np.all(np.isfinite(theta)):
                 return None, run
             dvals = _denominator(psi_tail, theta[n_out * p:])
@@ -556,7 +608,7 @@ def fit_rational_field(prob: RegressionProblem, restarts: int = 1,
         den_ranges.append((float(np.min(dvals)), float(np.max(dvals))))
         if constrained and np.min(dvals) < delta - CONSTRAINT_SLACK:
             continue
-        err = _quotient_error(theta, phi, psi_tail, prob.targets, n_out)
+        err = run[2]
         if err < best_err:
             best_theta, best_err, refined = theta, err, True
     if starts and not refined:

@@ -19,7 +19,6 @@ import numpy as np
 # only perfbench/tracer.py reads this name: it wraps reduced.solve_ivp
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.optimize import brentq
-from scipy.signal import periodogram
 
 from .errors import NumericalError, ValidationError
 from .pade import (DEFAULT_POLE_FLOOR, RationalMap, pade_univariate,
@@ -929,6 +928,8 @@ def lyapunov_estimate(f: ReducedField, ic, perturbation_size: float = 1e-7,
 def psd_estimate(traj: TrajectoryData, component: int = 0
                  ) -> Tuple[np.ndarray, np.ndarray]:
     """One-sided periodogram of a component, mean removed."""
+    # scipy.signal costs a command that never calls this half a second
+    from scipy.signal import periodogram
     dt = traj.uniform_dt()
     x = traj.component(component)
     x = x - np.mean(x)

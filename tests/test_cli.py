@@ -95,6 +95,20 @@ def test_module_entry_point_lists_systems(tmp_path):
     assert proc.stdout.strip().splitlines()[-1].startswith("gssm: status=ok")
 
 
+def test_importing_the_cli_leaves_scipy_signal_unloaded(tmp_path):
+    # scipy.signal is half a second of every command's start; only regress,
+    # predict and psd_estimate use it, and they import it themselves
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gssm.cli; print('scipy.signal' in sys.modules)"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_ssm_param_sets_a_system_parameter(tmp_path, capsys):
     rc, _, _ = run_cli(capsys, "--out", tmp_path, "ssm", "--system",
                        "shaw_pierre", "--param", "k=2.5", "--order", 3)
@@ -161,6 +175,22 @@ def test_pade_of_the_lift_manifold_is_the_global_closed_form(tmp_path,
     # beyond the radius the Taylor series itself is far off
     taylor = model_from_text(mfile.read_text()).W.evaluate([2.0])[1]
     assert abs(taylor - np.sqrt(2.0) / 3.0) > 1.0
+
+
+def test_pade_status_names_the_types_the_rank_gate_wrote(tmp_path, capsys):
+    # the [10/10] rung of the lift's W is accepted, but the rank gate writes
+    # its components x, y and w as [1/0], [1/2] and [2/2]
+    rc, _, _ = run_cli(capsys, "--out", tmp_path / "ssm", "ssm", "--system",
+                       "imaginary_sing", "--d", 1, "--order", 21)
+    assert rc == 0
+    rc, _, fields = run_cli(capsys, "--out", tmp_path / "pade", "pade",
+                            "--model", tmp_path / "ssm" / "model.txt",
+                            "--targets", "W", "--N", 10, "--M", 10)
+    assert rc == 0
+    assert fields["W"] == "[10/10]" and "W_fallback_from" not in fields
+    assert fields["W_written"] == "[1/0],[1/2],[2/2]"
+    maps = rationals_from_text((tmp_path / "pade" / "pade_W.txt").read_text())
+    assert [r.type_tag for r in maps] == [(1, 0), (1, 2), (2, 2)]
 
 
 def test_pade_ladder_exhaustion(tmp_path, capsys):
@@ -549,7 +579,7 @@ def test_regress_then_predict_roundtrip(tmp_path, capsys):
     assert len(lines) == 2
     for i, ln in enumerate(lines):
         assert re.fullmatch(rf"stage-2 start {i}: \d+ SLSQP iterations, "
-                            r"status \d+", ln)
+                            r"status \d+, error \S+, \d+ margin rows", ln)
 
     rc, _, fields = run_cli(capsys, "--out", tmp_path, "predict",
                             "--chart", tmp_path / "chart.txt",

@@ -422,23 +422,46 @@ def test_limit_cycle_self_consistency():
     assert err / np.linalg.norm(ref.y[0]) < 0.1
 
 
-def _record_minimize(monkeypatch, psi_tail):
+def _record_minimize(monkeypatch, prob):
     """Wrap datadriven.minimize; per call, the samples of its margin rows
-    (none in an unconstrained fit), its start and its end point."""
+    (none in an unconstrained fit), its start and its end point, as theta.
+    Where SLSQP's variable is the denominator's b, the numerator stage 2
+    pairs with it is the least-squares one at b, read here by lstsq."""
+    d = prob.dim
+    phi = monomial_matrix(prob.inputs,
+                          indices_up_to_order(d, prob.numerator_order))
+    psi_tail = monomial_matrix(
+        prob.inputs, indices_up_to_order(d, prob.denominator_order))[:, 1:]
     index = {row.tobytes(): i for i, row in enumerate(psi_tail)}
     m = psi_tail.shape[1]
     calls = []
     real = datadriven.minimize
 
+    def theta(x):
+        if len(x) > m:
+            return np.array(x)
+        den = 1.0 + psi_tail @ x
+        a = np.linalg.lstsq(phi / den[:, None], prob.targets, rcond=None)[0]
+        return np.concatenate([a.T.ravel(), x])
+
     def wrapped(fun, x0, **kwargs):
         res = real(fun, x0, **kwargs)
         jacs = [c["jac"](x0) for c in kwargs["constraints"]]
         calls.append(({index[row[-m:].tobytes()] for jac in jacs
-                       for row in jac}, np.array(x0), res.x.copy()))
+                       for row in jac}, theta(x0), theta(res.x)))
         return res
 
     monkeypatch.setattr(datadriven, "minimize", wrapped)
     return calls
+
+
+def _stage1_theta(prob):
+    """Stage 1's coefficients of a one-output fit whose linearized
+    denominator meets the margin: the linearized least-squares solution."""
+    zeta = prob.targets[:, 0]
+    _, _, big, rhs = _linearized(prob.inputs, zeta, prob.numerator_order,
+                                 prob.denominator_order)
+    return np.linalg.lstsq(big, rhs, rcond=None)[0]
 
 
 def _full_constraint_error(pts, zeta, n, m, margin, theta0):
@@ -504,7 +527,7 @@ def test_working_set_grows_to_a_margin_bound_outside_it(monkeypatch):
     pts, zeta = _strip_problem()
     prob = RegressionProblem(pts, zeta, 1, 1, margin=0.5)
     psi_tail = monomial_matrix(pts, indices_up_to_order(2, 1))[:, 1:]
-    calls = _record_minimize(monkeypatch, psi_tail)
+    calls = _record_minimize(monkeypatch, prob)
     fit = fit_rational_field(prob)
 
     def den(theta):
@@ -538,16 +561,22 @@ def test_interior_optimum_needs_no_re_solve(monkeypatch):
     zeta = (pts[:, 0] - pts[:, 1] ** 2) / (1.0 - 0.3 * pts[:, 0]) \
         + 0.01 * rng.standard_normal(1200)
     prob = RegressionProblem(pts, zeta, 2, 1)
+    phi = monomial_matrix(pts, indices_up_to_order(2, 2))
     psi_tail = monomial_matrix(pts, indices_up_to_order(2, 1))[:, 1:]
-    calls = _record_minimize(monkeypatch, psi_tail)
+    calls = _record_minimize(monkeypatch, prob)
     fit = fit_rational_field(prob, restarts=2, seed=3)
     assert len(calls) == 2
     assert all(len(rows) < 0.15 * len(pts) for rows, _, _ in calls)
     assert fit.active_constraints == 0
     assert fit.min_denominator > 0.5
-    for (_, start, end), (lo, hi) in zip(calls, fit.restart_den_ranges):
+    for (rows, start, end), (lo, hi), (_, _, err, n_rows) in zip(
+            calls, fit.restart_den_ranges, fit.start_runs):
         dvals = 1.0 + psi_tail @ end[-2:]
         assert (lo, hi) == (np.min(dvals), np.max(dvals))
+        # one run a start: its working set and its end point's error
+        assert n_rows == len(rows)
+        assert abs(err - _quotient_error(end, phi, psi_tail, prob.targets,
+                                         1)) <= 1e-12 * err
     ref = min(_full_constraint_error(pts, zeta, 2, 1, prob.margin, start)
               for _, start, _ in calls)
     assert abs(fit.error - ref) <= 1e-8 * ref
@@ -571,7 +600,7 @@ def test_stage2_hands_slsqp_a_small_share_of_the_margin_rows(monkeypatch):
     prob = _hopf_problem()
     eta = prob.inputs
     psi_tail = monomial_matrix(eta, indices_up_to_order(2, 2))[:, 1:]
-    calls = _record_minimize(monkeypatch, psi_tail)
+    calls = _record_minimize(monkeypatch, prob)
     fit = fit_rational_field(prob, restarts=3)
     assert len(eta) == 2961
     assert 3 <= len(calls) <= 3 + 2
@@ -599,9 +628,43 @@ def test_every_stage2_start_converges_on_the_hopf_fit(monkeypatch, seed):
     assert [cap for cap, _, _ in runs] == [datadriven.STAGE2_MAXITER] * 3
     for _, nit, status in runs:
         assert status == 0 and nit < datadriven.STAGE2_MAXITER
-    assert fit.start_runs == [(nit, status) for _, nit, status in runs]
+    assert [run[:2] for run in fit.start_runs] == [
+        (nit, status) for _, nit, status in runs]
     assert fit.error <= fit.stage1_error
     assert fit.min_denominator >= prob.margin - 1e-9
+
+
+def test_stage2_gradient_is_the_projected_errors_derivative(monkeypatch):
+    # SLSQP moves b alone, and the error it sees is the quotient error at the
+    # numerator a(b) that fits best at b; the b-block of the quotient
+    # gradient is that error's derivative because a(b) is optimal at b
+    prob = _hopf_problem()
+    psi_tail = monomial_matrix(prob.inputs, indices_up_to_order(2, 2))[:, 1:]
+    real = datadriven.minimize
+    calls = []
+
+    def wrapped(fun, x0, **kwargs):
+        calls.append((fun, kwargs["jac"], np.array(x0)))
+        return real(fun, x0, **kwargs)
+
+    monkeypatch.setattr(datadriven, "minimize", wrapped)
+    fit = fit_rational_field(prob, restarts=2, seed=0)
+    assert len(calls) == 2
+    (fun1, _, b1), (_, _, b2) = calls
+    # the first start is stage 1's denominator, on the margin, where stage 1
+    # took the numerator a(b) too; the second a perturbed one inside it
+    assert fun1(b1) == fit.stage1_error
+    assert np.min(1.0 + psi_tail @ b1) < 1.001 * prob.margin
+    assert np.min(1.0 + psi_tail @ b2) >= prob.margin
+    assert len(b1) == len(b2) == 5
+    h = 1e-6
+    for fun, jac, b in calls:
+        # five-point central differences, exact through fourth order
+        fd = np.array([(8.0 * (fun(b + h * e) - fun(b - h * e))
+                        - fun(b + 2 * h * e) + fun(b - 2 * h * e)) / (12 * h)
+                       for e in np.eye(len(b))])
+        g = jac(b)
+        assert np.linalg.norm(fd - g) <= 1e-6 * np.linalg.norm(g)
 
 
 def _perturbed_draws(theta1, restarts, seed):
@@ -619,12 +682,15 @@ def test_constrained_restarts_start_at_the_numerator_of_their_denominator(
     prob = _noisy_double_well()
     phi = monomial_matrix(prob.inputs, indices_up_to_order(1, 3))
     psi_tail = monomial_matrix(prob.inputs, indices_up_to_order(1, 2))[:, 1:]
-    calls = _record_minimize(monkeypatch, psi_tail)
+    calls = _record_minimize(monkeypatch, prob)
     fit_rational_field(prob, restarts=10, seed=1)
     # 41 samples: every run's working set is all of them, one run a start
     assert len(calls) == 10
     starts = [start for _, start, _ in calls]
-    draws = _perturbed_draws(starts[0], 10, 1)
+    # the first start is stage 1's denominator
+    theta1 = _stage1_theta(prob)
+    assert np.array_equal(starts[0][4:], theta1[4:])
+    draws = _perturbed_draws(theta1, 10, 1)
     for start, draw in zip(starts[1:], draws):
         b = start[4:]
         assert np.min(1.0 + psi_tail @ b) >= prob.margin
@@ -636,12 +702,13 @@ def test_constrained_restarts_start_at_the_numerator_of_their_denominator(
 
 def test_unconstrained_restarts_keep_the_perturbed_numerator(monkeypatch):
     prob = _noisy_double_well()
-    psi_tail = monomial_matrix(prob.inputs, indices_up_to_order(1, 2))[:, 1:]
-    calls = _record_minimize(monkeypatch, psi_tail)
+    calls = _record_minimize(monkeypatch, prob)
     fit_rational_field(prob, restarts=10, seed=1, constrained=False)
     assert len(calls) == 10
     starts = [start for _, start, _ in calls]
-    draws = _perturbed_draws(starts[0], 10, 1)
+    theta1 = _stage1_theta(prob)
+    assert np.array_equal(starts[0][4:], theta1[4:])
+    draws = _perturbed_draws(theta1, 10, 1)
     assert all(np.array_equal(s, d) for s, d in zip(starts[1:], draws))
 
 
